@@ -4,7 +4,7 @@ Scenario files are a line-oriented key-value format with section
 headers; complex entries are written like `-1`, `i`, `1/2+1/2i`.
 Reports are deterministic: the same scenario and version give
 byte-identical output.  Exit codes: 0 success, 2 parse error,
-3 precondition violation, 4 cap exceeded.
+3 precondition violation, 4 cap exceeded, 5 failed re-verification.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     OrbitopError,
     PreconditionError,
     ScenarioParseError,
+    VerificationError,
 )
 from .exact import Matrix
 from .group import CLOSURE_CAP, Motion, close, conjugacy_classes, spin7_check, su_classify
@@ -65,12 +66,14 @@ class GeneratorSpec:
     conjugate: bool = False
 
     def to_motion(self, complex_dim: int) -> Motion:
+        size = 2 * complex_dim if self.real else complex_dim
+        if len(self.rows) != size or any(len(r) != size for r in self.rows):
+            raise ScenarioParseError(
+                f"{'real' if self.real else 'complex'} generator needs "
+                f"{size} rows of {size} entries"
+            )
         if self.real:
-            if len(self.rows) != 2 * complex_dim:
-                raise ScenarioParseError("real generator needs 2n rows")
             return Motion(matrix=Matrix([list(r) for r in self.rows]))
-        if len(self.rows) != complex_dim:
-            raise ScenarioParseError("complex generator needs n rows")
         return Motion.from_complex(
             [list(r) for r in self.rows], conjugate=self.conjugate
         )
@@ -205,7 +208,12 @@ def parse_scenario(text: str) -> Scenario:
         elif title == "splitting":
             for k, v in entries:
                 if k == "axis":
-                    splitting_axis = int(v)
+                    try:
+                        splitting_axis = int(v)
+                    except ValueError as exc:
+                        raise ScenarioParseError(
+                            f"splitting axis must be an integer, got {v!r}"
+                        ) from exc
         elif title == "node_classes":
             node_classes = tuple(
                 tuple(Fraction(t) for t in v.split())
@@ -216,6 +224,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"unknown section [{title}]")
     if not generators:
         raise ScenarioParseError("scenario defines no generators")
+    if not 1 <= splitting_axis <= complex_dim:
+        raise ScenarioParseError(
+            f"splitting axis {splitting_axis} is not in 1..{complex_dim}"
+        )
     try:
         scenario = Scenario(
             name=header["name"],
@@ -678,6 +690,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 5
     text = render(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,7 +1,7 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: parse errors -> 2, precondition
-violations -> 3, cap exhaustion -> 4.
+violations -> 3, cap exhaustion -> 4, failed exact re-verification -> 5.
 """
 
 
@@ -19,6 +19,14 @@ class PreconditionError(OrbitopError):
 
 class CapExceededError(OrbitopError):
     """A configured size cap (closure, enumeration, matrix size) was hit."""
+
+
+class VerificationError(OrbitopError):
+    """An exact re-verification of a computed result failed.
+
+    Raised by explicit checks rather than `assert`, so it also fires
+    under `python -O`.
+    """
 
 
 class FieldDivisionError(PreconditionError):

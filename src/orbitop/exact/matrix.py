@@ -3,16 +3,26 @@
 Entries are Fractions or Cyclotomic elements (one kind per matrix).  All
 values are immutable; every operation returns a new matrix.  Dimensions
 are capped (default 64) so bad input fails loudly instead of crawling.
+
+Products of two matrices over Q run on integers: each operand is scaled
+once to integer rows over the lcm of its denominators (kept on the
+matrix), the integer dot products are taken, and one Fraction is built
+per entry of the result.  Products with a cyclotomic operand take the
+entrywise generic path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from ..errors import CapExceededError, PreconditionError
 from .cyclotomic import Cyclotomic
 
 MAX_DIM = 64
+
+_UNSET = object()
 
 
 def _as_entry(x):
@@ -26,7 +36,7 @@ def _as_entry(x):
 class Matrix:
     """Immutable rectangular matrix with exact entries."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_scaled")
 
     def __init__(self, rows_data):
         data = tuple(tuple(_as_entry(x) for x in row) for row in rows_data)
@@ -41,6 +51,7 @@ class Matrix:
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0])
+        self._scaled = _UNSET
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -68,10 +79,37 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise PreconditionError("matrix dimension mismatch in product")
-        cols = list(zip(*other.data))
+        left, right = self._integer_form(), other._integer_form()
+        if left is None or right is None:
+            cols = list(zip(*other.data))
+            return Matrix(
+                [[_dot(row, col) for col in cols] for row in self.data]
+            )
+        (da, int_left), (db, int_right) = left, right
+        den = da * db
+        cols = list(zip(*int_right))
         return Matrix(
-            [[_dot(row, col) for col in cols] for row in self.data]
+            [
+                [Fraction(sum(map(mul, row, col)), den) for col in cols]
+                for row in int_left
+            ]
         )
+
+    def _integer_form(self):
+        """(d, rows) with integer rows, self == rows / d and d the lcm of
+        the entry denominators; None unless every entry is a Fraction.
+        Computed on first use and kept, since the matrix is immutable."""
+        if self._scaled is _UNSET:
+            entries = [x for row in self.data for x in row]
+            if all(isinstance(x, Fraction) for x in entries):
+                d = lcm(*(x.denominator for x in entries))
+                self._scaled = d, tuple(
+                    tuple(x.numerator * (d // x.denominator) for x in row)
+                    for row in self.data
+                )
+            else:
+                self._scaled = None
+        return self._scaled
 
     def apply(self, vector):
         """Matrix times column vector (any sequence), as a tuple."""

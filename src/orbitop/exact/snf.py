@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import PreconditionError
+from ..errors import PreconditionError, VerificationError
 from .matrix import Matrix
 
 
@@ -124,10 +124,18 @@ def snf(matrix: Matrix) -> SmithDecomposition:
             u[i] = [-x for x in u[i]]
 
     factors = tuple(a[i][i] for i in range(min(m, n)))
-    um, dm, vm = Matrix(u), Matrix(a), Matrix(v)
-    assert um @ matrix @ vm == dm, "snf transform verification failed"
+    result = SmithDecomposition(
+        U=Matrix(u), D=Matrix(a), V=Matrix(v), invariant_factors=factors
+    )
+    _verify(matrix, result)
+    return result
+
+
+def _verify(matrix: Matrix, result: SmithDecomposition) -> None:
+    """Re-check U @ M @ V == D and the divisibility chain exactly."""
+    if result.U @ matrix @ result.V != result.D:
+        raise VerificationError("snf transform verification failed")
+    factors = result.invariant_factors
     for x, y in zip(factors, factors[1:]):
-        assert y == 0 or (x != 0 and y % x == 0) or x == y == 0, (
-            "snf divisibility chain violated"
-        )
-    return SmithDecomposition(U=um, D=dm, V=vm, invariant_factors=factors)
+        if not (y == 0 or (x != 0 and y % x == 0)):
+            raise VerificationError("snf divisibility chain violated")

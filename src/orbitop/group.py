@@ -3,7 +3,9 @@
 Motions are stored as real 2n x 2n rational matrices so that
 conjugate-linear maps are first-class citizens; complex linearity is a
 derived property.  Groups are closed element lists with an index-based
-multiplication table, immutable after construction.
+multiplication table, immutable after construction.  Closure makes
+n * |gens| exact products; the table comes from the generator word of
+each element by integer lookups, not from n^2 matrix products.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cayley_form import CAYLEY_FORM_TERMS
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import Cyclotomic, Matrix
 
 CLOSURE_CAP = 10_000
@@ -185,7 +187,15 @@ class FiniteMatrixGroup:
 
 
 def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
-    """Smallest closed group of motions containing the generators."""
+    """Smallest closed group of motions containing the generators.
+
+    Breadth-first closure makes n * |gens| exact products: each element
+    is multiplied on the right by every generator once.  Every element
+    after the identity is recorded as a word, its BFS parent times one
+    generator, so the multiplication table follows from integer lookups:
+    a * b = (a * parent(b)) * gen(b).  A sample of min(n^2, 200) table
+    entries is then re-verified by exact products, plus an associativity
+    spot check."""
     if not generators:
         raise PreconditionError("need at least one generator")
     dim = generators[0].dim_real
@@ -196,47 +206,54 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     ident = Motion(matrix=Matrix.identity(dim))
     index = {ident.matrix: 0}
     elements = [ident]
-    frontier = [ident]
-    gens = list(generators)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m.compose(g)
-                if p.matrix not in index:
-                    if len(elements) >= cap:
-                        raise CapExceededError(
-                            f"group closure exceeded cap {cap}"
-                        )
-                    index[p.matrix] = len(elements)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    n = len(elements)
-    table = []
-    for a in elements:
+    word = [None]  # word[k] = (parent index, generator index); None for 1
+    right = []  # right[k][s] = index of elements[k] * gens[s]
+    gens = [g.matrix for g in generators]
+    for k, m in enumerate(elements):  # grows while iterating: BFS order
         row = []
-        for b in elements:
-            p = a.matrix @ b.matrix
-            if p not in index:
-                raise PreconditionError("generator set does not close")
-            row.append(index[p])
-        table.append(tuple(row))
-    table = tuple(table)
-    inverse = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0:
-                inverse[i] = j
-                break
+        for s, g in enumerate(gens):
+            p = m.matrix @ g
+            j = index.get(p)
+            if j is None:
+                if len(elements) >= cap:
+                    raise CapExceededError(f"group closure exceeded cap {cap}")
+                j = index[p] = len(elements)
+                elements.append(Motion(matrix=p))
+                word.append((k, s))
+            row.append(j)
+        right.append(row)
+    n = len(elements)
+    columns = [list(range(n))]  # columns[b][a] = index of a * b
+    for parent, s in word[1:]:
+        columns.append([right[a][s] for a in columns[parent]])
+    table = tuple(zip(*columns))
+    inverse = tuple(row.index(0) for row in table)
     group = FiniteMatrixGroup(
         elements=tuple(elements),
         table=table,
         identity_index=0,
-        inverse=tuple(inverse),
+        inverse=inverse,
     )
+    _verify_table_sample(group)
     _spot_check_associativity(group)
     return group
+
+
+def _verify_table_sample(group: FiniteMatrixGroup, samples: int = 200) -> None:
+    """Compare min(n^2, samples) table entries with exact products."""
+    n = group.order
+    pairs = (
+        itertools.product(range(n), repeat=2)
+        if n * n <= samples
+        else ((a, b) for a, b, _ in _sample_triples(n, samples))
+    )
+    elements = group.elements
+    for a, b in pairs:
+        product = elements[a].matrix @ elements[b].matrix
+        if product != elements[group.mul(a, b)].matrix:
+            raise VerificationError(
+                f"multiplication table entry ({a}, {b}) disagrees with the product"
+            )
 
 
 def _spot_check_associativity(group: FiniteMatrixGroup, samples: int = 200) -> None:
@@ -247,7 +264,10 @@ def _spot_check_associativity(group: FiniteMatrixGroup, samples: int = 200) -> N
         else _sample_triples(n, samples)
     )
     for a, b, c in triples:
-        assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+            raise VerificationError(
+                f"multiplication table is not associative at ({a}, {b}, {c})"
+            )
 
 
 def _sample_triples(n, samples):
@@ -356,9 +376,12 @@ def normal_and_quotient(group: FiniteMatrixGroup, h_indices) -> QuotientGroup:
     # The projection must be a homomorphism on every pair.
     for a in range(group.order):
         for b in range(group.order):
-            assert projection[group.mul(a, b)] == quotient.mul(
+            if projection[group.mul(a, b)] != quotient.mul(
                 projection[a], projection[b]
-            )
+            ):
+                raise VerificationError(
+                    f"projection to G/H is not a homomorphism at ({a}, {b})"
+                )
     return quotient
 
 

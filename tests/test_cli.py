@@ -91,6 +91,27 @@ def test_unknown_bundled_scenario():
     assert main(["group", "--scenario", "missing_name"]) == 2
 
 
+C3_HEADER = "name: bad\nambient: linear\ncomplex_dim: 3\n\n"
+DIAGONAL = "[generator]\nrow: -1 0 0\nrow: 0 i 0\nrow: 0 0 i\n"
+
+
+@pytest.mark.parametrize(
+    "command,body,message",
+    [
+        ("group", DIAGONAL + "[splitting]\naxis: one\n", "axis must be an integer"),
+        ("group", "[generator]\nrow: 1 0 0\nrow: 0 1\nrow: 0 0 1\n", "3 entries"),
+        ("lifts", DIAGONAL + "[splitting]\naxis: 4\n", "axis 4 is not in 1..3"),
+    ],
+    ids=["non-integer-axis", "ragged-row", "axis-beyond-dim"],
+)
+def test_bad_scenario_is_parse_error(tmp_path, capsys, command, body, message):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(C3_HEADER + body)
+    code, _, err = run_cli(capsys, command, "--scenario", str(scn))
+    assert code == 2
+    assert message in err
+
+
 # --- commands ------------------------------------------------------------------
 
 

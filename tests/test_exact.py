@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitop.errors import CapExceededError, FieldDivisionError
 from orbitop.exact import Cyclotomic, Matrix, cyc_arith, snf, totient
+from orbitop.exact.matrix import _dot
 
 
 # --- Smith normal form -----------------------------------------------------
@@ -198,3 +201,84 @@ def test_matrix_kernel_over_cyclotomic_field():
     basis = m.kernel_basis()
     assert len(basis) == 1
     assert all(x == 0 for x in m.apply(basis[0]))
+
+
+# --- products: integer kernel over Q, generic path over Q(zeta) ------------
+
+_q_entries = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def _q_matrix_pairs(draw, copies=1):
+    """`copies` pairs (A, B) over Q of one shape with A @ B defined, every
+    side 1..8, mixed denominators, negatives and some rows forced to zero."""
+    m, k, n = (draw(st.integers(1, 8)) for _ in range(3))
+
+    def matrix(rows, cols):
+        data = [[draw(_q_entries) for _ in range(cols)] for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+            data[i] = [Fraction(0)] * cols
+        return Matrix(data)
+
+    return [(matrix(m, k), matrix(k, n)) for _ in range(copies)]
+
+
+def _reference_product(a, b):
+    cols = list(zip(*b.data))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a.data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_q_matrix_pairs())
+def test_rational_product_matches_entrywise_reference(pairs):
+    [(a, b)] = pairs
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product.data == _reference_product(a, b)
+    assert all(type(x) is Fraction for row in product.data for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q_matrix_pairs(copies=2))
+def test_gaussian_product_agrees_with_rational_kernel(pairs):
+    """(A + iB)(C + iD) = (AC - BD) + i(AD + BC): the product over Q(i)
+    runs on the generic path, its real and imaginary parts on the
+    integer kernel."""
+    [(a, c), (b, d)] = pairs
+
+    def gaussian(re, im):
+        return Matrix(
+            [
+                [Cyclotomic.gaussian(x, y) for x, y in zip(r1, r2)]
+                for r1, r2 in zip(re.data, im.data)
+            ]
+        )
+
+    product = gaussian(a, b) @ gaussian(c, d)
+    assert product.data == _reference_product(gaussian(a, b), gaussian(c, d))
+    assert product == gaussian(a @ c - b @ d, a @ d + b @ c)
+
+
+def test_cyclotomic_and_mixed_products_match_reference():
+    rng = random.Random(5)
+    for order in (3, 4, 8, 12):
+        for _ in range(5):
+            rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+            a = Matrix(
+                [[_random_cyclotomic(rng, order) for _ in range(inner)]
+                 for _ in range(rows)]
+            )
+            b = Matrix(
+                [[_random_cyclotomic(rng, order) for _ in range(cols)]
+                 for _ in range(inner)]
+            )
+            q = _random_int_matrix(rng, cols, 2).scale(Fraction(1, 3))
+            assert (a @ b).data == _reference_product(a, b)
+            assert (b @ q).data == _reference_product(b, q)
+            assert (a @ b) @ q == a @ (b @ q)
+
+
+def test_rational_product_of_inverse_is_identity():
+    m = Matrix([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(5, 7), 2]])
+    assert m @ m.inverse() == Matrix.identity(2)
+    assert m.inverse() @ m == Matrix.identity(2)

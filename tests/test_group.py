@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitop.cli import load_scenario
 from orbitop.errors import CapExceededError, PreconditionError
 from orbitop.exact import Matrix
 from orbitop.group import (
@@ -254,3 +255,65 @@ def test_motion_flags(kappa, octonionic_pair):
     assert not kappa.is_anti_linear
     assert lam8.is_anti_linear and lam8.is_isometry
     assert not lam8.is_complex_linear
+
+
+# --- multiplication table from generator words ---------------------------
+
+H = Fraction(1, 2)
+
+# Inline generators of two stress groups (complex rows of (re, im) pairs).
+E6_BT_GENERATORS = (  # order 96; the z1-axis stabilizer is binary tetrahedral
+    [[(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (0, -1)]],
+    [[(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)], [(0, 0), (-1, 0), (0, 0)]],
+    [[(-1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]],
+    [[(0, 1), (0, 0), (0, 0)], [(0, 0), (H, H), (H, H)], [(0, 0), (-H, H), (H, -H)]],
+)
+MONO48_GENERATORS = (  # signed permutation matrices of C^3, order 48
+    [[(-1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]],
+    [[(0, 0), (0, 0), (1, 0)], [(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)]],
+    [[(0, 0), (1, 0), (0, 0)], [(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]],
+)
+
+INLINE_GENERATORS = {"e6_bt": E6_BT_GENERATORS, "mono48": MONO48_GENERATORS}
+
+
+def _generators(name):
+    if name in INLINE_GENERATORS:
+        return [Motion.from_complex(g) for g in INLINE_GENERATORS[name]]
+    return load_scenario(name).motions()
+
+
+@pytest.mark.parametrize(
+    "name,order",
+    [("t6_z4", 4), ("t6_z2z2", 4), ("c3_z4", 4), ("c3_z2z2", 4), ("r8_q8", 8),
+     ("e6_bt", 96), ("mono48", 48)],
+)
+def test_table_equals_brute_force_products(name, order, monkeypatch):
+    generators = _generators(name)
+    products = 0
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        nonlocal products
+        products += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    group = close(generators)
+    monkeypatch.undo()
+    n = group.order
+    assert n == order
+    # Closure multiplies each element by each generator once and then
+    # re-verifies min(n^2, 200) table entries: never more products than
+    # the n * |gens| + n^2 of building the table by brute force.
+    assert products == n * len(generators) + min(n * n, 200)
+    index = {m.matrix: i for i, m in enumerate(group.elements)}
+    brute = tuple(
+        tuple(index[a.matrix @ b.matrix] for b in group.elements)
+        for a in group.elements
+    )
+    assert group.table == brute
+    ident = Matrix.identity(group.dim_real)
+    assert group.elements[group.identity_index].matrix == ident
+    for i, m in enumerate(group.elements):
+        assert m.matrix @ group.elements[group.inverse[i]].matrix == ident
