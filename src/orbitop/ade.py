@@ -70,12 +70,6 @@ class DynkinDiagram:
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
-    def adjacency(self) -> Matrix:
-        a = [[0] * self.rank for _ in range(self.rank)]
-        for i, j in self.edges:
-            a[i][j] = a[j][i] = 1
-        return Matrix(a)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         out = []
         for i, j in self.edges:

@@ -326,9 +326,16 @@ def load_table(name_or_path: str) -> ContributionTable:
         except FileNotFoundError as exc:
             raise ScenarioParseError(f"no bundled table named {name_or_path!r}") from exc
         raw = json.loads(text)
-    entries = {}
-    for e in raw["entries"]:
-        entries[(e["kind"], e["choice"])] = (int(e["dh11"]), int(e["dh21"]))
+    try:
+        entries = {
+            (e["kind"], e["choice"]): (e["dh11"], e["dh21"]) for e in raw["entries"]
+        }
+    except (KeyError, TypeError) as exc:
+        raise ScenarioParseError(
+            f"bad table: each entry needs kind, choice, dh11, dh21 ({exc})"
+        ) from exc
+    if any(type(d) is not int for deltas in entries.values() for d in deltas):
+        raise ScenarioParseError("bad table: dh11 and dh21 must be integers")
     return ContributionTable(name=raw.get("name", name_or_path), entries=entries)
 
 
@@ -578,7 +585,7 @@ def _resolve_plans(plan_arg, scenario, report):
         raise PreconditionError(
             "no default plans for this scenario; pass --plan"
         )
-    if plan_arg.startswith("z4:k"):
+    if plan_arg in [f"z4:k{k}" for k in range(5)]:
         return [(plan_arg, _z4_plan(report, int(plan_arg[4:])))]
     if plan_arg == "z2z2:crepant":
         return [(plan_arg, _z2z2_plan(report, "crepant", "i"))]

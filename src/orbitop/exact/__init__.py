@@ -2,22 +2,17 @@
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, cyc_arith, cyclotomic_polynomial, totient
-from .matrix import MAX_DIM, Matrix, kernel_basis
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, totient
+from .matrix import MAX_DIM, Matrix
 from .snf import SmithDecomposition, snf
-
-Rational = Fraction
 
 __all__ = [
     "Cyclotomic",
     "Fraction",
     "MAX_DIM",
     "Matrix",
-    "Rational",
     "SmithDecomposition",
-    "cyc_arith",
     "cyclotomic_polynomial",
-    "kernel_basis",
     "snf",
     "totient",
 ]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from ..errors import FieldDivisionError, PreconditionError
+from ..errors import FieldDivisionError, PreconditionError, VerificationError
 
 
 def totient(m: int) -> int:
@@ -59,7 +59,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
     q, r = _poly_divmod_int(num, den)
-    assert not any(r), "cyclotomic polynomial division must be exact"
+    if any(r):
+        raise VerificationError(f"x^{m} - 1 is not divisible by the lower Phi_d")
     return tuple(q)
 
 
@@ -258,13 +259,3 @@ class Cyclotomic:
                 terms.append(f"{c}*z{self.order}^{i}" if i > 1 else f"{c}*z{self.order}")
         return "Cyc(" + (" + ".join(terms) if terms else "0") + ")"
 
-
-def cyc_arith(a: Cyclotomic, b: Cyclotomic, op: str) -> Cyclotomic:
-    """Dispatch helper: op in {add, mul, inv} (inv ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise PreconditionError(f"unknown cyclotomic op {op!r}")

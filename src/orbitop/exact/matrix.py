@@ -58,10 +58,6 @@ class Matrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns) -> "Matrix":
         cols = [list(c) for c in columns]
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
@@ -268,8 +264,3 @@ def _dot(xs, ys):
         term = x * y
         total = term if total is None else total + term
     return total
-
-
-def kernel_basis(m: Matrix):
-    """Module-level alias used by callers that think in operations."""
-    return m.kernel_basis()

@@ -117,15 +117,6 @@ class Motion:
             )
         return Matrix(rows)
 
-    def order(self, cap: int = CLOSURE_CAP) -> int:
-        ident = Matrix.identity(self.dim_real)
-        power = self.matrix
-        for k in range(1, cap + 1):
-            if power == ident:
-                return k
-            power = power @ self.matrix
-        raise CapExceededError(f"element order exceeds cap {cap}")
-
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
@@ -165,25 +156,6 @@ class FiniteMatrixGroup:
             cur = self.mul(cur, i)
             k += 1
         return k
-
-    def subgroup_generated(self, indices) -> frozenset[int]:
-        closed = {self.identity_index}
-        frontier = list(set(indices) | closed)
-        closed |= set(indices)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closed):
-                    for p in (self.mul(a, b), self.mul(b, a)):
-                        if p not in closed:
-                            closed.add(p)
-                            nxt.append(p)
-                inv = self.inverse[a]
-                if inv not in closed:
-                    closed.add(inv)
-                    nxt.append(inv)
-            frontier = nxt
-        return frozenset(closed)
 
 
 def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
@@ -314,19 +286,6 @@ class QuotientGroup:
 
     def coset_rep(self, i: int) -> int:
         return self.cosets[i][0]
-
-    def coset_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity_coset:
-            cur = self.mul(cur, i)
-            k += 1
-        return k
-
-    def inverse_coset(self, i: int) -> int:
-        for j in range(self.order):
-            if self.mul(i, j) == self.identity_coset:
-                return j
-        raise PreconditionError("coset has no inverse; table corrupt")
 
 
 class NotASubgroupError(PreconditionError):

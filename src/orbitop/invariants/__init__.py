@@ -3,9 +3,7 @@ Betti numbers, the desingularization ledger, sign-data combinatorics,
 and node-configuration checks."""
 
 from .betti import (
-    LOCAL_CASE_DATA,
     POINT_CASE_PATTERNS,
-    SPIN7_EXAMPLE_BETTI,
     BettiVector,
     ContributionTable,
     DesingPlan,
@@ -23,7 +21,7 @@ from .chi import (
     chi_total_count,
     code_admissible,
 )
-from .euler import EulerReport, euler_presum, orbifold_euler
+from .euler import EulerReport, orbifold_euler
 from .nodes import (
     NodeConfiguration,
     SmoothabilityResult,
@@ -39,17 +37,14 @@ __all__ = [
     "ContributionTable",
     "DesingPlan",
     "EulerReport",
-    "LOCAL_CASE_DATA",
     "NodeConfiguration",
     "POINT_CASE_PATTERNS",
-    "SPIN7_EXAMPLE_BETTI",
     "SmoothabilityResult",
     "chi_admissible",
     "chi_count_brute_force",
     "chi_family_census",
     "chi_total_count",
     "code_admissible",
-    "euler_presum",
     "exterior_power_matrix",
     "generic_combination",
     "ledger_apply",

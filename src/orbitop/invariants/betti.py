@@ -127,27 +127,6 @@ POINT_CASE_PATTERNS = {
     "ix": (-1, -1, -1),
 }
 
-# Local Betti data of the desingularization cases, shipped as read-only
-# reference values (b2, b3), plus the number of connected components of
-# allowed Kahler classes where that count is known.
-LOCAL_CASE_DATA = {
-    "i": {"b2": 3, "b3": 0},
-    "ii": {"b2": 2, "b3": 1, "kahler_components": 6},
-    "iii": {"b2": 1, "b3": 1},
-    "iv": {"b2": 1, "b3": 1, "kahler_components": 2},
-    "v": {"b2": 1, "b3": 1},
-    "vi": {"b2": 1, "b3": 1, "kahler_components": 2},
-    "vii": {"b2": 1, "b3": 1},
-    "viii": {"b2": 1, "b3": 1, "kahler_components": 2},
-    "ix": {"b2": 0, "b3": 1},
-}
-
-# Reference Betti data for the flat Spin(7) quotient example: the blowup
-# desingularization adds 1 to the Euler characteristic.
-SPIN7_EXAMPLE_BETTI = {
-    "Y1": {"b1": 0, "b2": 0, "b3": 0, "b4": 1, "b4_plus": 0, "b4_minus": 1}
-}
-
 
 def ledger_apply(
     base: BettiVector, plan: DesingPlan, table: ContributionTable

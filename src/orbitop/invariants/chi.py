@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 from ..errors import PreconditionError
@@ -86,17 +87,20 @@ def chi_admissible(data: ChiData) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _spread_table(n: int):
-    """v (bits over j) -> mask with nibble j filled when bit j of v set."""
+    """(spread, repeat) for grid size n: spread[v] is the mask with row j
+    filled wherever bit j of v is set, and repeat * u copies the n-bit
+    row u into every row."""
     row = (1 << n) - 1
-    table = []
+    spread = []
     for v in range(1 << n):
         m = 0
         for j in range(n):
             if v >> j & 1:
                 m |= row << (n * j)
-        table.append(m)
-    return table
+        spread.append(m)
+    return tuple(spread), sum(1 << (n * j) for j in range(n))
 
 
 def code_admissible(code: int, n: int = 4) -> bool:
@@ -104,11 +108,7 @@ def code_admissible(code: int, n: int = 4) -> bool:
     nn = n * n
     grid = (1 << nn) - 1
     row = (1 << n) - 1
-    if n not in _SPREAD_CACHE:
-        _SPREAD_CACHE[n] = _spread_table(n)
-        _REPEAT_CACHE[n] = sum(1 << (n * j) for j in range(n))
-    spread = _SPREAD_CACHE[n]
-    repeat = _REPEAT_CACHE[n]
+    spread, repeat = _spread_table(n)
     a = code & grid
     chi2 = code >> nn & grid
     chi3 = code >> (2 * nn) & grid
@@ -124,8 +124,14 @@ def code_admissible(code: int, n: int = 4) -> bool:
     return True
 
 
-_SPREAD_CACHE: dict[int, list[int]] = {}
-_REPEAT_CACHE: dict[int, int] = {}
+MAX_GRID_N = 4
+
+
+def _check_grid(n: int) -> None:
+    """The census and the count hold 2^(n^2)-element sets and sweeps, so
+    the grid size is capped before anything is allocated."""
+    if not 1 <= n <= MAX_GRID_N:
+        raise PreconditionError(f"grid size n must be in 1..{MAX_GRID_N}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,7 @@ class ChiCensus:
 def chi_family_census(n: int = 4) -> ChiCensus:
     """Enumerate the product family and the three axis families, dedupe,
     and cross-check the union by inclusion-exclusion."""
+    _check_grid(n)
     nn = n * n
     family1 = set()
     for bits in range(1 << (3 * n)):
@@ -197,8 +204,7 @@ def chi_family_census(n: int = 4) -> ChiCensus:
 def chi_total_count(n: int = 4) -> int:
     """Exact number of admissible assignments, by two independent
     algorithms that must agree (and by brute force for n <= 2)."""
-    if n > 4:
-        raise PreconditionError("total count supported for n <= 4")
+    _check_grid(n)
     a = _count_by_chi1_sweep(n)
     b = _count_by_column_transfer(n)
     if a != b:

@@ -59,7 +59,3 @@ def orbifold_euler(
         nonidentity_class_count=len(classes) - 1,
     )
 
-
-def euler_presum(group: FiniteMatrixGroup, lattice: TorusLattice | None = None) -> int:
-    """The pre-division commuting-pair sum (for divisibility checks)."""
-    return orbifold_euler(group, lattice).value * group.order

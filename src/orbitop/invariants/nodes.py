@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import PreconditionError
+from ..errors import PreconditionError, VerificationError
 from ..exact import Matrix
 
 
@@ -54,8 +54,10 @@ def node_smoothable(cfg: NodeConfiguration, seed: int = 0) -> SmoothabilityResul
             return SmoothabilityResult(smoothable=False, witness=None)
     forms = [tuple(Fraction(int(i == j)) for i in range(k)) for j in range(k)]
     witness = generic_combination(kernel, forms, seed=seed)
-    assert all(x == 0 for x in m.apply(witness)), "witness is not a relation"
-    assert all(x != 0 for x in witness), "witness has a zero coefficient"
+    if any(x != 0 for x in m.apply(witness)):
+        raise VerificationError("witness is not a relation")
+    if any(x == 0 for x in witness):
+        raise VerificationError("witness has a zero coefficient")
     return SmoothabilityResult(smoothable=True, witness=witness)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .ade import (
     DynkinDiagram,
@@ -24,7 +25,7 @@ from .ade import (
     graph_automorphisms,
     weyl_group,
 )
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import Cyclotomic, Matrix
 from .group import (
     FiniteMatrixGroup,
@@ -51,10 +52,6 @@ class KleinianClassification:
     classes: tuple[tuple[int, ...], ...]  # nonidentity classes
     vertex_maps: tuple[tuple[int, ...], ...]  # class position -> vertex
     ambiguous: bool
-
-    @property
-    def class_vertex_map(self) -> tuple[int, ...]:
-        return self.vertex_maps[0]
 
 
 def classify_kleinian(h: FiniteMatrixGroup) -> KleinianClassification:
@@ -157,7 +154,6 @@ class PsiHom:
     source: QuotientGroup
     diagram: DynkinDiagram
     images: tuple[tuple[int, ...], ...]  # coset index -> vertex permutation
-    alternatives: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
     def is_trivial(self) -> bool:
         ident = tuple(range(self.diagram.rank))
@@ -171,6 +167,7 @@ def compute_psi(
 ) -> PsiHom:
     """Transport the conjugation action of K on nonidentity classes of H
     through the class-vertex map; every coset must land in Aut(diagram).
+    The first candidate matching that gives a homomorphism is used.
 
     classification.subgroup must be the restriction of the h_indices
     elements to the complement of the distinguished line.
@@ -187,10 +184,8 @@ def compute_psi(
     )
 
     auts = set(graph_automorphisms(classification.diagram))
-    valid = []
     for vmap in classification.vertex_maps:
         images = []
-        ok = True
         for coset_idx in range(quotient.order):
             rep = quotient.coset_rep(coset_idx)
             class_perm = {}
@@ -202,24 +197,15 @@ def compute_psi(
                 vertex_perm[vmap[ci]] = vmap[cj]
             vertex_perm = tuple(vertex_perm)
             if vertex_perm not in auts:
-                ok = False
                 break
             images.append(vertex_perm)
-        if not ok:
-            continue
-        if _is_perm_hom(quotient, images):
-            if tuple(images) not in valid:
-                valid.append(tuple(images))
-    if not valid:
-        raise PreconditionError(
-            "conjugation action incompatible with the diagram symmetries "
-            f"under every candidate matching ({len(classification.vertex_maps)} tried)"
-        )
-    return PsiHom(
-        source=quotient,
-        diagram=classification.diagram,
-        images=valid[0],
-        alternatives=tuple(valid[1:]),
+        if len(images) == quotient.order and _is_perm_hom(quotient, images):
+            return PsiHom(
+                source=quotient, diagram=classification.diagram, images=tuple(images)
+            )
+    raise PreconditionError(
+        "conjugation action incompatible with the diagram symmetries "
+        f"under every candidate matching ({len(classification.vertex_maps)} tried)"
     )
 
 
@@ -401,13 +387,10 @@ def build_invariant_pair_problem(
     """Fixed spaces of the two twisted dual actions of K."""
     rank = rs.rank
     quotient = chi.psi.source
-    field_order = 1
-    for s in phi:
-        o = s.root_of_unity_order()
-        if o is None:
-            raise PreconditionError("splitting multiplier is not a root of unity")
-        field_order = field_order * o // _gcd(field_order, o)
-    field_order = max(field_order, 1)
+    orders = [s.root_of_unity_order() for s in phi]
+    if None in orders:
+        raise PreconditionError("splitting multiplier is not a root of unity")
+    field_order = lcm(*orders)
 
     real_basis = None
     for coset in range(quotient.order):
@@ -417,7 +400,7 @@ def build_invariant_pair_problem(
     complex_basis = None
     for coset in range(quotient.order):
         dual = chi.images[coset].dual_matrix()
-        scalar = phi[coset].embed(_lcm(field_order, phi[coset].order))
+        scalar = phi[coset].embed(lcm(field_order, phi[coset].order))
         rows = [
             [scalar * dual[i, j] - (1 if i == j else 0) for j in range(rank)]
             for i in range(rank)
@@ -431,16 +414,6 @@ def build_invariant_pair_problem(
         real_fixed_basis=tuple(real_basis or ()),
         complex_fixed_basis=tuple(complex_basis or ()),
     )
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)
 
 
 def _intersect_kernel(basis, block):
@@ -501,18 +474,18 @@ def _verify_pair(problem: InvariantPairProblem, alpha, beta) -> None:
     rank = problem.root_system.rank
     for coset in range(quotient.order):
         dual = problem.chi.images[coset].dual_matrix()
-        image_a = dual.apply(alpha)
-        assert tuple(image_a) == tuple(alpha), "alpha is not invariant"
+        if tuple(dual.apply(alpha)) != tuple(alpha):
+            raise VerificationError("alpha is not invariant")
         scalar = problem.phi[coset]
         image_b = [
             scalar * sum(dual[i, j] * beta[j] for j in range(rank))
             for i in range(rank)
         ]
-        assert all(x == y for x, y in zip(image_b, beta)), "beta is not invariant"
+        if any(x != y for x, y in zip(image_b, beta)):
+            raise VerificationError("beta is not invariant")
     for delta in problem.root_system.roots:
-        a_val = _pair(alpha, delta)
-        b_val = _pair(beta, delta)
-        assert a_val != 0 or b_val != 0, "pair misses the genericity condition"
+        if _pair(alpha, delta) == 0 and _pair(beta, delta) == 0:
+            raise VerificationError("pair misses the genericity condition")
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +709,9 @@ def iterate_residual(
     for piece, exps in sorted(
         by_piece.items(), key=lambda kv: (kv[0].description, kv[0].dimension)
     ):
-        stab = {0} | exps
-        order = len(_cyclic_closure(stab, model.k_order))
+        # The subgroup of Z/k generated by the exponents.
+        elements = range(0, model.k_order, gcd(model.k_order, *exps))
+        order = len(elements)
         if order <= 1:
             continue
         if order >= parent_order:
@@ -748,23 +722,10 @@ def iterate_residual(
             ResidualSingularity(
                 piece=piece,
                 group_order=order,
-                elements=tuple(sorted(_cyclic_closure(stab, model.k_order))),
+                elements=tuple(elements),
             )
         )
     return out
-
-
-def _cyclic_closure(exponents, modulus):
-    closed = set(exponents)
-    frontier = list(closed)
-    while frontier:
-        cur = frontier.pop()
-        for other in list(closed):
-            s = (cur + other) % modulus
-            if s not in closed:
-                closed.add(s)
-                frontier.append(s)
-    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +774,8 @@ def analyze_splitting(
     if subgroup.order != len(h_indices):
         raise PreconditionError("restricted subgroup does not close to H")
     classification = classify_kleinian(subgroup)
-    quotient = normal_and_quotient(group, set(h_indices))
     psi = compute_psi(group, set(h_indices), classification)
+    quotient = psi.source
     rs = build_root_system(classification.diagram)
     weyl = weyl_group(rs)
     lifts = enumerate_chi_lifts(psi, weyl)

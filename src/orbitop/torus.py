@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import Matrix, snf
 from .group import FiniteMatrixGroup, Motion
 
@@ -74,16 +75,9 @@ class SubtorusFamily:
         return self.component_count if self.dimension == 0 else 0
 
 
+@lru_cache(maxsize=4096)
 def _snf_cached(a: Matrix):
-    dec = _SNF_CACHE.get(a.data)
-    if dec is None:
-        dec = snf(a)
-        if len(_SNF_CACHE) < 4096:
-            _SNF_CACHE[a.data] = dec
-    return dec
-
-
-_SNF_CACHE: dict = {}
+    return snf(a)
 
 
 def _solve_congruence(a: Matrix, rhs=None):
@@ -133,9 +127,8 @@ def fixed_set(motion: Motion, lattice: TorusLattice) -> SubtorusFamily:
     a = m - Matrix.identity(m.rows)
     dim, count, reps, dirs = _solve_congruence(a)
     for p in reps:
-        assert all(x.denominator == 1 for x in a.apply(p)), (
-            "fixed-set representative fails its congruence"
-        )
+        if any(x.denominator != 1 for x in a.apply(p)):
+            raise VerificationError("fixed-set representative fails its congruence")
     return SubtorusFamily(
         dimension=dim, component_count=count, representatives=reps, direction=dirs
     )
@@ -153,8 +146,8 @@ def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
     dim, count, reps, dirs = _solve_congruence(stacked)
     for p in reps:
         for m in mats:
-            image = reduce_point(m.apply(p))
-            assert image == p, "common fixed point not fixed by every motion"
+            if reduce_point(m.apply(p)) != p:
+                raise VerificationError("common fixed point not fixed by every motion")
     return SubtorusFamily(
         dimension=dim, component_count=count, representatives=reps, direction=dirs
     )
@@ -279,14 +272,14 @@ def _affine_action(m: Matrix, comp: _Translate):
     a_rows = [
         [cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))
     ]
-    for row in a_rows:
-        assert all(x.denominator == 1 for x in row), "direction action not integral"
+    if any(x.denominator != 1 for row in a_rows for x in row):
+        raise VerificationError("direction action not integral")
     shift = [x - y for x, y in zip(m.apply(comp.point), comp.point)]
     dec = snf(d)
     w = dec.U.apply(shift)
     rank = len(comp.dirs)
-    for i in range(rank, len(w)):
-        assert w[i].denominator == 1, "shift leaves the component"
+    if any(x.denominator != 1 for x in w[rank:]):
+        raise VerificationError("shift leaves the component")
     y = [w[i] / dec.invariant_factors[i] for i in range(rank)]
     b = dec.V.apply(y)
     a_int = tuple(tuple(int(x) for x in row) for row in a_rows)

@@ -234,6 +234,47 @@ def test_ledger_named_plan(capsys):
     assert row["b"][2] == 21 and row["b"][3] == 20
 
 
+GOOD_ENTRY = {"kind": "T2/Z2", "choice": "a", "dh11": 5, "dh21": 0}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"name": "no-entries"},
+        [GOOD_ENTRY],
+        *({"entries": [{k: v for k, v in GOOD_ENTRY.items() if k != key}]}
+          for key in GOOD_ENTRY),
+        {"entries": [dict(GOOD_ENTRY, dh11="five")]},
+        {"entries": [dict(GOOD_ENTRY, dh21=0.5)]},
+    ],
+    ids=["no-entries", "not-an-object", "no-kind", "no-choice", "no-dh11",
+         "no-dh21", "string-delta", "fractional-delta"],
+)
+def test_malformed_table_is_parse_error(tmp_path, capsys, table):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(
+        capsys, "ledger", "--scenario", "t6_z4", "--plan", "z4:k1", "--table", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "bad table" in err
+
+
+@pytest.mark.parametrize("plan", ["z4:kx", "z4:k9", "z4:k-1", "z4:k"])
+def test_unknown_z4_plan_name_is_parse_error(capsys, plan):
+    code, out, err = run_cli(capsys, "ledger", "--scenario", "t6_z4", "--plan", plan)
+    assert (code, out) == (2, "")
+    assert "plan not found" in err
+
+
+@pytest.mark.parametrize("command", ["chi-census", "chi-count"])
+@pytest.mark.parametrize("n", ["0", "-1", "5"])
+def test_grid_n_out_of_range_is_precondition_error(capsys, command, n):
+    code, out, err = run_cli(capsys, command, "--grid-n", n)
+    assert (code, out) == (3, "")
+    assert "grid size" in err
+
+
 def test_invariant_pair_cli(capsys):
     code, out, _ = run_cli(
         capsys, "invariant-pair", "--scenario", "c3_z4", "--format", "json"

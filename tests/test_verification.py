@@ -1,8 +1,10 @@
 """Exact re-verifications raise VerificationError, also under python -O."""
 
+import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,9 @@ import pytest
 import orbitop
 import orbitop.cli
 from orbitop.cli import main
+from orbitop.ade import build_root_system
 from orbitop.errors import VerificationError
-from orbitop.exact import Matrix, snf
+from orbitop.exact import Cyclotomic, Matrix, snf
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import (
     FiniteMatrixGroup,
@@ -19,6 +22,8 @@ from orbitop.group import (
     _verify_table_sample,
     normal_and_quotient,
 )
+from orbitop.invariants import NodeConfiguration, node_smoothable, nodes
+from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 
 
 def corrupted(group, a, b, value):
@@ -75,6 +80,51 @@ def test_snf_verification_catches_broken_divisibility_chain():
         _verify(m, SmithDecomposition(ident, m, ident, (2, 3)))
 
 
+def test_pair_check_catches_corrupted_witness(z4_group):
+    # Over A1 the canonical lift fixes the root and the other lift negates
+    # it; the Z4 generator multiplies the distinguished line by -1.
+    result = analyze_splitting(z4_group)
+    rs = build_root_system(result.classification.diagram)
+    canonical, flip = (
+        build_invariant_pair_problem(rs, lift, result.phi) for lift in result.lifts
+    )
+    label = result.decisions[0].label
+    _verify_pair(canonical, label.alpha, label.beta)
+    zero, one = Cyclotomic.from_rational(0), Cyclotomic.from_rational(1)
+    with pytest.raises(VerificationError, match="alpha"):
+        _verify_pair(flip, (Fraction(1),), (zero,))
+    with pytest.raises(VerificationError, match="beta"):
+        _verify_pair(canonical, label.alpha, (one,))
+    with pytest.raises(VerificationError, match="genericity"):
+        _verify_pair(canonical, (Fraction(0),), (zero,))
+
+
+@pytest.mark.parametrize(
+    "witness,message", [((1, 1, 0), "not a relation"), ((0, 0, 0), "zero coefficient")]
+)
+def test_smoothability_check_catches_corrupted_witness(monkeypatch, witness, message):
+    cfg = NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]])
+    assert node_smoothable(cfg).witness is not None
+    monkeypatch.setattr(
+        nodes, "generic_combination", lambda *a, **k: tuple(map(Fraction, witness))
+    )
+    with pytest.raises(VerificationError, match=message):
+        node_smoothable(cfg)
+
+
+def test_no_assert_statements_in_the_package():
+    """Checks written as `assert` vanish under python -O; the package
+    raises VerificationError instead."""
+    package = Path(orbitop.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 OPTIMIZED_SCRIPT = """
 import sys
 assert False, "asserts are stripped under -O, so this never fires"
@@ -82,6 +132,7 @@ from orbitop.errors import VerificationError
 from orbitop.exact import Matrix
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import FiniteMatrixGroup, Motion, close, normal_and_quotient
+from orbitop.invariants import NodeConfiguration, node_smoothable, nodes
 
 kappa = Motion.from_complex([[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
 group = close([kappa])
@@ -99,6 +150,11 @@ try:
     _verify(m, SmithDecomposition(ident, m, ident, (2, 3)))
 except VerificationError:
     caught.append("snf")
+nodes.generic_combination = lambda *args, **kwargs: (1, 1, 0)
+try:
+    node_smoothable(NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]]))
+except VerificationError:
+    caught.append("witness")
 print(sys.flags.optimize, " ".join(caught))
 """
 
@@ -115,7 +171,7 @@ def test_verification_survives_python_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "quotient", "snf"]
+    assert done.stdout.split() == ["1", "quotient", "snf", "witness"]
 
 
 def test_cli_maps_verification_error_to_exit_5(monkeypatch, capsys):
