@@ -598,10 +598,18 @@ def _resolve_plans(plan_arg, scenario, report):
         raise ScenarioParseError(f"plan not found: {plan_arg}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"bad plan JSON: {exc}") from exc
-    comp = {int(k): v for k, v in raw.get("components", {}).items()}
-    pts = {int(k): v for k, v in raw.get("points", {}).items()}
-    signs = {k: int(v) for k, v in raw.get("signs", {}).items()} or None
-    return [(plan_arg, plan_from_choices(report, comp, pts, signs))]
+    try:
+        comp = {int(k): v for k, v in raw.get("components", {}).items()}
+        pts = {int(k): v for k, v in raw.get("points", {}).items()}
+        signs = dict(raw.get("signs", {}))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioParseError(
+            f"bad plan: expected an object whose components and points map "
+            f"integer ids to choices ({exc})"
+        ) from exc
+    if any(type(v) is not int for v in signs.values()):
+        raise ScenarioParseError("bad plan: signs must be integers")
+    return [(plan_arg, plan_from_choices(report, comp, pts, signs or None))]
 
 
 def _z4_plan(report, k):

@@ -36,7 +36,7 @@ def _as_entry(x):
 class Matrix:
     """Immutable rectangular matrix with exact entries."""
 
-    __slots__ = ("rows", "cols", "data", "_scaled")
+    __slots__ = ("rows", "cols", "data", "_scaled", "_hash")
 
     def __init__(self, rows_data):
         data = tuple(tuple(_as_entry(x) for x in row) for row in rows_data)
@@ -52,6 +52,7 @@ class Matrix:
         self.rows = len(data)
         self.cols = len(data[0])
         self._scaled = _UNSET
+        self._hash = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -251,7 +252,9 @@ class Matrix:
         return self.data == other.data
 
     def __hash__(self):
-        return hash(self.data)
+        if self._hash is None:
+            self._hash = hash(self.data)
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)

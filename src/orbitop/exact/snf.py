@@ -2,12 +2,14 @@
 
 Pivot choice is the smallest-absolute-value nonzero entry, ties broken
 by row-major position, so the decomposition is deterministic for a
-fixed input.
+fixed input.  The algorithm and its exact re-verification run on rows
+of Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from ..errors import PreconditionError, VerificationError
 from .matrix import Matrix
@@ -17,13 +19,15 @@ from .matrix import Matrix
 class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D diagonal.
 
-    invariant_factors lists the full diagonal of D (length min(m, n)),
-    nonnegative, each nonzero entry dividing the next.
+    U, D, V are Matrices when M is a Matrix, and tuples of int rows when
+    M is given as int rows.  invariant_factors lists the full diagonal
+    of D (length min(m, n)), nonnegative, each nonzero entry dividing
+    the next.
     """
 
-    U: Matrix
-    D: Matrix
-    V: Matrix
+    U: Matrix | tuple[tuple[int, ...], ...]
+    D: Matrix | tuple[tuple[int, ...], ...]
+    V: Matrix | tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
 
     @property
@@ -43,12 +47,23 @@ def _find_pivot(a, t, m, n):
     return best
 
 
-def snf(matrix: Matrix) -> SmithDecomposition:
-    """Smith normal form of an integer matrix."""
+def snf(matrix) -> SmithDecomposition:
+    """Smith normal form of an integer Matrix, or of a tuple of int rows
+    (then U, D, V come back as int rows and no Fraction is built)."""
+    if not isinstance(matrix, Matrix):
+        return _snf_rows(matrix)
     if not matrix.is_integer():
         raise PreconditionError("snf requires integer entries")
-    a = matrix.int_rows()
-    m, n = matrix.rows, matrix.cols
+    dec = _snf_rows(matrix.int_rows())
+    return SmithDecomposition(
+        U=Matrix(dec.U), D=Matrix(dec.D), V=Matrix(dec.V),
+        invariant_factors=dec.invariant_factors,
+    )
+
+
+def _snf_rows(rows) -> SmithDecomposition:
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0])
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -125,15 +140,33 @@ def snf(matrix: Matrix) -> SmithDecomposition:
 
     factors = tuple(a[i][i] for i in range(min(m, n)))
     result = SmithDecomposition(
-        U=Matrix(u), D=Matrix(a), V=Matrix(v), invariant_factors=factors
+        U=tuple(map(tuple, u)),
+        D=tuple(map(tuple, a)),
+        V=tuple(map(tuple, v)),
+        invariant_factors=factors,
     )
-    _verify(matrix, result)
+    _verify(rows, result)
     return result
 
 
-def _verify(matrix: Matrix, result: SmithDecomposition) -> None:
-    """Re-check U @ M @ V == D and the divisibility chain exactly."""
-    if result.U @ matrix @ result.V != result.D:
+def _int_rows(x):
+    """Rows of ints; a Matrix with a non-integral entry fails the check."""
+    if not isinstance(x, Matrix):
+        return tuple(map(tuple, x))
+    if not x.is_integer():
+        raise VerificationError("snf transform verification failed")
+    return tuple(map(tuple, x.int_rows()))
+
+
+def _product(left, right):
+    cols = list(zip(*right))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in left)
+
+
+def _verify(matrix, result: SmithDecomposition) -> None:
+    """Re-check U @ M @ V == D and the divisibility chain exactly, on ints."""
+    m, u, d, v = map(_int_rows, (matrix, result.U, result.D, result.V))
+    if _product(_product(u, m), v) != d:
         raise VerificationError("snf transform verification failed")
     factors = result.invariant_factors
     for x, y in zip(factors, factors[1:]):

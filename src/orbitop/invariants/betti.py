@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..errors import PreconditionError
 from ..exact import Matrix
 from ..group import FiniteMatrixGroup
-from ..torus import SingularSetReport, TorusLattice, lattice_matrix
+from ..torus import SingularSetReport, TorusLattice, lattice_matrices
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def exterior_power_matrix(m: Matrix, k: int) -> Matrix:
 def quotient_betti(group: FiniteMatrixGroup, lattice: TorusLattice) -> BettiVector:
     """Betti numbers of T/G via invariant exterior forms."""
     dim = lattice.rank
-    for motion in group.elements:
-        lattice_matrix(motion, lattice)  # raises if the lattice is not preserved
+    lattice_matrices(group, lattice)  # raises if the lattice is not preserved
     out = []
     for k in range(dim + 1):
         if k == 0:
@@ -191,7 +190,12 @@ def plan_from_choices(
             by_family = {}
             for c in incident:
                 fam = _line_family(report.components[c])
-                by_family[fam] = chi_of_choice[component_choices[c]]
+                choice = component_choices[c]
+                if choice not in chi_of_choice:
+                    raise PreconditionError(
+                        f"point {pidx}: no line sign for choice {choice!r}"
+                    )
+                by_family[fam] = chi_of_choice[choice]
             if sorted(by_family) != [0, 1, 2]:
                 raise PreconditionError(
                     f"point {pidx} does not meet one line of each coordinate family"

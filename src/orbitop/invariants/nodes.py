@@ -12,8 +12,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import PreconditionError, VerificationError
+from ..errors import CapExceededError, PreconditionError, VerificationError
 from ..exact import Matrix
+
+# Rows one Fourier-Motzkin step may build.  A step pairs every lower
+# bound with every upper bound, so the row count can square per step;
+# the ten classes of the nodes_d4 stress scenario need 313,344.
+FOURIER_MOTZKIN_ROW_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,12 @@ def _fourier_motzkin_feasible(rows) -> bool:
                 uppers.append([x / c for x in rest])
             else:
                 keep.append(rest)
+        needed = len(keep) + len(lowers) * len(uppers)
+        if needed > FOURIER_MOTZKIN_ROW_CAP:
+            raise CapExceededError(
+                f"Fourier-Motzkin step needs {needed} rows, "
+                f"over cap {FOURIER_MOTZKIN_ROW_CAP}"
+            )
         new_rows = keep
         for lo in lowers:
             for up in uppers:

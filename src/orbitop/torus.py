@@ -2,9 +2,15 @@
 lattice congruences and Smith normal form, and the full singular-set
 decomposition of the quotient.
 
-All torus points carry rational coordinates in the lattice basis,
-reduced to [0,1).  Fixed points of finite linear actions on rational
-lattices are rational, so everything here is exact.
+Everything runs in lattice coordinates, on Python ints.  Each motion
+becomes an integer matrix once per lattice.  A torus point is a vector
+of integer numerators over one common denominator N, reduced mod N, so
+fixed-point and incidence checks are congruences mod N.  A subtorus
+translate is hashed by its direction span and the values that the
+integer functionals vanishing on that span take at its point, so equal
+translates meet in a dict instead of being compared pairwise.  Fractions
+are formed only for the reported points and, once per distinct span,
+for its echelon form.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import Matrix, snf
@@ -41,24 +49,36 @@ class TorusLattice:
     def rank(self) -> int:
         return self.basis.rows
 
+    @cached_property
+    def _basis_inverse(self) -> Matrix:
+        return self.basis.inverse()
+
+
+@lru_cache(maxsize=4096)
+def _lattice_ints(motion: Motion, lattice: TorusLattice):
+    """Rows of the motion's integer matrix in lattice coordinates; errors
+    if the motion does not preserve the lattice."""
+    m = lattice._basis_inverse @ motion.matrix @ lattice.basis
+    for j in range(m.cols):
+        col = m.column(j)
+        if any(x.denominator != 1 for x in col):
+            raise PreconditionError(
+                f"motion does not preserve the lattice: basis vector {j} "
+                f"maps to non-integral coordinates {col}"
+            )
+    return tuple(map(tuple, m.int_rows()))
+
 
 def lattice_matrix(motion: Motion, lattice: TorusLattice) -> Matrix:
     """Matrix of the motion in lattice coordinates; errors if the motion
     does not preserve the lattice."""
-    m = lattice.basis.inverse() @ motion.matrix @ lattice.basis
-    if not m.is_integer():
-        for j in range(m.cols):
-            col = m.column(j)
-            if any(x.denominator != 1 for x in col):
-                raise PreconditionError(
-                    f"motion does not preserve the lattice: basis vector {j} "
-                    f"maps to non-integral coordinates {col}"
-                )
-    return m
+    return Matrix(_lattice_ints(motion, lattice))
 
 
-def reduce_point(point) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) % 1 for x in point)
+def lattice_matrices(group: FiniteMatrixGroup, lattice: TorusLattice):
+    """Integer row tuples of every element in lattice coordinates, in
+    element order; errors if some element does not preserve the lattice."""
+    return tuple(_lattice_ints(m, lattice) for m in group.elements)
 
 
 @dataclass(frozen=True)
@@ -76,161 +96,183 @@ class SubtorusFamily:
 
 
 @lru_cache(maxsize=4096)
-def _snf_cached(a: Matrix):
-    return snf(a)
+def _snf_cached(rows):
+    return snf(rows)
 
 
-def _solve_congruence(a: Matrix, rhs=None):
+def _apply(rows, vector):
+    return tuple(sum(map(mul, row, vector)) for row in rows)
+
+
+def _along(dirs, coeffs, n):
+    """The integer vector sum of coeffs[k] * dirs[k] in Z^n."""
+    out = [0] * n
+    for c, d in zip(coeffs, dirs):
+        out = [x + c * y for x, y in zip(out, d)]
+    return out
+
+
+def _canon(nums, den):
+    """The torus point nums/den in lowest terms, numerators in [0, den)."""
+    nums = tuple(x % den for x in nums)
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
+def _fractions(nums, den):
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def _solve_congruence(a, rhs=None):
     """Solve A x = rhs (mod Z^m) for x in the torus R^n/Z^n, m >= n.
 
-    Returns (dimension, count, representatives, directions) or None when
-    the congruence is infeasible (only possible with nonzero rhs).
+    A is a tuple of int rows; rhs is None (zero) or (numerators, q).
+    Returns (dimension, count, N, representatives, directions), each
+    representative an int vector x with x/N a solution, reduced mod N,
+    in increasing order; or None when the congruence is infeasible (only
+    possible with nonzero rhs).  Every representative is re-checked
+    against A x = rhs on integers.
     """
-    if a.rows < a.cols:
+    m, n = len(a), len(a[0])
+    if m < n:
         raise PreconditionError("congruence solver expects m >= n")
     dec = _snf_cached(a)
-    n = a.cols
-    w = dec.U.apply(rhs) if rhs is not None else (Fraction(0),) * a.rows
     factors = dec.invariant_factors
     rank = dec.rank
-    for i in range(a.rows):
-        d = factors[i] if i < n else 0
-        if d == 0 and w[i].denominator != 1:
-            return None
-    count = 1
-    for d in factors[:rank]:
-        count *= d
-    dims = [j for j in range(n) if j >= rank or factors[j] == 0]
+    if rhs is None:
+        rhs_nums, q = (0,) * m, 1
+    else:
+        rhs_nums, q = rhs
+    w = _apply(dec.U, rhs_nums)
+    if any(x % q for x in w[rank:]):
+        return None
+    count = prod(factors[:rank])
     if count > REPRESENTATIVE_CAP:
         raise CapExceededError(
             f"congruence has {count} components, over cap {REPRESENTATIVE_CAP}"
         )
-    choices = []
-    for i in range(rank):
-        base = w[i] / factors[i]
-        choices.append([base + Fraction(s, factors[i]) for s in range(factors[i])])
-    reps = []
-    for combo in itertools.product(*choices) if choices else [()]:
-        y = [Fraction(0)] * n
-        for i, val in enumerate(combo):
-            y[i] = val
-        reps.append(reduce_point(dec.V.apply(y)))
-    directions = tuple(
-        tuple(int(x) for x in dec.V.column(j)) for j in dims
+    # y_i = (w_i / q + s) / d_i for s in 0..d_i-1, as numerators over N.
+    big_n = q * lcm(*factors[:rank])
+    choices = [
+        [(w[i] + s * q) * (big_n // (q * d)) for s in range(d)]
+        for i, d in enumerate(factors[:rank])
+    ]
+    v_cols = list(zip(*dec.V))[:rank]
+    reps = sorted(
+        tuple(x % big_n for x in _along(v_cols, combo, n))
+        for combo in itertools.product(*choices)
     )
-    return len(dims), count, tuple(sorted(reps)), directions
+    scale = big_n // q
+    for x in reps:
+        if any((lhs - r * scale) % big_n for lhs, r in zip(_apply(a, x), rhs_nums)):
+            raise VerificationError("congruence representative fails A x = rhs")
+    directions = tuple(tuple(row[j] for row in dec.V) for j in range(rank, n))
+    return n - rank, count, big_n, tuple(reps), directions
+
+
+def _family(solved) -> SubtorusFamily:
+    dim, count, big_n, reps, dirs = solved
+    # N divides the component count, so this table is the smaller loop.
+    table = [Fraction(k, big_n) for k in range(big_n)]
+    return SubtorusFamily(
+        dimension=dim,
+        component_count=count,
+        representatives=tuple(tuple(table[k] for k in x) for x in reps),
+        direction=dirs,
+    )
+
+
+def _minus_identity(rows):
+    return tuple(
+        tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(rows)
+    )
 
 
 def fixed_set(motion: Motion, lattice: TorusLattice) -> SubtorusFamily:
     """Solutions of (g - 1) x = 0 (mod lattice), as translates of a subtorus."""
-    m = lattice_matrix(motion, lattice)
-    a = m - Matrix.identity(m.rows)
-    dim, count, reps, dirs = _solve_congruence(a)
-    for p in reps:
-        if any(x.denominator != 1 for x in a.apply(p)):
-            raise VerificationError("fixed-set representative fails its congruence")
-    return SubtorusFamily(
-        dimension=dim, component_count=count, representatives=reps, direction=dirs
-    )
+    return _family(_solve_congruence(_minus_identity(_lattice_ints(motion, lattice))))
 
 
 def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
     """Simultaneous fixed set of several motions (stacked congruence)."""
     if not motions:
         raise PreconditionError("need at least one motion")
-    mats = [lattice_matrix(m, lattice) for m in motions]
-    stacked = None
-    for m in mats:
-        block = m - Matrix.identity(m.rows)
-        stacked = block if stacked is None else stacked.stack(block)
-    dim, count, reps, dirs = _solve_congruence(stacked)
-    for p in reps:
-        for m in mats:
-            if reduce_point(m.apply(p)) != p:
-                raise VerificationError("common fixed point not fixed by every motion")
-    return SubtorusFamily(
-        dimension=dim, component_count=count, representatives=reps, direction=dirs
+    stacked = tuple(
+        row
+        for m in motions
+        for row in _minus_identity(_lattice_ints(m, lattice))
     )
+    return _family(_solve_congruence(stacked))
 
 
 # ---------------------------------------------------------------------------
 # Singular set machinery
 
 
+@lru_cache(maxsize=4096)
+def _span_key(dirs):
+    """The rational span of integer vectors in a canonical form: its
+    reduced row echelon basis, each row cleared of denominators."""
+    if not dirs:
+        return ()
+    reduced, _ = Matrix(dirs).rref()
+    out = []
+    for row in reduced.data:
+        k = lcm(*(x.denominator for x in row))
+        out.append(tuple(int(x * k) for x in row))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _annihilator(span, n):
+    """A basis of the integer functionals vanishing on the span: the
+    trailing rows of U in the Smith form of the span's columns."""
+    if not span:
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    dec = _snf_cached(tuple(zip(*span)))
+    return dec.U[len(span):]
+
+
 class _Translate:
-    """One subtorus translate in lattice coordinates: point + direction span."""
+    """One subtorus translate in lattice coordinates: the point nums/den
+    plus integer directions.  `key` is equal for two translates exactly
+    when they are the same subset of the torus."""
 
-    __slots__ = ("point", "dirs", "span_key", "_snf", "_trailing")
+    __slots__ = ("nums", "den", "dirs", "span", "key")
 
-    def __init__(self, point, dirs):
-        self.point = reduce_point(point)
-        self.dirs = tuple(tuple(int(x) for x in d) for d in dirs)
-        self.span_key = _span_key(self.dirs, len(self.point))
-        self._snf = None
-        self._trailing = None
+    def __init__(self, nums, den, dirs):
+        self.nums, self.den = _canon(nums, den)
+        self.dirs = tuple(dirs)
+        self.span = _span_key(self.dirs)
+        self.key = (self.span, self.values(self.nums, self.den))
 
     @property
     def dimension(self):
         return len(self.dirs)
 
-    def direction_matrix(self) -> Matrix | None:
-        if not self.dirs:
-            return None
-        return Matrix.from_columns(self.dirs)
+    @property
+    def annihilator(self):
+        return _annihilator(self.span, len(self.nums))
 
-    def snf_u(self):
-        if self._snf is None and self.dirs:
-            self._snf = _snf_cached(self.direction_matrix())
-        return self._snf
+    def values(self, nums, den):
+        """Where the point nums/den sits across this translate's parallels."""
+        return _canon(_apply(self.annihilator, nums), den)
 
-    def _trailing_rows(self):
-        # Integer functionals vanishing on the direction span; a point is
-        # on the translate iff they take integer values on the difference.
-        if self._trailing is None:
-            dec = self.snf_u()
-            self._trailing = tuple(
-                tuple(int(x) for x in dec.U.row(i))
-                for i in range(len(self.dirs), dec.U.rows)
-            )
-        return self._trailing
-
-    def contains(self, point) -> bool:
-        """Whether point lies on this translate (mod the integer lattice)."""
-        diff = [Fraction(a) - Fraction(b) for a, b in zip(point, self.point)]
-        if not self.dirs:
-            return all(x.denominator == 1 for x in diff)
-        for row in self._trailing_rows():
-            total = Fraction(0)
-            for coef, x in zip(row, diff):
-                if coef:
-                    total += coef * x
-            if total.denominator != 1:
-                return False
-        return True
-
-    def same_translate(self, other: "_Translate") -> bool:
-        return self.span_key == other.span_key and self.contains(other.point)
+    def contains(self, nums, den) -> bool:
+        """Whether the point nums/den lies on this translate."""
+        return self.values(nums, den) == self.key[1]
 
     def contained_in(self, bigger: "_Translate") -> bool:
         if self.dimension > bigger.dimension:
             return False
-        if self.dirs:
-            rows = [list(d) for d in bigger.dirs] + [list(d) for d in self.dirs]
-            if Matrix(rows).rank() != bigger.dimension:
-                return False
-        return bigger.contains(self.point)
+        ann = bigger.annihilator
+        if any(any(_apply(ann, d)) for d in self.dirs):
+            return False
+        return bigger.contains(self.nums, self.den)
 
-    def image(self, m: Matrix) -> "_Translate":
-        return _Translate(
-            m.apply(self.point), [m.apply(d) for d in self.dirs]
-        )
-
-
-def _span_key(dirs, ambient_dim):
-    if not dirs:
-        return ()
-    reduced, _ = Matrix([list(d) for d in dirs]).rref()
-    return reduced.data
+    def image(self, m) -> "_Translate":
+        dirs = [_apply(m, d) for d in self.dirs]
+        return _Translate(_apply(m, self.nums), self.den, dirs)
 
 
 @dataclass(frozen=True)
@@ -261,89 +303,72 @@ class SingularSetReport:
         return out
 
 
-def _affine_action(m: Matrix, comp: _Translate):
-    """The map induced on the component torus: t -> A t + b (mod Z^d)."""
-    d = comp.direction_matrix()
-    md = m @ d
+def _affine_action(m, comp: _Translate):
+    """The map induced on the component torus: t -> A t + b (mod Z^d),
+    as (A, numerators of b, their denominator).  The denominator is the
+    same for every motion acting on one component."""
+    dec = _snf_cached(tuple(zip(*comp.dirs)))  # directions as columns
+    rank = comp.dimension
+    factors = dec.invariant_factors
     cols = []
-    for j in range(md.cols):
-        sol = _solve_in_span(d, md.column(j))
-        cols.append(sol)
-    a_rows = [
-        [cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))
-    ]
-    if any(x.denominator != 1 for row in a_rows for x in row):
-        raise VerificationError("direction action not integral")
-    shift = [x - y for x, y in zip(m.apply(comp.point), comp.point)]
-    dec = snf(d)
-    w = dec.U.apply(shift)
-    rank = len(comp.dirs)
-    if any(x.denominator != 1 for x in w[rank:]):
-        raise VerificationError("shift leaves the component")
-    y = [w[i] / dec.invariant_factors[i] for i in range(rank)]
-    b = dec.V.apply(y)
-    a_int = tuple(tuple(int(x) for x in row) for row in a_rows)
-    return a_int, tuple(Fraction(x) % 1 for x in b)
-
-
-def _solve_in_span(d: Matrix, target):
-    """Coordinates of target in the column span of d (exact, must exist)."""
-    aug = Matrix(
-        [list(d.row(i)) + [target[i]] for i in range(d.rows)]
-    )
-    reduced, pivots = aug.rref()
-    sol = [Fraction(0)] * d.cols
-    for r, c in enumerate(pivots):
-        if c == d.cols:
+    for d in comp.dirs:
+        w = _apply(dec.U, _apply(m, d))
+        if any(w[rank:]):
             raise PreconditionError("vector not in component span")
-        sol[c] = reduced[r, d.cols]
-    return sol
+        if any(x % f for x, f in zip(w, factors)):
+            raise VerificationError("direction action not integral")
+        cols.append(_apply(dec.V, [x // f for x, f in zip(w, factors)]))
+    a = tuple(zip(*cols))
+    shift = [x - y for x, y in zip(_apply(m, comp.nums), comp.nums)]
+    w = _apply(dec.U, shift)
+    if any(x % comp.den for x in w[rank:]):
+        raise VerificationError("shift leaves the component")
+    ell = lcm(*factors)
+    den = comp.den * ell
+    b = _apply(dec.V, [x * (ell // f) for x, f in zip(w, factors)])
+    return a, tuple(x % den for x in b), den
 
 
-def _compose_affine(f, g, modulus=True):
-    a1, b1 = f
-    a2, b2 = g
-    n = len(b1)
-    a = tuple(
-        tuple(sum(a1[i][k] * a2[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    b = [sum(a1[i][k] * b2[k] for k in range(n)) + b1[i] for i in range(n)]
-    if modulus:
-        b = [x % 1 for x in b]
-    return a, tuple(b)
+def _compose_affine(f, g):
+    a1, b1, den = f
+    a2, b2, _ = g
+    a = tuple(tuple(_apply(a1, col)) for col in zip(*a2))
+    b = tuple((x + y) % den for x, y in zip(_apply(a1, b2), b1))
+    return tuple(zip(*a)), b, den
 
 
 def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSetReport:
     """Decompose the singular set of T/G into labeled components with
     stabilizers, special points, and intersection points."""
-    mats = [lattice_matrix(m, lattice) for m in group.elements]
-    ident = group.identity_index
-    dim = lattice.rank
+    mats = lattice_matrices(group, lattice)
 
-    translates: list[_Translate] = []
+    translates: dict = {}  # key -> translate, in first-found order
     for i, motion in enumerate(group.elements):
-        if i == ident:
+        if i == group.identity_index:
             continue
         fam = fixed_set(motion, lattice)
         for rep in fam.representatives:
-            cand = _Translate(rep, fam.direction)
-            if not any(cand.same_translate(t) for t in translates):
-                translates.append(cand)
+            den = lcm(*(x.denominator for x in rep))
+            nums = [x.numerator * (den // x.denominator) for x in rep]
+            cand = _Translate(nums, den, fam.direction)
+            translates.setdefault(cand.key, cand)
 
     # Keep only maximal translates; lower strata reappear as special points.
-    maximal = []
-    for t in translates:
+    found = list(translates.values())
+    maximal = [
+        t
+        for t in found
         if not any(
             t is not other and t.contained_in(other) and not other.contained_in(t)
-            for other in translates
-        ):
-            maximal.append(t)
+            for other in found
+        )
+    ]
+    index = {t.key: k for k, t in enumerate(maximal)}
 
     # Group the maximal translates into G-orbits.
     orbit_of = {}
     orbits: list[list[int]] = []
-    for idx, t in enumerate(maximal):
+    for idx in range(len(maximal)):
         if idx in orbit_of:
             continue
         orbit = {idx}
@@ -351,11 +376,10 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
         while frontier:
             cur = frontier.pop()
             for m in mats:
-                img = maximal[cur].image(m)
-                for jdx, other in enumerate(maximal):
-                    if jdx not in orbit and img.same_translate(other):
-                        orbit.add(jdx)
-                        frontier.append(jdx)
+                jdx = index.get(maximal[cur].image(m).key)
+                if jdx is not None and jdx not in orbit:
+                    orbit.add(jdx)
+                    frontier.append(jdx)
         for jdx in orbit:
             orbit_of[jdx] = len(orbits)
         orbits.append(sorted(orbit))
@@ -366,23 +390,14 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
         comp = maximal[orbit[0]]
         stab = []
         normalizer = []
-        for i in range(group.order):
-            m = mats[i]
-            img = comp.image(m)
-            if not img.same_translate(comp):
+        for i, m in enumerate(mats):
+            if comp.image(m).key != comp.key:
                 continue
             normalizer.append(i)
-            if comp.dirs:
-                pointwise = all(
-                    tuple(m.apply(d)) == tuple(Fraction(x) for x in d)
-                    for d in comp.dirs
-                ) and all(
-                    (a - b).denominator == 1
-                    for a, b in zip(m.apply(comp.point), comp.point)
-                )
-            else:
-                pointwise = reduce_point(m.apply(comp.point)) == comp.point
-            if pointwise:
+            if all(_apply(m, d) == d for d in comp.dirs) and all(
+                (x - y) % comp.den == 0
+                for x, y in zip(_apply(m, comp.nums), comp.nums)
+            ):
                 stab.append(i)
         if comp.dirs:
             actions = {}
@@ -395,7 +410,7 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
             special = ()
         components.append(
             SingularComponent(
-                representative=comp.point,
+                representative=_fractions(comp.nums, comp.den),
                 direction=comp.dirs,
                 orbit_size=len(orbit),
                 generic_stabilizer=tuple(stab),
@@ -435,10 +450,12 @@ def _quotient_label(dim, actions):
 
 
 def _affine_order(action, cap: int = 64):
-    n = len(action[1])
+    a, b, den = action
+    n = len(b)
     ident = (
         tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-        tuple(Fraction(0) for _ in range(n)),
+        (0,) * n,
+        den,
     )
     cur = action
     for k in range(1, cap + 1):
@@ -452,24 +469,19 @@ def _special_points(comp: _Translate, actions):
     d = comp.dimension
     ident_a = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     points = set()
-    dmat = comp.direction_matrix()
-    for (a, b) in actions:
-        if a == ident_a and all(x == 0 for x in b):
+    for (a, b, den) in actions:
+        if a == ident_a and not any(b):
             continue
-        am = Matrix([[a[i][j] - int(i == j) for j in range(d)] for i in range(d)])
-        rhs = [-x for x in b]
-        solved = _solve_congruence(am, rhs)
+        solved = _solve_congruence(_minus_identity(a), (tuple(-x for x in b), den))
         if solved is None:
             continue
-        sdim, _, reps, _ = solved
+        sdim, _, t_den, reps, _ = solved
         if sdim > 0:
             continue  # fixed locus of this coset is positive-dimensional
         for t in reps:
-            ambient = [
-                comp.point[i] + sum(dmat[i, j] * t[j] for j in range(d))
-                for i in range(len(comp.point))
-            ]
-            points.add(reduce_point(ambient))
+            offset = _along(comp.dirs, t, len(comp.nums))
+            ambient = [x * t_den + comp.den * y for x, y in zip(comp.nums, offset)]
+            points.add(_fractions(*_canon(ambient, comp.den * t_den)))
     return tuple(sorted(points))
 
 
@@ -479,47 +491,46 @@ def _intersection_points(maximal, mats, comp_translate):
     for i in range(len(maximal)):
         for j in range(i + 1, len(maximal)):
             t1, t2 = maximal[i], maximal[j]
-            if t1.span_key == t2.span_key and t1.dirs:
-                continue  # distinct parallel translates are disjoint
-            cols = [list(d) for d in t1.dirs] + [[-x for x in d] for d in t2.dirs]
-            rhs = [Fraction(a) - Fraction(b) for a, b in zip(t2.point, t1.point)]
-            if not cols:
-                if all(x.denominator == 1 for x in rhs):
-                    raw_points.add(t1.point)
-                continue
-            a = Matrix.from_columns(cols)
-            solved = _solve_congruence(a, rhs)
+            if t1.span == t2.span:
+                continue  # distinct parallel translates (or points) are disjoint
+            cols = t1.dirs + tuple(tuple(-x for x in d) for d in t2.dirs)
+            q = lcm(t1.den, t2.den)
+            rhs = tuple(
+                y * (q // t2.den) - x * (q // t1.den)
+                for x, y in zip(t1.nums, t2.nums)
+            )
+            solved = _solve_congruence(tuple(zip(*cols)), (rhs, q))
             if solved is None:
                 continue
-            sdim, _, reps, _ = solved
+            sdim, _, s_den, reps, _ = solved
             if sdim > 0:
                 raise PreconditionError(
                     "positive-dimensional component intersection not supported"
                 )
-            d1 = t1.direction_matrix()
-            for t in reps:
-                ambient = list(t1.point)
-                if d1 is not None:
-                    for r in range(len(ambient)):
-                        ambient[r] += sum(
-                            d1[r, k] * t[k] for k in range(len(t1.dirs))
-                        )
-                raw_points.add(reduce_point(ambient))
+            for s in reps:
+                offset = _along(t1.dirs, s, len(t1.nums))
+                ambient = [x * s_den + t1.den * y for x, y in zip(t1.nums, offset)]
+                raw_points.add(_canon(ambient, t1.den * s_den))
 
+    # Components by key, looked up once per distinct span.
+    by_key = {t.key: k for k, t in enumerate(comp_translate)}
+    spans = {t.span: t for t in comp_translate}
     out = []
     seen = set()
-    for p in raw_points:
-        images = sorted({reduce_point(m.apply(p)) for m in mats})
+    for nums, den in raw_points:
+        # Motions are unimodular, so every image keeps the denominator.
+        images = sorted({tuple(x % den for x in _apply(m, nums)) for m in mats})
         canonical = images[0]
         if canonical in seen:
             continue
         seen.add(canonical)
-        incident = tuple(
-            k
-            for k, comp in enumerate(comp_translate)
-            if any(comp.contains(img) for img in images)
-        )
+        incident = set()
+        for span, t in spans.items():
+            for img in images:
+                k = by_key.get((span, t.values(img, den)))
+                if k is not None:
+                    incident.add(k)
         if len(incident) >= 2:
-            out.append((canonical, incident))
+            out.append((_fractions(canonical, den), tuple(sorted(incident))))
     out.sort()
     return tuple(out)

@@ -1,6 +1,7 @@
 """CLI: scenario parsing, report determinism, exit codes."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,45 @@ def test_unknown_z4_plan_name_is_parse_error(capsys, plan):
     assert "plan not found" in err
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [
+        {"components": {"x": "a"}},
+        [{"components": {}}],
+        {"components": {"0": "crepant"}, "signs": {"crepant": "plus"}},
+        {"components": {"0": "crepant"}, "signs": {"crepant": 0.5}},
+    ],
+    ids=["non-integer-id", "not-an-object", "string-sign", "fractional-sign"],
+)
+def test_malformed_plan_is_parse_error(tmp_path, capsys, plan):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code, out, err = run_cli(
+        capsys, "ledger", "--scenario", "t6_z4", "--plan", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "bad plan" in err
+
+
+def test_plan_line_choice_without_sign_is_precondition_error(tmp_path, capsys):
+    # t6_z2z2 has 48 lines and 64 triple points; the signs name only one
+    # of the two line choices the plan uses.
+    plan = {
+        "components": {
+            str(i): "crepant" if i % 2 else "deformation" for i in range(48)
+        },
+        "points": {str(i): "i" for i in range(64)},
+        "signs": {"deformation": -1},
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code, out, err = run_cli(
+        capsys, "ledger", "--scenario", "t6_z2z2", "--plan", str(path)
+    )
+    assert (code, out) == (3, "")
+    assert "no line sign for choice 'crepant'" in err
+
+
 @pytest.mark.parametrize("command", ["chi-census", "chi-count"])
 @pytest.mark.parametrize("n", ["0", "-1", "5"])
 def test_grid_n_out_of_range_is_precondition_error(capsys, command, n):
@@ -287,6 +327,22 @@ def test_invariant_pair_cli(capsys):
     assert all(x == "Cyc(0)" for x in first["beta"])
     assert second["exists"]
     assert all(x == "0" for x in second["alpha"])
+
+
+def test_twenty_node_classes_hit_the_fourier_motzkin_cap(tmp_path, capsys):
+    rng = random.Random(20)
+    rows = "".join(
+        "row: " + " ".join(str(rng.randint(-2, 2)) for _ in range(4)) + "\n"
+        for _ in range(20)
+    )
+    scn = tmp_path / "nodes20.scn"
+    scn.write_text(
+        "name: nodes20\nambient: linear\ncomplex_dim: 1\n\n"
+        "[generator]\nrow: 1\n\n[node_classes]\n" + rows
+    )
+    code, out, err = run_cli(capsys, "nodes", "--scenario", str(scn))
+    assert (code, out) == (4, "")
+    assert "Fourier-Motzkin" in err
 
 
 def test_nodes_cli(tmp_path, capsys):

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy import Matrix as SympyMatrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from orbitop.errors import CapExceededError, FieldDivisionError
 from orbitop.exact import Cyclotomic, Matrix, snf, totient
@@ -58,6 +61,43 @@ def test_snf_randomized_invariants():
         assert list(factors[: len(nonzero)]) == nonzero
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices with negative entries and some rows zeroed; half
+    are the stacked 2n x n shape of a common-fixed-set congruence.
+
+    Entries stay in [-2, 2], the range of g - 1 on the bundled tori.
+    From [-3, 3] on, the transform entries of this SNF can grow to 10^5
+    bits and one call take seconds: a known growth defect of the pivot
+    rule, tracked on its own, which leaves the invariant factors right."""
+    n = draw(st.integers(1, 6))
+    m = 2 * n if draw(st.booleans()) else draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    zeroed = draw(st.sets(st.integers(0, m - 1)))
+    return tuple(
+        (0,) * n if i in zeroed else tuple(row) for i, row in enumerate(rows)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices())
+def test_snf_invariant_factors_match_sympy(rows):
+    oracle = smith_normal_form(SympyMatrix(rows), domain=ZZ)
+    expected = tuple(abs(int(oracle[i, i])) for i in range(min(oracle.shape)))
+    dec = snf(rows)
+    assert dec.invariant_factors == expected
+    assert snf(Matrix(rows)).invariant_factors == expected
+    # the integer form returns the same transforms as the Matrix form
+    assert Matrix(dec.U) == snf(Matrix(rows)).U
+    assert Matrix(dec.V) == snf(Matrix(rows)).V
 
 
 def test_snf_deterministic():

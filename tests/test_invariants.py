@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from orbitop.errors import PreconditionError
+from orbitop.errors import CapExceededError, PreconditionError
+from orbitop.exact import Matrix
 from orbitop.group import conjugacy_classes
 from orbitop.invariants import (
     BettiVector,
@@ -80,12 +81,36 @@ def test_euler_linear_equals_class_count(z4_group, z2z2_group, order8_group):
         assert report.value == len(conjugacy_classes(group))
 
 
+def _isolated_common_fixed_points(g, h):
+    """Points of (1/2)Z^6 / Z^6 fixed by both motions, or 0 when their
+    common fixed space has positive dimension.  The bundled torus groups
+    are diagonal over C with entries 1, -1, i, -i, and each nonzero
+    lambda - 1 divides 2 in Z[i], so isolated common fixed points lie on
+    this grid."""
+    ident = Matrix.identity(6)
+    stacked = (g.matrix - ident).stack(h.matrix - ident)
+    if stacked.kernel_basis():
+        return 0
+    return sum(
+        1
+        for p in itertools.product((0, Fraction(1, 2)), repeat=6)
+        if all(x.denominator == 1 for x in stacked.apply(p))
+    )
+
+
 def test_euler_presum_divisible(z4_group, z2z2_group, gaussian_lattice):
-    # the report only exists when the pre-division sum was divisible;
-    # reconstruct the sum and check it explicitly
+    # orbifold_euler divides the commuting-pair sum of chi(common fixed
+    # set) by |G|; recount that sum on the half-lattice grid, without the
+    # torus code, and check that it is exactly value * |G|
     for group in (z4_group, z2z2_group):
         report = orbifold_euler(group, gaussian_lattice)
-        assert (report.value * group.order) % group.order == 0
+        presum = sum(
+            _isolated_common_fixed_points(group.elements[g], group.elements[h])
+            for g in range(group.order)
+            for h in range(group.order)
+            if group.mul(g, h) == group.mul(h, g)
+        )
+        assert presum == report.value * group.order
         linear = orbifold_euler(group)
         assert linear.value * group.order == linear.commuting_pairs
 
@@ -299,6 +324,25 @@ def test_randomized_node_consistency():
             ):
                 assert feasible
                 break
+
+
+NODES_D4 = [
+    [2, 0, 2, -2], [2, -1, 0, -2], [1, 1, -1, -2], [1, -2, 2, -1], [-2, -2, -1, 2],
+    [2, 1, 0, 2], [-2, 1, -2, -1], [2, 0, 1, 2], [-2, 0, 2, -2], [2, 1, 0, -1],
+]
+
+
+def test_fourier_motzkin_cap_admits_ten_classes():
+    # the ten classes of the nodes_d4 stress scenario build 313,344 rows
+    # in their largest elimination step, under the cap
+    assert not node_kahler(NodeConfiguration.make(NODES_D4))
+
+
+def test_fourier_motzkin_cap_stops_twenty_classes():
+    rng = random.Random(20)
+    classes = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(20)]
+    with pytest.raises(CapExceededError, match="Fourier-Motzkin"):
+        node_kahler(NodeConfiguration.make(classes))
 
 
 def test_betti_vector_h_fields():

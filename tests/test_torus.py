@@ -7,7 +7,7 @@ import pytest
 
 from orbitop.errors import PreconditionError
 from orbitop.exact import Matrix
-from orbitop.group import Motion
+from orbitop.group import Motion, close
 from orbitop.torus import (
     TorusLattice,
     common_fixed_set,
@@ -194,3 +194,49 @@ def test_representatives_satisfy_congruence(z2z2_group, gaussian_lattice):
         m = lattice_matrix(motion, gaussian_lattice)
         for p in fam.representatives:
             assert tuple(x % 1 for x in m.apply(p)) == p
+
+
+def _shear_basis(rng):
+    """A unimodular basis of Z^6 drawn like the benchmark's seeded
+    t6_z4z4 lattice: three row shears of the identity, rows shuffled,
+    signs flipped."""
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    for _ in range(3):
+        i, j = rng.sample(range(6), 2)
+        sign = rng.choice((-1, 1))
+        rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
+
+
+@pytest.fixture(scope="module")
+def z4z4_group():
+    """diag(i, i, -1) and diag(1, i, -i) on C^3."""
+    return close(
+        [
+            Motion.from_complex([[(0, 1), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)],
+                                 [(0, 0), (0, 0), (-1, 0)]]),
+            Motion.from_complex([[(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)],
+                                 [(0, 0), (0, 0), (0, -1)]]),
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+def test_isolated_fixed_points_match_lefschetz(seed, z4_group, z2z2_group, z4z4_group):
+    """An automorphism M of a torus with isolated fixed points has
+    |det(M - 1)| of them; the determinant is taken on the motion itself,
+    so it does not depend on the lattice basis or on the torus code."""
+    if seed is None:
+        lattice = TorusLattice.standard(6)
+    else:
+        lattice = TorusLattice(basis=Matrix(_shear_basis(random.Random(seed))))
+    isolated = 0
+    for group in (z4_group, z2z2_group, z4z4_group):
+        for motion in group.elements:
+            fam = fixed_set(motion, lattice)
+            if fam.dimension == 0:
+                isolated += 1
+                lefschetz = abs((motion.matrix - Matrix.identity(6)).det())
+                assert fam.component_count == len(fam.representatives) == lefschetz
+    assert isolated == 2 + 0 + 6

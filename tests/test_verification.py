@@ -24,6 +24,8 @@ from orbitop.group import (
 )
 from orbitop.invariants import NodeConfiguration, node_smoothable, nodes
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
+from orbitop import torus
+from orbitop.torus import common_fixed_set, fixed_set
 
 
 def corrupted(group, a, b, value):
@@ -71,6 +73,14 @@ def test_snf_verification_catches_bad_transform():
     bad_u = Matrix([[1, 1], [0, 1]]) @ good.U
     with pytest.raises(VerificationError, match="transform"):
         _verify(m, SmithDecomposition(bad_u, good.D, good.V, good.invariant_factors))
+
+
+def test_snf_verification_catches_non_integral_transform():
+    m = Matrix([[2, 4], [6, 8]])
+    good = snf(m)
+    half_u = good.U.scale(Fraction(1, 2))
+    with pytest.raises(VerificationError, match="transform"):
+        _verify(m, SmithDecomposition(half_u, good.D, good.V, good.invariant_factors))
 
 
 def test_snf_verification_catches_broken_divisibility_chain():
@@ -181,3 +191,60 @@ def test_cli_maps_verification_error_to_exit_5(monkeypatch, capsys):
     monkeypatch.setattr(orbitop.cli, "close", failing_close)
     assert main(["group", "--scenario", "c3_z4"]) == 5
     assert "verification failed" in capsys.readouterr().err
+
+
+def _doubled_factors(rows):
+    """The Smith form of rows with every invariant factor doubled: a
+    corrupted decomposition whose extra half-steps solve nothing."""
+    dec = snf(rows)
+    return SmithDecomposition(
+        dec.U, dec.D, dec.V, tuple(2 * f for f in dec.invariant_factors)
+    )
+
+
+def test_torus_congruence_check_catches_corrupted_snf(
+    monkeypatch, kappa, gaussian_lattice
+):
+    monkeypatch.setattr(torus, "_snf_cached", _doubled_factors)
+    with pytest.raises(VerificationError, match="A x = rhs"):
+        fixed_set(kappa, gaussian_lattice)
+    with pytest.raises(VerificationError, match="A x = rhs"):
+        common_fixed_set([kappa, kappa], gaussian_lattice)
+
+
+TORUS_OPTIMIZED_SCRIPT = """
+import sys
+assert False, "asserts are stripped under -O, so this never fires"
+from orbitop import torus
+from orbitop.errors import VerificationError
+from orbitop.exact import snf
+from orbitop.exact.snf import SmithDecomposition
+from orbitop.group import Motion
+
+def doubled(rows):
+    dec = snf(rows)
+    factors = tuple(2 * f for f in dec.invariant_factors)
+    return SmithDecomposition(dec.U, dec.D, dec.V, factors)
+
+torus._snf_cached = doubled
+kappa = Motion.from_complex([[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
+try:
+    torus.fixed_set(kappa, torus.TorusLattice.standard(4))
+except VerificationError:
+    print(sys.flags.optimize, "torus")
+"""
+
+
+def test_torus_verification_survives_python_optimize():
+    src = str(Path(orbitop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", TORUS_OPTIMIZED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "torus"]
