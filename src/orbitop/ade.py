@@ -4,6 +4,16 @@ semidirect product of diagram symmetries with the reflection group.
 Simple roots are ordered deterministically per family: A_r along the
 path; D_r along the path with the two fork tips last; E_6/7/8 in the
 conventional numbering with the branch vertex second.
+
+Group operations run on tuples of int rows.  `weyl_group` closes the
+simple reflections breadth-first on int rows (right multiplication by
+s_i subtracts a multiple of Cartan row i from each row) and builds the
+`Matrix` objects of `WeylGroup.elements` once, sorted by their rows.
+`ExtendedElement` keeps its Weyl part as a `Matrix` but multiplies,
+inverts and dualizes on its int rows: conjugating by a diagram
+automorphism b is the reindexing W[b[i]][b[j]], and the inverse of the
+unimodular lattice matrix comes from integer row operations, re-checked
+by an integer product.
 """
 
 from __future__ import annotations
@@ -11,10 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
-from .errors import CapExceededError, PreconditionError
-from .exact import Matrix
+from .errors import CapExceededError, PreconditionError, VerificationError
+from .exact import Matrix, int_apply, int_product
 
 RANK_CAP = 8
 WEYL_ENUMERATION_CAP = 100_000
@@ -188,13 +199,23 @@ def weyl_group(rs: RootSystem, enumeration_cap: int = WEYL_ENUMERATION_CAP) -> W
     order = weyl_order(rs.diagram)
     elements = None
     if order <= enumeration_cap:
-        seen = {Matrix.identity(rs.rank)}
-        frontier = [Matrix.identity(rs.rank)]
+        # s_i = 1 - e_i C_i, with C_i row i of the Cartan matrix, so
+        # s_i @ m differs from m only in row i: m_i - sum_j C_ij m_j.
+        terms = [
+            [(j, c) for j, c in enumerate(c_row) if c]
+            for c_row in rs.cartan.int_rows()
+        ]
+        ident = _identity_rows(rs.rank)
+        seen = {ident}
+        frontier = [ident]
         while frontier:
             nxt = []
             for m in frontier:
-                for g in gens:
-                    p = m @ g
+                for i, t in enumerate(terms):
+                    cols = zip(*(m[j] for j, _ in t))
+                    step = int_apply(cols, [c for _, c in t])
+                    row = tuple(x - y for x, y in zip(m[i], step))
+                    p = m[:i] + (row,) + m[i + 1:]
                     if p not in seen:
                         seen.add(p)
                         nxt.append(p)
@@ -204,8 +225,12 @@ def weyl_group(rs: RootSystem, enumeration_cap: int = WEYL_ENUMERATION_CAP) -> W
                 f"Weyl enumeration for {rs.diagram.name} found {len(seen)} "
                 f"elements, expected {order}"
             )
-        elements = tuple(sorted(seen, key=lambda m: m.data))
+        elements = tuple(Matrix.from_int_rows(m) for m in sorted(seen))
     return WeylGroup(diagram=rs.diagram, generators=gens, order=order, elements=elements)
+
+
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def graph_automorphisms(diagram: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
@@ -240,31 +265,87 @@ class ExtendedElement:
 
     def __mul__(self, other: "ExtendedElement") -> "ExtendedElement":
         # (a, w)(a', w') = (a a', (a'^-1 w a') w'), matching composition
-        # of the lattice actions.
-        a, b = self.aut, other.aut
-        comp = tuple(a[b[i]] for i in range(len(a)))
-        pb = perm_matrix(b)
-        conj = pb.inverse() @ self.weyl @ pb
-        return ExtendedElement(aut=comp, weyl=conj @ other.weyl)
+        # of the lattice actions; conjugating by P_a' reindexes w.
+        b = other.aut
+        w = self.weyl.int_rows()
+        conj = [[w[i][j] for j in b] for i in b]
+        return ExtendedElement(
+            aut=tuple(self.aut[i] for i in b),
+            weyl=Matrix.from_int_rows(int_product(conj, other.weyl.int_rows())),
+        )
+
+    @cached_property
+    def lattice_rows(self) -> tuple[tuple[int, ...], ...]:
+        """P_a M_w as int rows: row k of M_w moves to row a[k]."""
+        rows = [None] * len(self.aut)
+        for k, row in zip(self.aut, self.weyl.int_rows()):
+            rows[k] = row
+        return tuple(rows)
+
+    @cached_property
+    def dual_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The inverse transpose of the lattice matrix, as int rows."""
+        return tuple(zip(*_unimodular_inverse(self.lattice_rows)))
 
     def lattice_matrix(self) -> Matrix:
-        return perm_matrix(self.aut) @ self.weyl
+        return Matrix.from_int_rows(self.lattice_rows)
 
     def dual_matrix(self) -> Matrix:
-        return self.lattice_matrix().inverse().T
+        return Matrix.from_int_rows(self.dual_rows)
 
     def is_identity(self) -> bool:
-        return self.aut == tuple(range(len(self.aut))) and self.weyl == Matrix.identity(
-            len(self.aut)
-        )
+        n = len(self.aut)
+        ident = _identity_rows(n)
+        return self.aut == tuple(range(n)) and self.weyl.int_rows() == ident
 
     def inverse(self) -> "ExtendedElement":
         inv_aut = [0] * len(self.aut)
         for i, v in enumerate(self.aut):
             inv_aut[v] = i
-        pa = perm_matrix(self.aut)
-        inv_weyl = pa @ self.weyl.inverse() @ pa.inverse()
-        return ExtendedElement(aut=tuple(inv_aut), weyl=inv_weyl)
+        # P_a M_w^-1 P_a^-1 has entry (i, j) = M_w^-1[a^-1 i][a^-1 j].
+        w_inv = _unimodular_inverse(self.weyl.int_rows())
+        conj = [[w_inv[i][j] for j in inv_aut] for i in inv_aut]
+        return ExtendedElement(aut=tuple(inv_aut), weyl=Matrix.from_int_rows(conj))
+
+
+def _unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
+    """Inverse of a square integer matrix of determinant +-1, as int
+    rows; the result is re-checked by an integer product."""
+    inv = _row_reduce_inverse(rows)
+    if int_product(inv, rows) != _identity_rows(len(rows)):
+        raise VerificationError("integer inverse check failed")
+    return inv
+
+
+def _row_reduce_inverse(rows):
+    """Reduce [L | 1] to [1 | L^-1] by integer row operations: Euclid on
+    each column below the diagonal, then back substitution."""
+    n = len(rows)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        while True:
+            live = [r for r in range(c, n) if work[r][c]]
+            if not live:
+                raise PreconditionError("matrix is singular")
+            p = min(live, key=lambda r: abs(work[r][c]))
+            work[c], work[p] = work[p], work[c]
+            pivot = work[c][c]
+            for r in range(c + 1, n):
+                q = work[r][c] // pivot
+                if q:
+                    work[r] = [x - q * y for x, y in zip(work[r], work[c])]
+            if not any(work[r][c] for r in range(c + 1, n)):
+                break
+        if abs(pivot) != 1:
+            raise PreconditionError("matrix is not invertible over the integers")
+        if pivot < 0:
+            work[c] = [-x for x in work[c]]
+    for c in reversed(range(n)):
+        for r in range(c):
+            f = work[r][c]
+            if f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return tuple(tuple(row[n:]) for row in work)
 
 
 def extended_action(element: ExtendedElement, vector, dual: bool = False):

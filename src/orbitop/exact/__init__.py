@@ -2,8 +2,8 @@
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial, totient
-from .matrix import MAX_DIM, Matrix
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, integer_coefficients, totient
+from .matrix import MAX_DIM, Matrix, int_apply, int_product
 from .snf import SmithDecomposition, snf
 
 __all__ = [
@@ -13,6 +13,9 @@ __all__ = [
     "Matrix",
     "SmithDecomposition",
     "cyclotomic_polynomial",
+    "int_apply",
+    "int_product",
+    "integer_coefficients",
     "snf",
     "totient",
 ]

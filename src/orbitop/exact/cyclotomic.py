@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import FieldDivisionError, PreconditionError, VerificationError
 
@@ -68,7 +68,7 @@ def _reduce(coeffs, m):
     """Reduce a rational polynomial in zeta_m modulo Phi_m."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    work = [Fraction(c) for c in coeffs]
+    work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
@@ -144,6 +144,9 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # A reduced vector times a rational is still reduced.
+            return Cyclotomic(self.order, [c * other for c in self.coeffs])
         a, b = self._pair(other)
         if b is NotImplemented:
             return NotImplemented
@@ -259,3 +262,35 @@ class Cyclotomic:
                 terms.append(f"{c}*z{self.order}^{i}" if i > 1 else f"{c}*z{self.order}")
         return "Cyc(" + (" + ".join(terms) if terms else "0") + ")"
 
+
+def integer_coefficients(vectors):
+    """Vectors over Q and cyclotomic fields as integer coefficient rows.
+
+    Returns (m, d, parts).  Every entry is embedded into Q(zeta_m), m the
+    lcm of the entries' orders (Fractions and ints count as order 1), and
+    parts[k][t][i] is d times the zeta_m^t coefficient of vectors[k][i],
+    an int, for one common denominator d.  Reduction mod Phi_m is
+    canonical and linear, so sum_i vectors[k][i] * f[i] is zero for a
+    rational form f exactly when every parts[k][t] has integer dot
+    product zero with f scaled to ints.
+    """
+    vectors = [tuple(v) for v in vectors]
+    m = lcm(*(x.order for v in vectors for x in v if isinstance(x, Cyclotomic)))
+    deg = len(cyclotomic_polynomial(m)) - 1
+    pad = (Fraction(0),) * (deg - 1)
+
+    def coeffs(x):
+        if isinstance(x, Cyclotomic):
+            return x.embed(m).coeffs
+        return (Fraction(x),) + pad
+
+    table = [[coeffs(x) for x in v] for v in vectors]
+    d = lcm(*(c.denominator for v in table for cs in v for c in cs))
+    parts = tuple(
+        tuple(
+            tuple(cs[t].numerator * (d // cs[t].denominator) for cs in v)
+            for t in range(deg)
+        )
+        for v in table
+    )
+    return m, d, parts

@@ -8,12 +8,15 @@ Products of two matrices over Q run on integers: each operand is scaled
 once to integer rows over the lcm of its denominators (kept on the
 matrix), the integer dot products are taken, and one Fraction is built
 per entry of the result.  Products with a cyclotomic operand take the
-entrywise generic path.
+entrywise generic path.  `from_int_rows` builds an integer matrix whose
+int rows are kept the same way, and `int_product` and `int_apply`
+multiply int rows without building a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -23,6 +26,10 @@ from .cyclotomic import Cyclotomic
 MAX_DIM = 64
 
 _UNSET = object()
+
+# Integer entries repeat (Weyl and lattice matrices hold small ints), so
+# their Fractions are shared instead of built per entry.
+_fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 def _as_entry(x):
@@ -39,7 +46,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "_scaled", "_hash")
 
     def __init__(self, rows_data):
-        data = tuple(tuple(_as_entry(x) for x in row) for row in rows_data)
+        self._set(tuple(tuple(_as_entry(x) for x in row) for row in rows_data))
+
+    def _set(self, data):
         if not data or not data[0]:
             raise PreconditionError("matrix must be nonempty")
         if any(len(row) != len(data[0]) for row in data):
@@ -57,6 +66,16 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_int_rows(cls, rows) -> "Matrix":
+        """An integer matrix from rows of ints, which it keeps as its
+        integer form."""
+        rows = tuple(map(tuple, rows))
+        m = cls.__new__(cls)
+        m._set(tuple(tuple(map(_fraction, row)) for row in rows))
+        m._scaled = 1, rows
+        return m
 
     @classmethod
     def from_columns(cls, columns) -> "Matrix":
@@ -152,10 +171,12 @@ class Matrix:
             for x in row
         )
 
-    def int_rows(self):
-        if not self.is_integer():
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries as int rows (the kept integer form)."""
+        scaled = self._integer_form()
+        if scaled is None or scaled[0] != 1:
             raise PreconditionError("matrix is not integral")
-        return [[int(x) for x in row] for row in self.data]
+        return scaled[1]
 
     def _echelon(self):
         """Row echelon form by exact elimination; returns (rows, pivot cols)."""
@@ -259,6 +280,17 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{body}]"
+
+
+def int_apply(rows, vector) -> tuple[int, ...]:
+    """Matrix given as rows of ints times an int vector, as a tuple."""
+    return tuple(sum(map(mul, row, vector)) for row in rows)
+
+
+def int_product(left, right) -> tuple[tuple[int, ...], ...]:
+    """Product of two matrices given as rows of ints, as int rows."""
+    cols = list(zip(*right))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in left)
 
 
 def _dot(xs, ys):

@@ -9,10 +9,9 @@ of Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from ..errors import PreconditionError, VerificationError
-from .matrix import Matrix
+from .matrix import Matrix, int_product
 
 
 @dataclass(frozen=True)
@@ -155,18 +154,13 @@ def _int_rows(x):
         return tuple(map(tuple, x))
     if not x.is_integer():
         raise VerificationError("snf transform verification failed")
-    return tuple(map(tuple, x.int_rows()))
-
-
-def _product(left, right):
-    cols = list(zip(*right))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in left)
+    return x.int_rows()
 
 
 def _verify(matrix, result: SmithDecomposition) -> None:
     """Re-check U @ M @ V == D and the divisibility chain exactly, on ints."""
     m, u, d, v = map(_int_rows, (matrix, result.U, result.D, result.V))
-    if _product(_product(u, m), v) != d:
+    if int_product(int_product(u, m), v) != d:
         raise VerificationError("snf transform verification failed")
     factors = result.invariant_factors
     for x, y in zip(factors, factors[1:]):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ..errors import CapExceededError, PreconditionError, VerificationError
-from ..exact import Matrix
+from ..exact import Matrix, int_apply, integer_coefficients
 
 # Rows one Fourier-Motzkin step may build.  A step pairs every lower
 # bound with every upper bound, so the row count can square per step;
@@ -112,28 +113,34 @@ def _fourier_motzkin_feasible(rows) -> bool:
 def generic_combination(basis, forms, seed: int = 0, attempts: int = 1000):
     """An element of span(basis) on which every form that can be nonzero
     is nonzero.  Seeded random rationals first, then a deterministic
-    power-basis fallback that is guaranteed to succeed."""
-    relevant = [
-        f
-        for f in forms
-        if any(_pair(vec, f) != 0 for vec in basis)
-    ]
+    power-basis fallback that is guaranteed to succeed.
+
+    The forms are rational.  Candidates are tested on integers: each
+    pairing of a combination is the same combination of the basis
+    vectors' pairings, taken on their integer coefficient rows."""
+    parts = integer_coefficients(basis)[2]
+    order, _, form_parts = integer_coefficients(forms)
+    if order != 1:
+        raise PreconditionError("generic_combination needs rational forms")
+    pairings = [[int_apply(vec, f) for vec in parts] for (f,) in form_parts]
+    # Per relevant form, the pairings of the basis vectors by coefficient.
+    relevant = [list(zip(*p)) for p in pairings if any(map(any, p))]
+
+    def generic(coeffs):
+        return all(any(int_apply(cols, coeffs)) for cols in relevant)
+
     rng = random.Random(seed)
     k = len(basis)
     for _ in range(attempts):
-        coeffs = [
-            Fraction(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(k)
-        ]
-        cand = _combine(basis, coeffs)
-        if all(_pair(cand, f) != 0 for f in relevant):
-            return cand
+        draws = [(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(k)]
+        den = lcm(*(q for _, q in draws))
+        if generic([p * (den // q) for p, q in draws]):
+            return _combine(basis, [Fraction(p, q) for p, q in draws])
     # Sum of t^i basis_i: each pairing is a nonzero polynomial in t of
     # degree < k, so some t among k*len(relevant)+1 integers works.
     for t in range(1, k * len(relevant) + 2):
-        coeffs = [Fraction(t) ** i for i in range(k)]
-        cand = _combine(basis, coeffs)
-        if all(_pair(cand, f) != 0 for f in relevant):
-            return cand
+        if generic([t**i for i in range(k)]):
+            return _combine(basis, [Fraction(t) ** i for i in range(k)])
     raise PreconditionError("no generic combination exists")
 
 
@@ -143,7 +150,3 @@ def _combine(basis, coeffs):
         term = [c * x for x in vec]
         out = term if out is None else [a + b for a, b in zip(out, term)]
     return tuple(out)
-
-
-def _pair(vec, form):
-    return sum(a * b for a, b in zip(vec, form))

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
 
 from .ade import (
     DynkinDiagram,
@@ -26,7 +27,13 @@ from .ade import (
     weyl_group,
 )
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import Cyclotomic, Matrix
+from .exact import (
+    Cyclotomic,
+    Matrix,
+    int_apply,
+    int_product,
+    integer_coefficients,
+)
 from .group import (
     FiniteMatrixGroup,
     Motion,
@@ -39,6 +46,15 @@ from .group import (
     su_classify,
 )
 from .invariants.nodes import generic_combination
+
+
+# Candidate assignments the lift search may walk: the product, over the
+# quotient generators, of the Weyl candidates x with x^ord = 1.  The D4
+# stress scenarios walk 44 and 80; K = Z2 x Z2 over E6 would walk ~8*10^5.
+LIFT_SEARCH_CAP = 100_000
+
+# Weyl products and conjugations kept per lift search, by index pair.
+PRODUCT_CACHE_SIZE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -256,62 +272,121 @@ class ChiLift:
 
 def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
     """All homomorphisms into Aut x| W projecting to psi; the canonical
-    lift (identity Weyl parts) comes first, the rest in image order."""
+    lift (identity Weyl parts) comes first, the rest in image order.
+
+    Elements are (automorphism, index into weyl.elements) pairs.  Each
+    quotient generator g keeps only the candidates x with x^ord(g) = 1,
+    and only the product of those lists is checked for the quotient's
+    relations."""
     if not weyl.enumerated:
         raise CapExceededError(
             "lift enumeration needs the Weyl group enumerated under its cap"
         )
     quotient = psi.source
-    rank = psi.diagram.rank
     gens = _quotient_generators(quotient)
-    words = _quotient_words(quotient, gens)
+    tree = _quotient_tree(quotient, gens)
+    compose, ident, rows = _indexed_semidirect(weyl)
+
+    def power_is_identity(x, k):
+        p = x
+        for _ in range(k - 1):
+            p = compose(p, x)
+        return p == ident
 
     candidates = []
     for gen in gens:
-        target_aut = psi.images[gen]
-        candidates.append(
-            [ExtendedElement(aut=target_aut, weyl=w) for w in weyl.elements]
+        k = _coset_order(quotient, gen)
+        xs = ((psi.images[gen], i) for i in range(len(rows)))
+        candidates.append([x for x in xs if power_is_identity(x, k)])
+    size = prod(len(c) for c in candidates)
+    if size > LIFT_SEARCH_CAP:
+        raise CapExceededError(
+            f"lift search needs {size} candidate assignments, "
+            f"over cap {LIFT_SEARCH_CAP}"
         )
-    lifts = []
-    seen = set()
-    ident = ExtendedElement.identity(rank)
+    # A map defined along the spanning tree is a homomorphism iff
+    # f(c g) = f(c) f(g) for every coset c and generator g.
+    edges = [
+        (coset, gi, quotient.mul(coset, gen))
+        for coset in range(quotient.order)
+        for gi, gen in enumerate(gens)
+    ]
+    found = set()
     for assignment in itertools.product(*candidates):
         images = [None] * quotient.order
         images[quotient.identity_coset] = ident
-        ok = True
-        for coset in range(quotient.order):
-            elem = ident
-            for gi in words[coset]:
-                elem = elem * assignment[gi]
-            images[coset] = elem
-        for x in range(quotient.order):
-            for y in range(quotient.order):
-                if images[quotient.mul(x, y)] != images[x] * images[y]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for coset in range(quotient.order):
-            if images[coset].aut != psi.images[coset]:
-                ok = False
-                break
-        if not ok:
-            continue
-        key = tuple((e.aut, e.weyl.data) for e in images)
-        if key not in seen:
-            seen.add(key)
-            lifts.append(ChiLift(psi=psi, images=tuple(images)))
-    lifts.sort(
-        key=lambda lift: (
-            not lift.is_canonical(),
-            tuple((e.aut, e.weyl.data) for e in lift.images),
-        )
+        for coset, parent, gi in tree:
+            images[coset] = compose(images[parent], assignment[gi])
+        if all(
+            images[target] == compose(images[coset], assignment[gi])
+            for coset, gi, target in edges
+        ) and all(
+            images[coset][0] == psi.images[coset]
+            for coset in range(quotient.order)
+        ):
+            found.add(tuple(images))
+    ordered = sorted(
+        found,
+        key=lambda images: (
+            any(i != ident[1] for _, i in images),
+            tuple((aut, rows[i]) for aut, i in images),
+        ),
     )
+    elements = {}
+    lifts = []
+    for images in ordered:
+        for x in images:
+            if x not in elements:
+                elements[x] = ExtendedElement(aut=x[0], weyl=weyl.elements[x[1]])
+        lifts.append(ChiLift(psi=psi, images=tuple(elements[x] for x in images)))
     if not lifts or not lifts[0].is_canonical():
         raise PreconditionError("canonical lift missing from enumeration")
     return lifts
+
+
+def _indexed_semidirect(weyl: WeylGroup):
+    """Multiplication on (aut, index) pairs standing for
+    ExtendedElement(aut, weyl.elements[index]), with the Weyl products
+    and conjugations cached by index; returns (compose, identity, the
+    int rows of weyl.elements)."""
+    rows = tuple(m.int_rows() for m in weyl.elements)
+    index = {r: i for i, r in enumerate(rows)}
+    rank = weyl.diagram.rank
+    ident_aut = tuple(range(rank))
+
+    def lookup(r):
+        try:
+            return index[r]
+        except KeyError:
+            raise PreconditionError(
+                "Weyl elements are not closed under products"
+            ) from None
+
+    @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+    def conj(b, i):
+        w = rows[i]
+        return lookup(tuple(tuple(w[x][y] for y in b) for x in b))
+
+    @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+    def times(i, j):
+        return lookup(int_product(rows[i], rows[j]))
+
+    def compose(x, y):
+        # (a, w)(b, w') = (a b, (b^-1 w b) w'), as in ExtendedElement.
+        (a, i), (b, j) = x, y
+        if b != ident_aut:
+            i = conj(b, i)
+        return tuple(a[t] for t in b), times(i, j)
+
+    return compose, (ident_aut, lookup(Matrix.identity(rank).int_rows())), rows
+
+
+def _coset_order(quotient: QuotientGroup, coset: int) -> int:
+    k, cur = 1, coset
+    while cur != quotient.identity_coset:
+        cur = quotient.mul(cur, coset)
+        k += 1
+    return k
 
 
 def _quotient_generators(quotient: QuotientGroup) -> tuple[int, ...]:
@@ -335,21 +410,26 @@ def _quotient_generators(quotient: QuotientGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _quotient_words(quotient: QuotientGroup, gens) -> list[tuple[int, ...]]:
-    words: dict[int, tuple[int, ...]] = {quotient.identity_coset: ()}
+def _quotient_tree(quotient: QuotientGroup, gens) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree of the Cayley graph from the identity:
+    (coset, parent, generator index) with coset = parent * gens[index],
+    parents before children."""
+    tree = []
+    reached = {quotient.identity_coset}
     frontier = [quotient.identity_coset]
     while frontier:
         nxt = []
         for coset in frontier:
             for gi, gen in enumerate(gens):
                 p = quotient.mul(coset, gen)
-                if p not in words:
-                    words[p] = words[coset] + (gi,)
+                if p not in reached:
+                    reached.add(p)
+                    tree.append((p, coset, gi))
                     nxt.append(p)
         frontier = nxt
-    if len(words) != quotient.order:
+    if len(reached) != quotient.order:
         raise PreconditionError("generators do not generate the quotient")
-    return [words[c] for c in range(quotient.order)]
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -385,28 +465,33 @@ def build_invariant_pair_problem(
     rs: RootSystem, chi: ChiLift, phi
 ) -> InvariantPairProblem:
     """Fixed spaces of the two twisted dual actions of K."""
-    rank = rs.rank
     quotient = chi.psi.source
     orders = [s.root_of_unity_order() for s in phi]
     if None in orders:
         raise PreconditionError("splitting multiplier is not a root of unity")
     field_order = lcm(*orders)
 
+    duals = [chi.images[coset].dual_rows for coset in range(quotient.order)]
     real_basis = None
-    for coset in range(quotient.order):
-        dual = chi.images[coset].dual_matrix()
-        block = dual - Matrix.identity(rank)
+    for dual in duals:
+        block = Matrix.from_int_rows(
+            [[d - (i == j) for j, d in enumerate(row)] for i, row in enumerate(dual)]
+        )
         real_basis = _intersect_kernel(real_basis, block)
     complex_basis = None
-    for coset in range(quotient.order):
-        dual = chi.images[coset].dual_matrix()
+    for coset, dual in enumerate(duals):
         scalar = phi[coset].embed(lcm(field_order, phi[coset].order))
-        rows = [
-            [scalar * dual[i, j] - (1 if i == j else 0) for j in range(rank)]
-            for i in range(rank)
-        ]
-        block = Matrix(rows)
-        complex_basis = _intersect_kernel(complex_basis, block)
+        entries = {}  # (d, on the diagonal) -> scalar * d - [i == j]
+        rows = []
+        for i, row in enumerate(dual):
+            out = []
+            for j, d in enumerate(row):
+                key = d, i == j
+                if key not in entries:
+                    entries[key] = scalar * d - int(i == j)
+                out.append(entries[key])
+            rows.append(out)
+        complex_basis = _intersect_kernel(complex_basis, Matrix(rows))
     return InvariantPairProblem(
         root_system=rs,
         chi=chi,
@@ -435,9 +520,11 @@ def invariant_pair_decide(
     rs = problem.root_system
     a_basis = problem.real_fixed_basis
     b_basis = problem.complex_fixed_basis
+    a_parts = integer_coefficients(a_basis)[2]
+    b_parts = integer_coefficients(b_basis)[2]
     for delta in rs.roots:
-        a_dead = all(_pair(v, delta) == 0 for v in a_basis)
-        b_dead = all(_pair(v, delta) == 0 for v in b_basis)
+        a_dead = all(_pairs_to_zero(parts, delta) for parts in a_parts)
+        b_dead = all(_pairs_to_zero(parts, delta) for parts in b_parts)
         if a_dead and b_dead:
             return InvariantPairDecision(
                 exists=False, label=None, blocking_root=delta
@@ -461,30 +548,33 @@ def invariant_pair_decide(
     )
 
 
-def _pair(vec, delta):
-    total = None
-    for a, d in zip(vec, delta):
-        term = a * d
-        total = term if total is None else total + term
-    return 0 if total is None else total
+def _pairs_to_zero(parts, delta) -> bool:
+    """Whether the vector with integer coefficient rows `parts` (see
+    integer_coefficients) pairs to zero with the integer vector delta."""
+    return not any(int_apply(parts, delta))
 
 
 def _verify_pair(problem: InvariantPairProblem, alpha, beta) -> None:
+    """Re-check, on integer coefficient rows, that alpha is fixed by every
+    dual, beta by every phi-twisted dual, and that no root pairs to zero
+    with both."""
     quotient = problem.chi.psi.source
-    rank = problem.root_system.rank
+    m, d, (a_parts, b_parts) = integer_coefficients([alpha, beta])
     for coset in range(quotient.order):
-        dual = problem.chi.images[coset].dual_matrix()
-        if tuple(dual.apply(alpha)) != tuple(alpha):
+        dual = problem.chi.images[coset].dual_rows
+        if any(int_apply(dual, row) != row for row in a_parts):
             raise VerificationError("alpha is not invariant")
-        scalar = problem.phi[coset]
-        image_b = [
-            scalar * sum(dual[i, j] * beta[j] for j in range(rank))
-            for i in range(rank)
+        # Entry i of dual . beta has zeta_m^t coefficient
+        # (dual row i) . b_parts[t] / d.
+        image = [
+            Cyclotomic(m, [Fraction(x, d) for x in col])
+            for col in zip(*(int_apply(dual, row) for row in b_parts))
         ]
-        if any(x != y for x, y in zip(image_b, beta)):
+        scalar = problem.phi[coset]
+        if any(scalar * x != y for x, y in zip(image, beta)):
             raise VerificationError("beta is not invariant")
     for delta in problem.root_system.roots:
-        if _pair(alpha, delta) == 0 and _pair(beta, delta) == 0:
+        if _pairs_to_zero(a_parts, delta) and _pairs_to_zero(b_parts, delta):
             raise VerificationError("pair misses the genericity condition")
 
 
@@ -742,7 +832,20 @@ class PipelineResult:
     weyl: WeylGroup
     lifts: tuple[ChiLift, ...]
     phi: tuple[Cyclotomic, ...]
-    decisions: tuple[InvariantPairDecision, ...]
+    root_system: RootSystem
+    seed: int
+
+    @cached_property
+    def decisions(self) -> tuple[InvariantPairDecision, ...]:
+        """The invariant-pair decision of each lift, in lift order; decided
+        on first access."""
+        return tuple(
+            invariant_pair_decide(
+                build_invariant_pair_problem(self.root_system, lift, self.phi),
+                seed=self.seed,
+            )
+            for lift in self.lifts
+        )
 
 
 def analyze_splitting(
@@ -783,10 +886,6 @@ def analyze_splitting(
         splitting_multiplier(group.elements[quotient.coset_rep(c)], axis)
         for c in range(quotient.order)
     )
-    decisions = []
-    for lift in lifts:
-        problem = build_invariant_pair_problem(rs, lift, phi)
-        decisions.append(invariant_pair_decide(problem, seed=seed))
     return PipelineResult(
         group=group,
         h_indices=tuple(h_indices),
@@ -796,7 +895,8 @@ def analyze_splitting(
         weyl=weyl,
         lifts=tuple(lifts),
         phi=phi,
-        decisions=tuple(decisions),
+        root_system=rs,
+        seed=seed,
     )
 
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import mul
 
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import Matrix, snf
+from .exact import Matrix, int_apply, snf
 from .group import FiniteMatrixGroup, Motion
 
 REPRESENTATIVE_CAP = 65_536
@@ -100,10 +99,6 @@ def _snf_cached(rows):
     return snf(rows)
 
 
-def _apply(rows, vector):
-    return tuple(sum(map(mul, row, vector)) for row in rows)
-
-
 def _along(dirs, coeffs, n):
     """The integer vector sum of coeffs[k] * dirs[k] in Z^n."""
     out = [0] * n
@@ -143,7 +138,7 @@ def _solve_congruence(a, rhs=None):
         rhs_nums, q = (0,) * m, 1
     else:
         rhs_nums, q = rhs
-    w = _apply(dec.U, rhs_nums)
+    w = int_apply(dec.U, rhs_nums)
     if any(x % q for x in w[rank:]):
         return None
     count = prod(factors[:rank])
@@ -164,7 +159,8 @@ def _solve_congruence(a, rhs=None):
     )
     scale = big_n // q
     for x in reps:
-        if any((lhs - r * scale) % big_n for lhs, r in zip(_apply(a, x), rhs_nums)):
+        lhs = int_apply(a, x)
+        if any((y - r * scale) % big_n for y, r in zip(lhs, rhs_nums)):
             raise VerificationError("congruence representative fails A x = rhs")
     directions = tuple(tuple(row[j] for row in dec.V) for j in range(rank, n))
     return n - rank, count, big_n, tuple(reps), directions
@@ -256,7 +252,7 @@ class _Translate:
 
     def values(self, nums, den):
         """Where the point nums/den sits across this translate's parallels."""
-        return _canon(_apply(self.annihilator, nums), den)
+        return _canon(int_apply(self.annihilator, nums), den)
 
     def contains(self, nums, den) -> bool:
         """Whether the point nums/den lies on this translate."""
@@ -266,13 +262,13 @@ class _Translate:
         if self.dimension > bigger.dimension:
             return False
         ann = bigger.annihilator
-        if any(any(_apply(ann, d)) for d in self.dirs):
+        if any(any(int_apply(ann, d)) for d in self.dirs):
             return False
         return bigger.contains(self.nums, self.den)
 
     def image(self, m) -> "_Translate":
-        dirs = [_apply(m, d) for d in self.dirs]
-        return _Translate(_apply(m, self.nums), self.den, dirs)
+        dirs = [int_apply(m, d) for d in self.dirs]
+        return _Translate(int_apply(m, self.nums), self.den, dirs)
 
 
 @dataclass(frozen=True)
@@ -312,28 +308,28 @@ def _affine_action(m, comp: _Translate):
     factors = dec.invariant_factors
     cols = []
     for d in comp.dirs:
-        w = _apply(dec.U, _apply(m, d))
+        w = int_apply(dec.U, int_apply(m, d))
         if any(w[rank:]):
             raise PreconditionError("vector not in component span")
         if any(x % f for x, f in zip(w, factors)):
             raise VerificationError("direction action not integral")
-        cols.append(_apply(dec.V, [x // f for x, f in zip(w, factors)]))
+        cols.append(int_apply(dec.V, [x // f for x, f in zip(w, factors)]))
     a = tuple(zip(*cols))
-    shift = [x - y for x, y in zip(_apply(m, comp.nums), comp.nums)]
-    w = _apply(dec.U, shift)
+    shift = [x - y for x, y in zip(int_apply(m, comp.nums), comp.nums)]
+    w = int_apply(dec.U, shift)
     if any(x % comp.den for x in w[rank:]):
         raise VerificationError("shift leaves the component")
     ell = lcm(*factors)
     den = comp.den * ell
-    b = _apply(dec.V, [x * (ell // f) for x, f in zip(w, factors)])
+    b = int_apply(dec.V, [x * (ell // f) for x, f in zip(w, factors)])
     return a, tuple(x % den for x in b), den
 
 
 def _compose_affine(f, g):
     a1, b1, den = f
     a2, b2, _ = g
-    a = tuple(tuple(_apply(a1, col)) for col in zip(*a2))
-    b = tuple((x + y) % den for x, y in zip(_apply(a1, b2), b1))
+    a = tuple(tuple(int_apply(a1, col)) for col in zip(*a2))
+    b = tuple((x + y) % den for x, y in zip(int_apply(a1, b2), b1))
     return tuple(zip(*a)), b, den
 
 
@@ -394,9 +390,9 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
             if comp.image(m).key != comp.key:
                 continue
             normalizer.append(i)
-            if all(_apply(m, d) == d for d in comp.dirs) and all(
+            if all(int_apply(m, d) == d for d in comp.dirs) and all(
                 (x - y) % comp.den == 0
-                for x, y in zip(_apply(m, comp.nums), comp.nums)
+                for x, y in zip(int_apply(m, comp.nums), comp.nums)
             ):
                 stab.append(i)
         if comp.dirs:
@@ -519,7 +515,7 @@ def _intersection_points(maximal, mats, comp_translate):
     seen = set()
     for nums, den in raw_points:
         # Motions are unimodular, so every image keeps the denominator.
-        images = sorted({tuple(x % den for x in _apply(m, nums)) for m in mats})
+        images = sorted({tuple(x % den for x in int_apply(m, nums)) for m in mats})
         canonical = images[0]
         if canonical in seen:
             continue

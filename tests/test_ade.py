@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitop.ade import (
     DynkinDiagram,
     ExtendedElement,
+    _unimodular_inverse,
     build_root_system,
     extended_action,
     graph_automorphisms,
@@ -182,3 +185,30 @@ def test_semidirect_composition_matches_matrix_action():
         assert (a * b) * c == a * (b * c)
         assert (a * b).lattice_matrix() == a.lattice_matrix() @ b.lattice_matrix()
         assert (a * a.inverse()).is_identity()
+
+
+@st.composite
+def _unimodular(draw):
+    """Products of integer row operations and sign flips, rank 1..8."""
+    n = draw(st.integers(1, 8))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = draw(st.integers(-3, 3))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unimodular())
+def test_unimodular_inverse_matches_rational_inverse(rows):
+    assert Matrix.from_int_rows(_unimodular_inverse(rows)) == Matrix(rows).inverse()
+
+
+@pytest.mark.parametrize("rows", [((2, 0), (0, 1)), ((1, 2), (2, 4)), ((0,),)])
+def test_unimodular_inverse_rejects_other_matrices(rows):
+    with pytest.raises(PreconditionError):
+        _unimodular_inverse(rows)

@@ -318,6 +318,33 @@ def test_cyclotomic_and_mixed_products_match_reference():
             assert (a @ b) @ q == a @ (b @ q)
 
 
+_small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 8, 12]),
+    st.lists(_small_fractions, min_size=1, max_size=12),
+    st.one_of(_small_fractions, st.integers(-9, 9)),
+)
+def test_rational_scaling_matches_field_product(order, coeffs, q):
+    """x * q scales the reduced coefficients; it must equal the product
+    with q embedded as a field element, order and coefficients alike."""
+    x = Cyclotomic(order, coeffs)
+    embedded = Cyclotomic.from_rational(q).embed(order)
+    for product in (x * q, q * x):
+        assert product.order == order
+        assert product.coeffs == _reference_field_product(x, embedded).coeffs
+
+
+def _reference_field_product(a, b):
+    prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    return Cyclotomic(a.order, prod)
+
+
 def test_rational_product_of_inverse_is_identity():
     m = Matrix([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(5, 7), 2]])
     assert m @ m.inverse() == Matrix.identity(2)

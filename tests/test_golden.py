@@ -3,6 +3,7 @@
 Each file is named COMMAND_SCENARIO.json and holds the report of
 `orbitop COMMAND --scenario SCENARIO --format json` (default seed)."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,29 @@ def test_report_matches_golden(case, tmp_path):
     argv = [command, "--scenario", scenario, "--format", "json", "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+# The D4 stress pipelines (default seed).  The `lifts` reports run to
+# 185 KB, so they are pinned by the SHA-256 of the JSON report instead
+# of a file under golden/.
+STRESS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+D4_PIPELINE_DIGESTS = {
+    ("lifts", "d4_q8z2"):
+        "b9b72cddbb6422c880a4dd5b83e48cb646ba66044373ea832aa74eac33a65d6f",
+    ("lifts", "d4_q8z4"):
+        "0bb71f8f653b47e2dcbddbfe83d6941fc467311c5c2071cc50439096356db671",
+    ("invariant-pair", "d4_q8z2"):
+        "2811e5425e2ac73334b7edc7098d7b6f471b4ada81196139d3de74b1652c84b6",
+    ("invariant-pair", "d4_q8z4"):
+        "c7fadbe2da0dd4c209afaa4e2c73b913213ba1786486ae3889762c58558742e3",
+}
+
+
+@pytest.mark.parametrize("command,scenario", sorted(D4_PIPELINE_DIGESTS))
+def test_d4_pipeline_report_digest(command, scenario, tmp_path):
+    out = tmp_path / "report.json"
+    path = STRESS / f"{scenario}.scn"
+    argv = [command, "--scenario", str(path), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == D4_PIPELINE_DIGESTS[command, scenario]

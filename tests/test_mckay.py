@@ -1,17 +1,24 @@
 """ADE classification, diagram actions, lifts, invariant pairs, second stage."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitop.ade import DynkinDiagram, build_root_system, weyl_group
-from orbitop.errors import PreconditionError
-from orbitop.exact import Cyclotomic, Matrix
+from orbitop import mckay
+from orbitop.cli import main
+from orbitop.errors import CapExceededError, PreconditionError
+from orbitop.exact import Cyclotomic, Matrix, integer_coefficients
+from orbitop.invariants.nodes import generic_combination
 from orbitop.group import Motion, close, normal_and_quotient
 from orbitop.mckay import (
     ASeriesModel,
     PsiHom,
+    _pairs_to_zero,
     analyze_splitting,
     build_invariant_pair_problem,
     classify_kleinian,
@@ -191,6 +198,106 @@ def test_four_lifts_for_z2_over_a2():
     assert len(lifts) == 4
 
 
+def _synthetic_z2z2_quotient():
+    """Z2 x Z2 = <diag(-1, -1, 1), diag(-1, 1, -1)> modulo the trivial group."""
+    def diag(a, b, c):
+        return Motion.from_complex(
+            [
+                [(a, 0), (0, 0), (0, 0)],
+                [(0, 0), (b, 0), (0, 0)],
+                [(0, 0), (0, 0), (c, 0)],
+            ]
+        )
+
+    g = close([diag(-1, -1, 1), diag(-1, 1, -1)])
+    assert g.order == 4
+    return normal_and_quotient(g, {g.identity_index})
+
+
+def _trivial_psi(quotient, diagram):
+    ident = tuple(range(diagram.rank))
+    return PsiHom(source=quotient, diagram=diagram, images=(ident,) * quotient.order)
+
+
+def _signed_permutations_d4():
+    """W(D4) as 4x4 signed permutation matrices with an even number of
+    minus signs, built without orbitop.ade."""
+    out = []
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            if signs.count(-1) % 2 == 0:
+                out.append(
+                    tuple(
+                        tuple(signs[i] if perm[i] == j else 0 for j in range(4))
+                        for i in range(4)
+                    )
+                )
+    return out
+
+
+def _product(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _commuting_involution_pairs(elements, mul, identity):
+    involutions = [x for x in elements if mul(x, x) == identity]
+    return involutions, sum(
+        1 for x in involutions for y in involutions if mul(x, y) == mul(y, x)
+    )
+
+
+def test_z2z2_lifts_over_d4_match_signed_permutation_oracle():
+    # A lift of the trivial action of Z2 x Z2 is a pair (x, y) of
+    # commuting elements of W with x^2 = y^2 = 1.
+    elements = _signed_permutations_d4()
+    ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    involutions, pairs = _commuting_involution_pairs(elements, _product, ident)
+    assert len(elements) == 192 and len(involutions) == 44
+    diagram = DynkinDiagram.make("D", 4)
+    w = weyl_group(build_root_system(diagram))
+    lifts = enumerate_chi_lifts(_trivial_psi(_synthetic_z2z2_quotient(), diagram), w)
+    assert len(lifts) == pairs
+    assert lifts[0].is_canonical()
+    assert not any(lift.is_canonical() for lift in lifts[1:])
+
+
+def test_z2z2_lifts_over_a2_match_involution_oracle():
+    diagram = DynkinDiagram.make("A", 2)
+    w = weyl_group(build_root_system(diagram))
+    involutions, pairs = _commuting_involution_pairs(
+        w.elements, Matrix.__matmul__, Matrix.identity(2)
+    )
+    assert len(involutions) == 4
+    lifts = enumerate_chi_lifts(_trivial_psi(_synthetic_z2z2_quotient(), diagram), w)
+    # identity with anything (4 + 3) and each reflection with itself (3)
+    assert len(lifts) == pairs == 10
+
+
+def test_lift_search_cap(monkeypatch):
+    diagram = DynkinDiagram.make("D", 4)
+    w = weyl_group(build_root_system(diagram))
+    psi = _trivial_psi(_synthetic_z2z2_quotient(), diagram)
+    monkeypatch.setattr(mckay, "LIFT_SEARCH_CAP", 44 * 44 - 1)
+    with pytest.raises(CapExceededError, match="1936 candidate assignments"):
+        enumerate_chi_lifts(psi, w)
+    monkeypatch.setattr(mckay, "LIFT_SEARCH_CAP", 44 * 44)
+    assert len(enumerate_chi_lifts(psi, w)) > 1
+
+
+def test_lifts_command_does_not_decide_pairs(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise PreconditionError("lifts built an invariant-pair problem")
+
+    monkeypatch.setattr(mckay, "build_invariant_pair_problem", refuse)
+    out = tmp_path / "lifts.json"
+    argv = ["lifts", "--scenario", "c3_z4", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(["invariant-pair", "--scenario", "c3_z4"]) == 3
+
+
 def test_lifts_are_homomorphisms_projecting_to_psi(z4_group):
     result = analyze_splitting(z4_group)
     quotient = result.quotient
@@ -291,6 +398,119 @@ def _sample_cyc(basis, rng):
         term = [c * x for x in vec]
         out = term if out is None else [a + b for a, b in zip(out, term)]
     return tuple(out)
+
+
+# Entries over Q, Q(zeta_4) and Q(zeta_8).  zeta_8^2 = zeta_4, so one value
+# can arrive in either field: the embedding to a common order must match.
+_small_q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_mixed_entry = st.one_of(
+    _small_q,
+    st.builds(Cyclotomic, st.just(4), st.lists(_small_q, min_size=1, max_size=2)),
+    st.builds(Cyclotomic, st.just(8), st.lists(_small_q, min_size=1, max_size=4)),
+)
+
+
+def _other_field(x):
+    """The same value written in another field: order 8 for elements of
+    Q(zeta_4) and Q, a Fraction for rational order-8 elements."""
+    if isinstance(x, Cyclotomic) and x.order == 8 and x.is_rational():
+        return x.rational_value()
+    if isinstance(x, Cyclotomic) and x.order == 8:
+        return x
+    return Cyclotomic.from_rational(0, 8) + x
+
+
+@st.composite
+def _vectors_and_form(draw):
+    """Vectors with mixed entries and a small integer form; about half
+    the vectors end in an entry that cancels the pairing exactly, written
+    in another field than the sum it cancels."""
+    n = draw(st.integers(1, 4))
+    form = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        vec = draw(st.lists(_mixed_entry, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            vec.append(_other_field(sum(a * b for a, b in zip(vec, form))))
+        else:
+            vec.append(draw(_mixed_entry))
+        vectors.append(vec)
+    return vectors, form + [-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vectors_and_form())
+def test_integer_pairing_zero_test_matches_reference(case):
+    vectors, form = case
+    m, d, parts = integer_coefficients(vectors)
+    zeta = Cyclotomic.zeta(m)
+    for vec, rows in zip(vectors, parts):
+        # the coefficient rows give back the entries
+        for i, x in enumerate(vec):
+            value = sum(Fraction(row[i], d) * zeta**t for t, row in enumerate(rows))
+            assert value == x
+        reference = sum(a * b for a, b in zip(vec, form)) == 0
+        assert _pairs_to_zero(rows, form) == reference
+
+
+def _reference_generic_combination(basis, forms, seed=0, attempts=1000):
+    """generic_combination as it was written over boxed field elements."""
+
+    def pair(vec, form):
+        return sum(a * b for a, b in zip(vec, form))
+
+    def combine(coeffs):
+        out = None
+        for c, vec in zip(coeffs, basis):
+            term = [c * x for x in vec]
+            out = term if out is None else [a + b for a, b in zip(out, term)]
+        return tuple(out)
+
+    relevant = [f for f in forms if any(pair(vec, f) != 0 for vec in basis)]
+    rng = random.Random(seed)
+    k = len(basis)
+    for _ in range(attempts):
+        coeffs = [
+            Fraction(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(k)
+        ]
+        cand = combine(coeffs)
+        if all(pair(cand, f) != 0 for f in relevant):
+            return cand
+    for t in range(1, k * len(relevant) + 2):
+        cand = combine([Fraction(t) ** i for i in range(k)])
+        if all(pair(cand, f) != 0 for f in relevant):
+            return cand
+    raise PreconditionError("no generic combination exists")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        value = fn(*args, **kwargs)
+    except PreconditionError:
+        return "no generic combination"
+    return value, [(type(x), getattr(x, "order", None)) for x in value]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _vectors_and_form(),
+    st.lists(
+        st.lists(st.integers(-2, 2), min_size=5, max_size=5), min_size=1, max_size=6
+    ),
+    st.integers(0, 5),
+    st.sampled_from([0, 1, 1000]),
+)
+def test_generic_combination_matches_boxed_reference(case, raw_forms, seed, attempts):
+    basis, _ = case
+    n = len(basis[0])
+    if seed % 2:
+        # Unit vectors: forms like (1, -1) vanish on the plain sum, so the
+        # power-basis fallback has to go past t = 1.
+        basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    forms = [tuple(Fraction(x) for x in f[:n]) for f in raw_forms]
+    assert _outcome(
+        generic_combination, basis, forms, seed=seed, attempts=attempts
+    ) == _outcome(_reference_generic_combination, basis, forms, seed, attempts)
 
 
 def test_witnesses_reverify_exactly(z4_group):

@@ -12,7 +12,8 @@ import pytest
 import orbitop
 import orbitop.cli
 from orbitop.cli import main
-from orbitop.ade import build_root_system
+from orbitop import ade
+from orbitop.ade import ExtendedElement, build_root_system
 from orbitop.errors import VerificationError
 from orbitop.exact import Cyclotomic, Matrix, snf
 from orbitop.exact.snf import SmithDecomposition, _verify
@@ -109,6 +110,23 @@ def test_pair_check_catches_corrupted_witness(z4_group):
         _verify_pair(canonical, (Fraction(0),), (zero,))
 
 
+def test_dual_check_catches_corrupted_integer_inverse(monkeypatch):
+    # s_1 of A2 in the simple-root basis, an involution of determinant -1
+    element = ExtendedElement(aut=(0, 1), weyl=Matrix([[1, 0], [1, -1]]))
+    assert element.dual_matrix() == Matrix([[1, 1], [0, -1]])
+    reduce = ade._row_reduce_inverse
+
+    def negated(rows):
+        return tuple(tuple(-x for x in row) for row in reduce(rows))
+
+    monkeypatch.setattr(ade, "_row_reduce_inverse", negated)
+    fresh = ExtendedElement(aut=(0, 1), weyl=Matrix([[1, 0], [1, -1]]))
+    with pytest.raises(VerificationError, match="integer inverse"):
+        fresh.dual_matrix()
+    with pytest.raises(VerificationError, match="integer inverse"):
+        fresh.inverse()
+
+
 @pytest.mark.parametrize(
     "witness,message", [((1, 1, 0), "not a relation"), ((0, 0, 0), "zero coefficient")]
 )
@@ -165,6 +183,28 @@ try:
     node_smoothable(NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]]))
 except VerificationError:
     caught.append("witness")
+
+from fractions import Fraction
+from orbitop import ade
+from orbitop.exact import Cyclotomic
+from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
+
+reduce = ade._row_reduce_inverse
+ade._row_reduce_inverse = lambda rows: tuple(tuple(-x for x in r) for r in reduce(rows))
+try:
+    ade.ExtendedElement(aut=(0, 1), weyl=Matrix([[1, 0], [1, -1]])).dual_matrix()
+except VerificationError:
+    caught.append("dual")
+ade._row_reduce_inverse = reduce
+kappa3 = Motion.from_complex(
+    [[(-1, 0), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (0, 1)]]
+)
+result = analyze_splitting(close([kappa3]))
+problem = build_invariant_pair_problem(result.root_system, result.lifts[0], result.phi)
+try:
+    _verify_pair(problem, (Fraction(0),), (Cyclotomic.from_rational(0),))
+except VerificationError:
+    caught.append("pair")
 print(sys.flags.optimize, " ".join(caught))
 """
 
@@ -181,7 +221,7 @@ def test_verification_survives_python_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "quotient", "snf", "witness"]
+    assert done.stdout.split() == ["1", "quotient", "snf", "witness", "dual", "pair"]
 
 
 def test_cli_maps_verification_error_to_exit_5(monkeypatch, capsys):
