@@ -131,6 +131,13 @@ def parse_complex_entry(token: str) -> tuple[Fraction, Fraction]:
     return re, im
 
 
+def parse_rational_entry(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioParseError(f"bad rational entry {token!r}: {exc}") from exc
+
+
 def format_complex_entry(value: tuple[Fraction, Fraction]) -> str:
     re, im = value
     if im == 0:
@@ -191,7 +198,7 @@ def parse_scenario(text: str) -> Scenario:
                     continue
                 toks = v.split()
                 if real:
-                    rows.append(tuple(Fraction(t) for t in toks))
+                    rows.append(tuple(parse_rational_entry(t) for t in toks))
                 else:
                     rows.append(tuple(parse_complex_entry(t) for t in toks))
             if not rows:
@@ -201,7 +208,7 @@ def parse_scenario(text: str) -> Scenario:
             )
         elif title == "lattice":
             lattice_rows = tuple(
-                tuple(Fraction(t) for t in v.split())
+                tuple(parse_rational_entry(t) for t in v.split())
                 for k, v in entries
                 if k == "row"
             )
@@ -216,7 +223,7 @@ def parse_scenario(text: str) -> Scenario:
                         ) from exc
         elif title == "node_classes":
             node_classes = tuple(
-                tuple(Fraction(t) for t in v.split())
+                tuple(parse_rational_entry(t) for t in v.split())
                 for k, v in entries
                 if k == "row"
             )
@@ -384,6 +391,7 @@ def run_command(command: str, args) -> dict:
             raise PreconditionError("scenario has no [node_classes] section")
         cfg = NodeConfiguration.make(scenario.node_classes)
         sm = node_smoothable(cfg, seed=args.seed)
+        kahler = node_kahler(cfg)
         base.update(
             {
                 "class_count": len(cfg.classes),
@@ -391,7 +399,8 @@ def run_command(command: str, args) -> dict:
                 "smoothing_witness": (
                     [_fr(x) for x in sm.witness] if sm.witness else None
                 ),
-                "kahler_positive": node_kahler(cfg),
+                "kahler_positive": kahler.positive,
+                "kahler_certificate": [_fr(x) for x in kahler.certificate],
             }
         )
         return base

@@ -23,6 +23,7 @@ from .chi import (
 )
 from .euler import EulerReport, orbifold_euler
 from .nodes import (
+    KahlerResult,
     NodeConfiguration,
     SmoothabilityResult,
     generic_combination,
@@ -37,6 +38,7 @@ __all__ = [
     "ContributionTable",
     "DesingPlan",
     "EulerReport",
+    "KahlerResult",
     "NodeConfiguration",
     "POINT_CASE_PATTERNS",
     "SmoothabilityResult",

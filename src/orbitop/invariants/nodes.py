@@ -3,7 +3,16 @@
 A configuration is a list of curve classes in a fixed homology space.
 Smoothability asks for a vanishing combination with every coefficient
 nonzero; Kahler positivity asks for a linear functional strictly
-positive on every class.  Both are decided exactly over the rationals.
+positive on every class.  Both are decided exactly over the rationals,
+and each answer carries a witness that is re-verified before it is
+returned.
+
+Kahler positivity rests on Gordan's theorem: {y : y . c >= 1 for every
+class c} is empty iff some lam >= 0 with sum(lam) = 1 has
+sum(lam_i c_i) = 0.  Phase 1 of the simplex method over Fractions, with
+Bland's rule so that it terminates, decides that system.  Its solution
+is lam; otherwise its final duals give y.  Either certificate is checked
+on integers, with the classes scaled by one common denominator.
 """
 
 from __future__ import annotations
@@ -13,13 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ..errors import CapExceededError, PreconditionError, VerificationError
+from ..errors import PreconditionError, VerificationError
 from ..exact import Matrix, int_apply, integer_coefficients
-
-# Rows one Fourier-Motzkin step may build.  A step pairs every lower
-# bound with every upper bound, so the row count can square per step;
-# the ten classes of the nodes_d4 stress scenario need 313,344.
-FOURIER_MOTZKIN_ROW_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,16 @@ class SmoothabilityResult:
     witness: tuple[Fraction, ...] | None
 
 
+@dataclass(frozen=True)
+class KahlerResult:
+    """`certificate` is a functional y with y . c >= 1 for every class
+    when `positive`, else coefficients lam >= 0 summing to 1 with
+    sum(lam_i c_i) = 0."""
+
+    positive: bool
+    certificate: tuple[Fraction, ...]
+
+
 def node_smoothable(cfg: NodeConfiguration, seed: int = 0) -> SmoothabilityResult:
     """A vanishing relation with all coefficients nonzero exists iff the
     relation space avoids every coordinate hyperplane; the witness is a
@@ -67,47 +81,76 @@ def node_smoothable(cfg: NodeConfiguration, seed: int = 0) -> SmoothabilityResul
     return SmoothabilityResult(smoothable=True, witness=witness)
 
 
-def node_kahler(cfg: NodeConfiguration) -> bool:
-    """Feasibility of {y : y . c >= 1 for every class c}, decided by
-    Fourier-Motzkin elimination; equivalent to strict positivity."""
-    rows = [list(c) + [Fraction(1)] for c in cfg.classes]  # a.y >= b, b last
-    return _fourier_motzkin_feasible(rows)
+def node_kahler(cfg: NodeConfiguration) -> KahlerResult:
+    """Strict positivity of some functional on every class, with a
+    certificate either way, re-verified on integers."""
+    lam, y = _gordan_phase_one(cfg.classes)
+    rows = _integer_rows(cfg.classes)
+    if y is None:
+        (scaled,) = _integer_rows([lam])
+        if any(x < 0 for x in scaled) or sum(scaled) == 0:
+            raise VerificationError("Kahler certificate is not a convex combination")
+        if any(int_apply(tuple(zip(*rows)), scaled)):
+            raise VerificationError("Kahler certificate is not a relation")
+        return KahlerResult(positive=False, certificate=lam)
+    (scaled,) = _integer_rows([y])
+    if any(v <= 0 for v in int_apply(rows, scaled)):
+        raise VerificationError("Kahler functional is not positive on every class")
+    return KahlerResult(positive=True, certificate=y)
 
 
-def _fourier_motzkin_feasible(rows) -> bool:
-    """Rows are (a_1..a_d, b) meaning a . y >= b; decide feasibility."""
-    if not rows:
-        return True
-    d = len(rows[0]) - 1
-    for _ in range(d):
-        lowers, uppers, keep = [], [], []
-        for row in rows:
-            c = row[0]
-            rest = row[1:]
-            if c > 0:
-                lowers.append([x / c for x in rest])
-            elif c < 0:
-                uppers.append([x / c for x in rest])
-            else:
-                keep.append(rest)
-        needed = len(keep) + len(lowers) * len(uppers)
-        if needed > FOURIER_MOTZKIN_ROW_CAP:
-            raise CapExceededError(
-                f"Fourier-Motzkin step needs {needed} rows, "
-                f"over cap {FOURIER_MOTZKIN_ROW_CAP}"
-            )
-        new_rows = keep
-        for lo in lowers:
-            for up in uppers:
-                # lo-bound <= y_var <= up-bound: (up - lo) . (y,1) "&" signs:
-                # lo gave y >= (b_lo - a_lo.y')/..., combined constraint is
-                # a_up.y' - a_lo.y' >= b_up - b_lo after normalization.
-                combined = [l - u for l, u in zip(lo, up)]
-                new_rows.append(combined)
-        rows = new_rows
-        if not rows:
-            return True
-    return all(row[-1] <= 0 for row in rows)
+def _integer_rows(vectors):
+    """Rational vectors scaled by one common positive denominator."""
+    return [part for (part,) in integer_coefficients(vectors)[2]]
+
+
+def _gordan_phase_one(classes):
+    """Phase 1 of the simplex method on [c_1 .. c_k; 1 .. 1] lam =
+    (0, .., 0, 1), lam >= 0, with one artificial variable per row and
+    Bland's rule.  Returns (lam, None) when the system is feasible and
+    (None, y) with y . c >= 1 for every class c otherwise."""
+    k, d = len(classes), len(classes[0])
+    one, zero = Fraction(1), Fraction(0)
+    # Tableau rows: k lam columns, d + 1 artificial columns, right side.
+    rows = [
+        [c[i] for c in classes] + [one if j == i else zero for j in range(d + 1)]
+        + [zero]
+        for i in range(d)
+    ]
+    rows.append([one] * k + [zero] * d + [one, one])
+    basis = list(range(k, k + d + 1))
+    # Reduced costs of the sum of the artificials, minus its value last.
+    cost = [-sum(col) for col in zip(*rows)]
+    for j in basis:
+        cost[j] += 1
+    while True:
+        enter = next((j for j, r in enumerate(cost[:-1]) if r < 0), None)
+        if enter is None:
+            break
+        # Phase 1 is bounded below, so some entry of the column is positive;
+        # among the least ratios the smallest basic index leaves.
+        leave = min(
+            (i for i, row in enumerate(rows) if row[enter] > 0),
+            key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]),
+        )
+        pivot = rows[leave]
+        p = pivot[enter]
+        pivot[:] = [x / p for x in pivot]
+        for row in rows + [cost]:
+            f = row[enter]
+            if row is not pivot and f:
+                row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        basis[leave] = enter
+    if cost[-1] == 0:
+        lam = [zero] * k
+        for i, j in enumerate(basis):
+            if j < k:
+                lam[j] = rows[i][-1]
+        return tuple(lam), None
+    # The duals (u, t) of the artificial columns: t is the optimum, > 0,
+    # and u . c + t <= 0 for every class because no reduced cost is negative.
+    *u, t = (1 - r for r in cost[k:-1])
+    return None, tuple(-x / t for x in u)
 
 
 def generic_combination(basis, forms, seed: int = 0, attempts: int = 1000):

@@ -390,6 +390,15 @@ def _coset_order(quotient: QuotientGroup, coset: int) -> int:
 
 
 def _quotient_generators(quotient: QuotientGroup) -> tuple[int, ...]:
+    """The first coset of order |K| alone when K is cyclic and
+    nontrivial, else cosets taken greedily in index order.  Each extra
+    generator multiplies the lift search by its candidate count."""
+    for coset in range(quotient.order):
+        if (
+            coset != quotient.identity_coset
+            and _coset_order(quotient, coset) == quotient.order
+        ):
+            return (coset,)
     gens: list[int] = []
     generated = {quotient.identity_coset}
     for coset in range(quotient.order):

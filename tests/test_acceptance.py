@@ -345,21 +345,21 @@ def test_criterion_11_node_checks():
     with CriterionTimer(11, "node-checks", 1.0):
         single = NodeConfiguration.make([[1, 0]])
         assert not node_smoothable(single).smoothable
-        assert node_kahler(single)
+        assert node_kahler(single).positive
         pair = NodeConfiguration.make([[1, 0], [-1, 0]])
         assert node_smoothable(pair).smoothable
-        assert not node_kahler(pair)
+        assert not node_kahler(pair).positive
         triangle = NodeConfiguration.make([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
         assert node_smoothable(triangle).smoothable
         split = NodeConfiguration.make([[1, 0], [0, 1]])
-        assert node_kahler(split)
+        assert node_kahler(split).positive
         assert not node_smoothable(split).smoothable
         rng = random.Random(6)
         for _ in range(10):
             v = [Fraction(rng.randint(1, 5)) for _ in range(3)]
             opposite = NodeConfiguration.make([v, [-x for x in v]])
             assert node_smoothable(opposite).smoothable
-            assert not node_kahler(opposite)
+            assert not node_kahler(opposite).positive
 
 
 def test_criterion_12_property_suites(z4_group, gaussian_lattice):

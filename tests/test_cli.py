@@ -102,8 +102,22 @@ DIAGONAL = "[generator]\nrow: -1 0 0\nrow: 0 i 0\nrow: 0 0 i\n"
         ("group", DIAGONAL + "[splitting]\naxis: one\n", "axis must be an integer"),
         ("group", "[generator]\nrow: 1 0 0\nrow: 0 1\nrow: 0 0 1\n", "3 entries"),
         ("lifts", DIAGONAL + "[splitting]\naxis: 4\n", "axis 4 is not in 1..3"),
+        ("nodes", DIAGONAL + "[node_classes]\nrow: 1 x\n", "bad rational entry 'x'"),
+        ("nodes", DIAGONAL + "[node_classes]\nrow: 1 1/0\n", "bad rational entry '1/0'"),
+        ("group", DIAGONAL + "[lattice]\nrow: 1 x\n", "bad rational entry 'x'"),
+        ("group", DIAGONAL + "[lattice]\nrow: 1 1/0\n", "bad rational entry '1/0'"),
+        ("group", "[generator]\nreal: true\nrow: 1 y\n", "bad rational entry 'y'"),
     ],
-    ids=["non-integer-axis", "ragged-row", "axis-beyond-dim"],
+    ids=[
+        "non-integer-axis",
+        "ragged-row",
+        "axis-beyond-dim",
+        "node-class-word",
+        "node-class-zero-denominator",
+        "lattice-word",
+        "lattice-zero-denominator",
+        "real-generator-word",
+    ],
 )
 def test_bad_scenario_is_parse_error(tmp_path, capsys, command, body, message):
     scn = tmp_path / "bad.scn"
@@ -329,20 +343,22 @@ def test_invariant_pair_cli(capsys):
     assert all(x == "0" for x in second["alpha"])
 
 
-def test_twenty_node_classes_hit_the_fourier_motzkin_cap(tmp_path, capsys):
+def test_twenty_node_classes_report_a_kahler_certificate(tmp_path, capsys):
     rng = random.Random(20)
-    rows = "".join(
-        "row: " + " ".join(str(rng.randint(-2, 2)) for _ in range(4)) + "\n"
-        for _ in range(20)
-    )
+    classes = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(20)]
+    rows = "".join("row: " + " ".join(map(str, c)) + "\n" for c in classes)
     scn = tmp_path / "nodes20.scn"
     scn.write_text(
         "name: nodes20\nambient: linear\ncomplex_dim: 1\n\n"
         "[generator]\nrow: 1\n\n[node_classes]\n" + rows
     )
-    code, out, err = run_cli(capsys, "nodes", "--scenario", str(scn))
-    assert (code, out) == (4, "")
-    assert "Fourier-Motzkin" in err
+    code, out, _ = run_cli(capsys, "nodes", "--scenario", str(scn), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["kahler_positive"] is False
+    lam = [Fraction(x) for x in data["kahler_certificate"]]
+    assert len(lam) == 20 and min(lam) >= 0 and sum(lam) == 1
+    assert all(sum(l * c[i] for l, c in zip(lam, classes)) == 0 for i in range(4))
 
 
 def test_nodes_cli(tmp_path, capsys):
@@ -358,6 +374,7 @@ def test_nodes_cli(tmp_path, capsys):
     data = json.loads(out)
     assert data["smoothable"] is True
     assert data["kahler_positive"] is False
+    assert data["kahler_certificate"] == ["1/2", "1/2"]
 
 
 def test_seed_changes_witness_but_not_decision(capsys):

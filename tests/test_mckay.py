@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 from orbitop.ade import DynkinDiagram, build_root_system, weyl_group
 from orbitop import mckay
-from orbitop.cli import main
+from orbitop.cli import load_scenario, main
 from orbitop.errors import CapExceededError, PreconditionError
 from orbitop.exact import Cyclotomic, Matrix, integer_coefficients
 from orbitop.invariants.nodes import generic_combination
-from orbitop.group import Motion, close, normal_and_quotient
+from orbitop.group import Motion, close, normal_and_quotient, stabilizer
 from orbitop.mckay import (
     ASeriesModel,
     PsiHom,
@@ -285,6 +286,18 @@ def test_lift_search_cap(monkeypatch):
         enumerate_chi_lifts(psi, w)
     monkeypatch.setattr(mckay, "LIFT_SEARCH_CAP", 44 * 44)
     assert len(enumerate_chi_lifts(psi, w)) > 1
+
+
+def test_cyclic_quotient_gets_one_generator():
+    # e6_bt: K = G/H is Z4.  A redundant order-2 generator would multiply
+    # the 6,832 lift candidates of the order-4 one by its own 892.
+    stress = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+    group = close(load_scenario(str(stress / "e6_bt.scn")).motions())
+    z1_plane = [tuple(Fraction(int(i == j)) for i in range(6)) for j in (0, 1)]
+    quotient = normal_and_quotient(group, stabilizer(group, subspace=z1_plane))
+    assert quotient.order == 4
+    (gen,) = mckay._quotient_generators(quotient)
+    assert mckay._coset_order(quotient, gen) == 4
 
 
 def test_lifts_command_does_not_decide_pairs(monkeypatch, tmp_path):

@@ -23,7 +23,7 @@ from orbitop.group import (
     _verify_table_sample,
     normal_and_quotient,
 )
-from orbitop.invariants import NodeConfiguration, node_smoothable, nodes
+from orbitop.invariants import NodeConfiguration, node_kahler, node_smoothable, nodes
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 from orbitop import torus
 from orbitop.torus import common_fixed_set, fixed_set
@@ -140,6 +140,31 @@ def test_smoothability_check_catches_corrupted_witness(monkeypatch, witness, mes
         node_smoothable(cfg)
 
 
+F = Fraction
+
+
+@pytest.mark.parametrize(
+    "classes,certificate,message",
+    [
+        # lam: a relation with a negative coefficient, all zero, no relation
+        ([[1, 0], [-1, 0], [2, 0]], ((F(-1), F(1), F(1)), None), "convex"),
+        ([[1, 0], [-1, 0]], ((F(0), F(0)), None), "convex"),
+        ([[1, 0], [-1, 0]], ((F(1, 3), F(2, 3)), None), "relation"),
+        # y: zero on one class, negative on another
+        ([[1, 0], [0, 1]], (None, (F(1), F(0))), "positive"),
+        ([[1, 0], [0, 1]], (None, (F(1), F(-1, 2))), "positive"),
+    ],
+)
+def test_kahler_check_catches_corrupted_certificate(
+    monkeypatch, classes, certificate, message
+):
+    cfg = NodeConfiguration.make(classes)
+    node_kahler(cfg)
+    monkeypatch.setattr(nodes, "_gordan_phase_one", lambda classes: certificate)
+    with pytest.raises(VerificationError, match=message):
+        node_kahler(cfg)
+
+
 def test_no_assert_statements_in_the_package():
     """Checks written as `assert` vanish under python -O; the package
     raises VerificationError instead."""
@@ -160,7 +185,8 @@ from orbitop.errors import VerificationError
 from orbitop.exact import Matrix
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import FiniteMatrixGroup, Motion, close, normal_and_quotient
-from orbitop.invariants import NodeConfiguration, node_smoothable, nodes
+from fractions import Fraction
+from orbitop.invariants import NodeConfiguration, node_kahler, node_smoothable, nodes
 
 kappa = Motion.from_complex([[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
 group = close([kappa])
@@ -183,8 +209,12 @@ try:
     node_smoothable(NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]]))
 except VerificationError:
     caught.append("witness")
+nodes._gordan_phase_one = lambda classes: (None, (Fraction(1), Fraction(-1)))
+try:
+    node_kahler(NodeConfiguration.make([[1, 0], [0, 1]]))
+except VerificationError:
+    caught.append("kahler")
 
-from fractions import Fraction
 from orbitop import ade
 from orbitop.exact import Cyclotomic
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
@@ -221,7 +251,9 @@ def test_verification_survives_python_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "quotient", "snf", "witness", "dual", "pair"]
+    assert done.stdout.split() == [
+        "1", "quotient", "snf", "witness", "kahler", "dual", "pair"
+    ]
 
 
 def test_cli_maps_verification_error_to_exit_5(monkeypatch, capsys):
