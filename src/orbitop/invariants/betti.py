@@ -2,7 +2,11 @@
 
 Quotient Betti numbers come from invariant exterior forms: b^k is the
 dimension of the common fixed space of the induced group action on the
-k-th exterior power, computed as an exact kernel (no averaging).
+k-th exterior power, computed as an exact kernel (no averaging).  It
+runs on the integer lattice matrices of the group: Lambda^k g is built
+from k x k minors (Bareiss determinants on ints), and b^k is C(2n, k)
+minus the rank of the rows of Lambda^k g - I stacked over g, found by
+fraction-free integer elimination that stops at full rank.
 
 The ledger adds per-component contributions to a base Betti vector.
 Contribution tables are calibrated data for the bundled quotients; the
@@ -14,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb, gcd
+
 from ..errors import PreconditionError
 from ..exact import Matrix
 from ..group import FiniteMatrixGroup
@@ -54,29 +60,77 @@ def exterior_power_matrix(m: Matrix, k: int) -> Matrix:
     return Matrix.from_columns(cols)
 
 
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay ints."""
+    a = [list(row) for row in rows]
+    k = len(a)
+    if k == 0:
+        return 1
+    sign, prev = 1, 1
+    for i in range(k - 1):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if a[r][i]), None)
+            if swap is None:
+                return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        p = a[i][i]
+        for r in range(i + 1, k):
+            ar, f = a[r], a[r][i]
+            for c in range(i + 1, k):
+                ar[c] = (ar[c] * p - f * a[i][c]) // prev
+        prev = p
+    return sign * a[-1][-1]
+
+
+def _exterior_rows(rows, k: int):
+    """Rows of the k-th exterior power of an integer matrix: entry (s, t)
+    is the minor on rows s and columns t, over sorted k-subsets."""
+    subsets = list(itertools.combinations(range(len(rows)), k))
+    for s in subsets:
+        picked = [rows[i] for i in s]
+        yield [_bareiss_det([[r[j] for j in t] for r in picked]) for t in subsets]
+
+
+def _int_rank(rows, width: int) -> int:
+    """Rank of integer rows by fraction-free elimination against one
+    primitive pivot row per leading column; stops at full rank."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        while any(row):
+            lead = next(c for c, x in enumerate(row) if x)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row)
+                pivots[lead] = [x // g for x in row]
+                if len(pivots) == width:
+                    return width
+                break
+            p, f = pivot[lead], row[lead]
+            row = [x * p - f * y for x, y in zip(row, pivot)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+    return len(pivots)
+
+
 def quotient_betti(group: FiniteMatrixGroup, lattice: TorusLattice) -> BettiVector:
-    """Betti numbers of T/G via invariant exterior forms."""
+    """Betti numbers of T/G via invariant exterior forms: b^k is C(2n, k)
+    minus the rank of the rows of Lambda^k g - I stacked over g in G."""
     dim = lattice.rank
-    lattice_matrices(group, lattice)  # raises if the lattice is not preserved
+    # integer rows in lattice coordinates; raises if the lattice is not preserved
+    mats = lattice_matrices(group, lattice)
+    others = [m for i, m in enumerate(mats) if i != group.identity_index]
     out = []
     for k in range(dim + 1):
-        if k == 0:
-            out.append(1)
-            continue
-        basis = None  # columns spanning the running invariant subspace
-        for motion in group.elements:
-            ext = exterior_power_matrix(motion.matrix, k)
-            block = ext - Matrix.identity(ext.rows)
-            if basis is None:
-                vecs = block.kernel_basis()
-            else:
-                coeffs = (block @ basis).kernel_basis()
-                vecs = [basis.apply(c) for c in coeffs]
-            if not vecs:
-                basis = None
-                break
-            basis = Matrix.from_columns(vecs)
-        out.append(0 if basis is None else basis.cols)
+        width = comb(dim, k)
+        rows = (
+            [x - (i == j) for j, x in enumerate(row)]
+            for m in others
+            for i, row in enumerate(_exterior_rows(m, k))
+        )
+        out.append(width - _int_rank(rows, width))
     return BettiVector(b=tuple(out))
 
 

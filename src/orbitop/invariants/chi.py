@@ -8,16 +8,39 @@ entries among chi1[j,k], chi2[i,k], chi3[i,j] is 0, 1, or 3 -- never 2.
 Bit encoding used internally: bit set <=> sign -1; chi1 occupies bits
 (n*j + k), chi2 bits (n*i + k), chi3 bits (n*i + j); a full assignment
 packs the three blocks little-endian into one integer.
+
+Admissibility is decided on 64-bit lanes, one code per lane.  Triple
+(i, j, k) is lane bit n^2 i + n j + k (n^3 <= 64 for n <= MAX_GRID_N),
+and the three blocks are spread over the triples by masks and shifts:
+
+    A = chi1 copied into every i-block      (chi1[j,k] at every i)
+    B = row i of chi2 copied over j          (chi2[i,k] at every j)
+    C = bit (i, j) of chi3 filled over k     (chi3[i,j] at every k)
+
+(A&B | A&C | B&C) ^ (A&B&C) marks the triples with exactly two -1
+signs, so a lane is inadmissible iff it is nonzero there.  No step
+carries across a lane boundary, so the census packs 4096 members into
+one Python int (`array('Q')` bytes) and checks them all at once with a
+few dozen big-int operations; `code_admissible` is the one-lane case.
+
+The total count runs two independent algorithms.  The chi1 sweep sums
+N(chi1)^n over all 2^(n^2) chi1 and carries the products behind N down
+the n rows of chi1 as prefix vectors, so each chi1 costs one dot
+product; the column transfer groups the chi2 side by column multisets.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
+from operator import and_, mul
 
-from ..errors import PreconditionError
+from ..errors import PreconditionError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -103,25 +126,39 @@ def _spread_table(n: int):
     return tuple(spread), sum(1 << (n * j) for j in range(n))
 
 
-def code_admissible(code: int, n: int = 4) -> bool:
-    """Bit-parallel admissibility check, equivalent to chi_admissible."""
+@lru_cache(maxsize=None)
+def _lane_masks(n: int, lanes: int):
+    """AND masks of the lane rule repeated over `lanes` 64-bit lanes: the
+    n^2-bit grid, one n-bit row, and the first bit of every n^2-bit block."""
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * lanes, "little")
     nn = n * n
-    grid = (1 << nn) - 1
-    row = (1 << n) - 1
-    spread, repeat = _spread_table(n)
-    a = code & grid
-    chi2 = code >> nn & grid
-    chi3 = code >> (2 * nn) & grid
-    for i in range(n):
-        u = chi2 >> (n * i) & row
-        v = chi3 >> (n * i) & row
-        u16 = u * repeat
-        v16 = spread[v]
-        need = u16 & v16  # cells where chi1 must be -1
-        forbid = u16 ^ v16  # cells where chi1 must be +1
-        if a & forbid or need & ~a & grid:
-            return False
-    return True
+    starts = sum(1 << (nn * i) for i in range(n))
+    return ((1 << nn) - 1) * ones, ((1 << n) - 1) * ones, starts * ones
+
+
+def _two_minus(packed: int, n: int, lanes: int) -> int:
+    """The index triples with exactly two -1 signs, for every code packed
+    one per 64-bit lane; triple (i, j, k) is lane bit n^2 i + n j + k."""
+    nn = n * n
+    grid, row, starts = _lane_masks(n, lanes)
+    a = (packed & grid) * sum(1 << (nn * i) for i in range(n))  # chi1 at every i
+    b = c = 0
+    for i in range(n):  # row i of chi2 and of chi3 to block i
+        b |= (packed >> (nn + n * i) & row) << (nn * i)
+        c |= (packed >> (2 * nn + n * i) & row) << (nn * i)
+    b *= sum(1 << (n * j) for j in range(n))  # chi2[i,k] at every j
+    spaced = 0
+    for j in range(n):  # bit j of block i to row j of block i
+        spaced |= (c >> j & starts) << (n * j)
+    c = spaced * ((1 << n) - 1)  # chi3[i,j] at every k
+    ab = a & b
+    return (ab | a & c | b & c) ^ (ab & c)
+
+
+def code_admissible(code: int, n: int = 4) -> bool:
+    """Bit-parallel admissibility check, equivalent to chi_admissible:
+    the one-lane case of the census check."""
+    return not _two_minus(code, n, 1)
 
 
 MAX_GRID_N = 4
@@ -134,6 +171,21 @@ def _check_grid(n: int) -> None:
         raise PreconditionError(f"grid size n must be in 1..{MAX_GRID_N}, got {n}")
 
 
+def _check_admissible(codes: Iterable[int], n: int) -> None:
+    """Check every code by the lane rule, 4096 codes per packed int; the
+    packed chunk stays small, so the check adds no memory peak."""
+    it = iter(codes)
+    while chunk := array("Q", list(itertools.islice(it, 4096))):
+        packed = int.from_bytes(chunk.tobytes(), sys.byteorder)
+        bad = _two_minus(packed, n, len(chunk))
+        if bad:
+            lanes = array("Q", bad.to_bytes(8 * len(chunk), sys.byteorder))
+            code = next(c for c, t in zip(chunk, lanes) if t)
+            raise VerificationError(
+                f"census member {code:#x} is inadmissible for n = {n}"
+            )
+
+
 @dataclass(frozen=True)
 class ChiCensus:
     family1_count: int
@@ -143,56 +195,53 @@ class ChiCensus:
     n: int
 
 
+def _product_family(n: int) -> set[int]:
+    """Codes of chi1 = eps x zeta, chi2 = delta x zeta, chi3 = -delta x eps
+    over all sign vectors delta, eps, zeta, as masks: eps x zeta is
+    spread[eps] ^ zeta * repeat."""
+    nn = n * n
+    grid = (1 << nn) - 1
+    spread, repeat = _spread_table(n)
+    size = 1 << n
+    return {
+        (spread[eps] ^ zeta * repeat)
+        | (spread[delta] ^ zeta * repeat) << nn
+        | (grid ^ spread[delta] ^ eps * repeat) << (2 * nn)
+        for delta in range(size)
+        for eps in range(size)
+        for zeta in range(size)
+    }
+
+
+def _inclusion_exclusion(sets) -> int:
+    """The size of the union of `sets` from the sizes of their intersections."""
+    return sum(
+        (-1) ** (r + 1) * len(reduce(and_, combo))
+        for r in range(1, len(sets) + 1)
+        for combo in itertools.combinations(sets, r)
+    )
+
+
 def chi_family_census(n: int = 4) -> ChiCensus:
     """Enumerate the product family and the three axis families, dedupe,
-    and cross-check the union by inclusion-exclusion."""
+    cross-check the union by inclusion-exclusion, and check every member
+    by the lane rule."""
     _check_grid(n)
     nn = n * n
-    family1 = set()
-    for bits in range(1 << (3 * n)):
-        delta = [(bits >> i) & 1 for i in range(n)]
-        eps = [(bits >> (n + j)) & 1 for j in range(n)]
-        zeta = [(bits >> (2 * n + k)) & 1 for k in range(n)]
-        code = 0
-        for j in range(n):
-            for k in range(n):
-                if eps[j] ^ zeta[k]:
-                    code |= 1 << (n * j + k)
-        for i in range(n):
-            for k in range(n):
-                if delta[i] ^ zeta[k]:
-                    code |= 1 << (nn + n * i + k)
-        for i in range(n):
-            for j in range(n):
-                if 1 ^ delta[i] ^ eps[j]:
-                    code |= 1 << (2 * nn + n * i + j)
-        family1.add(code)
-
-    axis1 = {chi1 for chi1 in range(1 << nn)}
-    axis2 = {chi2 << nn for chi2 in range(1 << nn)}
-    axis3 = {chi3 << (2 * nn) for chi3 in range(1 << nn)}
-    union = family1 | axis1 | axis2 | axis3
-
+    family1 = _product_family(n)
+    axis1 = set(range(1 << nn))
+    axis2 = set(range(0, 1 << (2 * nn), 1 << nn))
+    axis3 = set(range(0, 1 << (3 * nn), 1 << (2 * nn)))
     sets = [family1, axis1, axis2, axis3]
-    incl_excl = 0
-    for r in range(1, 5):
-        for combo in itertools.combinations(sets, r):
-            inter = combo[0]
-            for s in combo[1:]:
-                inter = inter & s
-            incl_excl += (-1) ** (r + 1) * len(inter)
-    if incl_excl != len(union):
-        raise PreconditionError("inclusion-exclusion does not match the union")
-
-    for code in union:
-        if not code_admissible(code, n):
-            raise PreconditionError("census produced an inadmissible member")
-
+    union = frozenset().union(*sets)
+    if _inclusion_exclusion(sets) != len(union):
+        raise VerificationError("inclusion-exclusion does not match the union")
+    _check_admissible(union, n)
     return ChiCensus(
         family1_count=len(family1),
         axis_family_count=len(axis1),
         union_count=len(union),
-        members=frozenset(union),
+        members=union,
         n=n,
     )
 
@@ -208,38 +257,31 @@ def chi_total_count(n: int = 4) -> int:
     a = _count_by_chi1_sweep(n)
     b = _count_by_column_transfer(n)
     if a != b:
-        raise PreconditionError(
+        raise VerificationError(
             f"independent chi counts disagree: {a} vs {b}"
         )
     if n <= 2:
         c = chi_count_brute_force(n)
         if a != c:
-            raise PreconditionError(
+            raise VerificationError(
                 f"chi count {a} disagrees with brute force {c}"
             )
     return a
 
 
 def _count_by_chi1_sweep(n: int) -> int:
-    """Sum over chi1 of N(chi1)^n, where N counts the (chi2 row, chi3 row)
-    pairs compatible with chi1; rows enter independently, so the per-row
-    count is row-index free."""
-    row = (1 << n) - 1
-    total = 0
-    for chi1 in range(1 << (n * n)):
-        rows = [(chi1 >> (n * j)) & row for j in range(n)]
-        pairs = 0
-        for u in range(1 << n):
-            prod = 1
-            for r in rows:
-                c = (0 if r & u else 1) + (1 if r == u else 0)
-                if c == 0:
-                    prod = 0
-                    break
-                prod *= c
-            pairs += prod
-        total += pairs**n
-    return total
+    """Sum over all 2^(n^2) chi1 of N(chi1)^n, where N counts the (chi2
+    row, chi3 row) pairs compatible with chi1; rows enter independently,
+    so the per-row count is row-index free.  N is the sum over u of the
+    product over the chi1 rows r of c[r][u]; those products are carried
+    down the rows as one prefix vector per chi1 prefix, so each chi1
+    costs one dot product of its last row's vector with its prefix."""
+    size = 1 << n
+    c = [[(0 if r & u else 1) + (r == u) for u in range(size)] for r in range(size)]
+    prefixes = [[1] * size]
+    for _ in range(n - 1):
+        prefixes = [list(map(mul, p, cr)) for p in prefixes for cr in c]
+    return sum(sum(map(mul, p, cr)) ** n for p in prefixes for cr in c)
 
 
 def _cell_choices(u: int, v: int) -> int:

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitop.errors import PreconditionError
+from orbitop.errors import PreconditionError, VerificationError
+from orbitop.invariants import chi
 from orbitop.invariants import (
     ChiData,
     chi_admissible,
@@ -100,8 +103,11 @@ def test_total_count_small_grids():
 
 
 def test_total_count_n3_consistent():
-    # the two internal algorithms must agree (checked inside)
-    assert chi_total_count(3) > 0
+    # the two internal algorithms agree (checked inside) on the pinned value
+    assert chi_total_count(3) == 21119
+    census = chi_family_census(3)
+    assert (census.family1_count, census.axis_family_count) == (256, 512)
+    assert census.union_count == 1787
 
 
 def test_total_count_n4_bounds():
@@ -118,3 +124,68 @@ def test_total_count_rejects_large_grid():
 def test_brute_force_n1_patterns():
     # 8 sign patterns on one triple: all-plus, three singles, the triple
     assert chi_count_brute_force(1) == 5
+
+
+# --- The lane check ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_code_admissible_matches_rule_exhaustively(n):
+    for code in range(1 << (3 * n * n)):
+        assert code_admissible(code, n) == chi_admissible(ChiData.decode(code, n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_code_admissible_matches_rule(n, data):
+    code = data.draw(st.integers(0, (1 << (3 * n * n)) - 1))
+    assert code_admissible(code, n) == chi_admissible(ChiData.decode(code, n))
+
+
+def _two_minus_code(n):
+    """chi1[0,0] = chi2[0,0] = -1, all else +1: two -1 signs at (0,0,0)."""
+    return 1 | 1 << (n * n)
+
+
+# The census check packs 4096 codes per int; 4095 and 4096 sit on both
+# sides of the first chunk boundary.
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lane_check_catches_injected_member(n):
+    members = sorted(chi_family_census(n).members)
+    members *= -(-3 * 4096 // len(members))  # at least three chunks
+    bad = _two_minus_code(n)
+    assert bad not in members and not code_admissible(bad, n)
+    chi._check_admissible(members, n)
+    for pos in (0, 4095, 4096, 5000, len(members)):
+        codes = members[:pos] + [bad] + members[pos:]
+        with pytest.raises(VerificationError, match=f"{bad:#x}"):
+            chi._check_admissible(codes, n)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_census_rejects_inadmissible_member(n, monkeypatch):
+    family = chi._product_family
+    monkeypatch.setattr(
+        chi, "_product_family", lambda n: family(n) | {_two_minus_code(n)}
+    )
+    with pytest.raises(VerificationError, match="inadmissible"):
+        chi_family_census(n)
+
+
+def test_census_rejects_inclusion_exclusion_mismatch(monkeypatch):
+    monkeypatch.setattr(chi, "_inclusion_exclusion", lambda sets: -1)
+    with pytest.raises(VerificationError, match="inclusion-exclusion"):
+        chi_family_census(2)
+
+
+def test_count_rejects_disagreeing_algorithms(monkeypatch):
+    monkeypatch.setattr(chi, "_count_by_column_transfer", lambda n: 0)
+    with pytest.raises(VerificationError, match="disagree"):
+        chi_total_count(3)
+
+
+def test_count_rejects_brute_force_mismatch(monkeypatch):
+    monkeypatch.setattr(chi, "chi_count_brute_force", lambda n: 0)
+    with pytest.raises(VerificationError, match="brute force"):
+        chi_total_count(2)

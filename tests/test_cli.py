@@ -1,11 +1,16 @@
 """CLI: scenario parsing, report determinism, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbitop
 from orbitop.cli import (
     format_complex_entry,
     load_scenario,
@@ -395,3 +400,40 @@ def test_seed_changes_witness_but_not_decision(capsys):
     assert [d["exists"] for d in outs[0]["decisions"]] == [
         d["exists"] for d in outs[1]["decisions"]
     ]
+
+
+# --- import cost -------------------------------------------------------------
+
+IMPORT_SCRIPT = """
+import orbitop.cli
+from orbitop.invariants import betti, chi
+
+built = []
+for module in (chi, betti):
+    for name, value in vars(module).items():
+        if name.startswith("__"):
+            continue
+        if hasattr(value, "cache_info"):
+            if value.cache_info().currsize:
+                built.append(name)
+        elif isinstance(value, (list, tuple, dict, set, frozenset)) and len(value) > 16:
+            built.append(name)
+print(" ".join(built) or "none")
+"""
+
+
+def test_cli_import_builds_no_invariant_tables():
+    """Every CLI job pays for the import, so the chi and Betti tables are
+    built on first use, never at import time."""
+    src = str(Path(orbitop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["none"]

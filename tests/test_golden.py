@@ -51,3 +51,34 @@ def test_d4_pipeline_report_digest(command, scenario, tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == D4_PIPELINE_DIGESTS[command, scenario]
+
+
+# The sign-data reports for every grid size, pinned by SHA-256 of the
+# JSON report.
+CHI_DIGESTS = {
+    ("chi-census", 1):
+        "2820cb827bb6838d31c4d7de7635cda98ae431ef34d4d9eae6ffa83dd43dfc3d",
+    ("chi-census", 2):
+        "06435f7859b10296af8382946e15249cf562d96140ce79acd84c9990d1a59e2f",
+    ("chi-census", 3):
+        "ad2b12cebdc2996d26cf5d1c220d94f136718363f4d381f5c2729d59a062bafc",
+    ("chi-census", 4):
+        "5a061e775ef36839e960fc6c3a0992f150b4ff1a564e957fd836a9863387b9aa",
+    ("chi-count", 1):
+        "e43f127cc8c38a12c5f72ed99e94d13b67ab3cf5e4d55e0766059122f6802619",
+    ("chi-count", 2):
+        "bfc1bffe7210f675b777ad4c2e1c9338803d976d5ba5653fbf49351519e6d732",
+    ("chi-count", 3):
+        "b9b6cbf09155cbb239f35bf1cefdb228865de0787508d8c41562e6bea03daf94",
+    ("chi-count", 4):
+        "37b785bd9816f3dc8ec35076e96663fc944d7eb4b720bd7d52f647a88b48d529",
+}
+
+
+@pytest.mark.parametrize("command,grid_n", sorted(CHI_DIGESTS))
+def test_chi_report_digest(command, grid_n, tmp_path):
+    out = tmp_path / "report.json"
+    argv = [command, "--grid-n", str(grid_n), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CHI_DIGESTS[command, grid_n]

@@ -4,20 +4,25 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix as SympyMatrix
 from sympy import symbols
 from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
+from orbitop.cli import load_scenario
 from orbitop.errors import PreconditionError
 from orbitop.exact import Matrix
-from orbitop.group import conjugacy_classes
+from orbitop.group import close, conjugacy_classes
 from orbitop.invariants import (
     BettiVector,
     ContributionTable,
     NodeConfiguration,
+    betti,
+    exterior_power_matrix,
     ledger_apply,
     node_kahler,
     node_smoothable,
@@ -25,7 +30,7 @@ from orbitop.invariants import (
     plan_from_choices,
     quotient_betti,
 )
-from orbitop.torus import singular_set
+from orbitop.torus import TorusLattice, lattice_matrices, singular_set
 
 Z4_TABLE = ContributionTable(
     name="t6_z4",
@@ -174,6 +179,96 @@ def test_betti_poincare_symmetry(z4_group, z2z2_group, gaussian_lattice):
         assert bv.euler_characteristic == sum(
             (-1) ** k * x for k, x in enumerate(bv.b)
         )
+
+
+STRESS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+BETTI_CASES = {
+    "t6_z4": (1, 0, 5, 4, 5, 0, 1),
+    "t6_z2z2": (1, 0, 3, 8, 3, 0, 1),
+    "t6_z4z4": (1, 0, 3, 2, 3, 0, 1),
+}
+
+
+def _scenario_group(name):
+    """A bundled scenario, or a stress scenario of the benchmark."""
+    path = STRESS / f"{name}.scn"
+    scenario = load_scenario(str(path) if path.exists() else name)
+    return close(scenario.motions()), scenario.lattice()
+
+
+def character_betti_oracle(group, lattice):
+    """b^k = (1/|G|) sum_g e_k(g), e_k(g) the coefficient of t^k in
+    det(I + t g) = trace of Lambda^k g, from sympy's characteristic
+    polynomial det(x I - g) = sum_k (-1)^k e_k(g) x^(d-k)."""
+    mats = lattice_matrices(group, lattice)
+    sums = [0] * (lattice.rank + 1)
+    for m in mats:
+        coeffs = SympyMatrix(m).charpoly(symbols("x")).all_coeffs()
+        for k, a in enumerate(coeffs):
+            sums[k] += (-1) ** k * int(a)
+    assert all(s % group.order == 0 for s in sums)
+    return tuple(s // group.order for s in sums)
+
+
+@pytest.mark.parametrize("name", sorted(BETTI_CASES))
+def test_betti_matches_character_oracle(name):
+    group, lattice = _scenario_group(name)
+    bv = quotient_betti(group, lattice)
+    assert bv.b == BETTI_CASES[name] == character_betti_oracle(group, lattice)
+    assert bv.b == tuple(reversed(bv.b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_exterior_power_matches_generic(data):
+    dim = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(0, dim))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+            min_size=dim,
+            max_size=dim,
+        )
+    )
+    expected = exterior_power_matrix(Matrix(rows), k) if k else Matrix([[1]])
+    assert Matrix(list(betti._exterior_rows(rows, k))) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_rank_matches_sympy(data):
+    width = data.draw(st.integers(1, 6))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+            max_size=8,
+        )
+    )
+    expected = SympyMatrix(rows).rank() if rows else 0
+    assert betti._int_rank(iter(rows), width) == expected
+
+
+@st.composite
+def _shear_basis(draw):
+    """A unimodular basis of Z^6: row shears of the identity, then a row
+    permutation and sign flips."""
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+        q = draw(st.sampled_from((-2, -1, 1, 2)))
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    rows = draw(st.permutations(rows))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=6, max_size=6))
+    return [[s * x for x in row] for s, row in zip(signs, rows)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(basis=_shear_basis(), name=st.sampled_from(sorted(BETTI_CASES)))
+def test_betti_independent_of_lattice_basis(basis, name):
+    group, _ = _scenario_group(name)
+    lattice = TorusLattice(basis=Matrix(basis))
+    bv = quotient_betti(group, lattice)
+    assert bv.b == BETTI_CASES[name] == character_betti_oracle(group, lattice)
 
 
 # --- Ledger ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from orbitop.group import (
     _verify_table_sample,
     normal_and_quotient,
 )
-from orbitop.invariants import NodeConfiguration, node_kahler, node_smoothable, nodes
+from orbitop.invariants import NodeConfiguration, chi, node_kahler, node_smoothable, nodes
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 from orbitop import torus
 from orbitop.torus import common_fixed_set, fixed_set
@@ -186,7 +186,7 @@ from orbitop.exact import Matrix
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import FiniteMatrixGroup, Motion, close, normal_and_quotient
 from fractions import Fraction
-from orbitop.invariants import NodeConfiguration, node_kahler, node_smoothable, nodes
+from orbitop.invariants import NodeConfiguration, chi, node_kahler, node_smoothable, nodes
 
 kappa = Motion.from_complex([[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
 group = close([kappa])
@@ -235,6 +235,17 @@ try:
     _verify_pair(problem, (Fraction(0),), (Cyclotomic.from_rational(0),))
 except VerificationError:
     caught.append("pair")
+family = chi._product_family
+chi._product_family = lambda n: family(n) | {1 | 1 << (n * n)}
+try:
+    chi.chi_family_census(2)
+except VerificationError:
+    caught.append("census")
+chi._count_by_column_transfer = lambda n: 0
+try:
+    chi.chi_total_count(2)
+except VerificationError:
+    caught.append("count")
 print(sys.flags.optimize, " ".join(caught))
 """
 
@@ -252,8 +263,15 @@ def test_verification_survives_python_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "1", "quotient", "snf", "witness", "kahler", "dual", "pair"
+        "1", "quotient", "snf", "witness", "kahler", "dual", "pair",
+        "census", "count",
     ]
+
+
+def test_cli_maps_chi_verification_error_to_exit_5(monkeypatch, capsys):
+    monkeypatch.setattr(chi, "chi_count_brute_force", lambda n: 0)
+    assert main(["chi-count", "--grid-n", "2"]) == 5
+    assert "brute force" in capsys.readouterr().err
 
 
 def test_cli_maps_verification_error_to_exit_5(monkeypatch, capsys):
