@@ -5,27 +5,27 @@ Simple roots are ordered deterministically per family: A_r along the
 path; D_r along the path with the two fork tips last; E_6/7/8 in the
 conventional numbering with the branch vertex second.
 
-Group operations run on tuples of int rows.  `weyl_group` closes the
-simple reflections breadth-first on int rows (right multiplication by
-s_i subtracts a multiple of Cartan row i from each row) and builds the
-`Matrix` objects of `WeylGroup.elements` once, sorted by their rows.
-`ExtendedElement` keeps its Weyl part as a `Matrix` but multiplies,
-inverts and dualizes on its int rows: conjugating by a diagram
-automorphism b is the reindexing W[b[i]][b[j]], and the inverse of the
-unimodular lattice matrix comes from integer row operations, re-checked
-by an integer product.
+Every matrix here is integral and is a tuple of int rows: the Cartan
+matrix and intersection form, the simple reflections, the Weyl group
+elements and the Weyl part of an extended element (Humphreys,
+*Reflection Groups and Coxeter Groups*, 1990, 5.3).  `weyl_group`
+closes the simple reflections breadth-first (s_i @ m differs from m
+only in row i) and keeps the elements sorted by their rows.
+`ExtendedElement` conjugates by a diagram automorphism b by the
+reindexing W[b[i]][b[j]], and inverts the unimodular lattice matrix by
+integer row operations, re-checked by an integer product.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from operator import mul
 
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import Matrix, int_apply, int_product
+from .exact import int_apply, int_product
 
 RANK_CAP = 8
 WEYL_ENUMERATION_CAP = 100_000
@@ -105,17 +105,16 @@ class DynkinDiagram:
 @dataclass(frozen=True)
 class RootSystem:
     diagram: DynkinDiagram
-    cartan: Matrix
-    intersection_form: Matrix
+    cartan: tuple[tuple[int, ...], ...]
+    intersection_form: tuple[tuple[int, ...], ...]
     roots: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return self.diagram.rank
 
-    def self_intersection(self, v) -> Fraction:
-        image = self.intersection_form.apply(v)
-        return sum(a * b for a, b in zip(v, image))
+    def self_intersection(self, v) -> int:
+        return sum(map(mul, v, int_apply(self.intersection_form, v)))
 
 
 def build_root_system(diagram: DynkinDiagram) -> RootSystem:
@@ -143,11 +142,10 @@ def build_root_system(diagram: DynkinDiagram) -> RootSystem:
             f"root enumeration for {diagram.name} found {len(roots)}, "
             f"expected {expected}"
         )
-    cm = Matrix(cartan)
     return RootSystem(
         diagram=diagram,
-        cartan=cm,
-        intersection_form=-cm,
+        cartan=tuple(map(tuple, cartan)),
+        intersection_form=tuple(tuple(-c for c in row) for row in cartan),
         roots=tuple(tuple(c) for c in roots),
     )
 
@@ -173,24 +171,24 @@ def weyl_order(diagram: DynkinDiagram) -> int:
 @dataclass(frozen=True)
 class WeylGroup:
     diagram: DynkinDiagram
-    generators: tuple[Matrix, ...]
+    generators: tuple[tuple[tuple[int, ...], ...], ...]
     order: int
-    elements: tuple[Matrix, ...] | None  # None when kept lazy
+    # Sorted by rows; None when kept lazy.
+    elements: tuple[tuple[tuple[int, ...], ...], ...] | None
 
     @property
     def enumerated(self) -> bool:
         return self.elements is not None
 
 
-def simple_reflections(rs: RootSystem) -> tuple[Matrix, ...]:
-    """Reflection matrices on the root lattice in the simple-root basis."""
-    r = rs.rank
+def simple_reflections(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Reflection matrices on the root lattice in the simple-root basis:
+    s_i is the identity with Cartan row i subtracted from row i."""
+    ident = _identity_rows(rs.rank)
     gens = []
-    for i in range(r):
-        m = [[Fraction(int(a == b)) for b in range(r)] for a in range(r)]
-        for j in range(r):
-            m[i][j] -= rs.cartan[i, j]
-        gens.append(Matrix(m))
+    for i, c_row in enumerate(rs.cartan):
+        row = tuple(x - c for x, c in zip(ident[i], c_row))
+        gens.append(ident[:i] + (row,) + ident[i + 1:])
     return tuple(gens)
 
 
@@ -203,7 +201,7 @@ def weyl_group(rs: RootSystem, enumeration_cap: int = WEYL_ENUMERATION_CAP) -> W
         # s_i @ m differs from m only in row i: m_i - sum_j C_ij m_j.
         terms = [
             [(j, c) for j, c in enumerate(c_row) if c]
-            for c_row in rs.cartan.int_rows()
+            for c_row in rs.cartan
         ]
         ident = _identity_rows(rs.rank)
         seen = {ident}
@@ -225,7 +223,7 @@ def weyl_group(rs: RootSystem, enumeration_cap: int = WEYL_ENUMERATION_CAP) -> W
                 f"Weyl enumeration for {rs.diagram.name} found {len(seen)} "
                 f"elements, expected {order}"
             )
-        elements = tuple(Matrix.from_int_rows(m) for m in sorted(seen))
+        elements = tuple(sorted(seen))
     return WeylGroup(diagram=rs.diagram, generators=gens, order=order, elements=elements)
 
 
@@ -244,41 +242,33 @@ def graph_automorphisms(diagram: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(auts)
 
 
-def perm_matrix(perm: tuple[int, ...]) -> Matrix:
-    n = len(perm)
-    return Matrix(
-        [[Fraction(int(perm[j] == i)) for j in range(n)] for i in range(n)]
-    )
-
-
 @dataclass(frozen=True)
 class ExtendedElement:
     """Element (a, w) of Aut(diagram) x| W acting on the root lattice by
-    v |-> P_a (M_w v)."""
+    v |-> P_a (M_w v), with M_w as int rows."""
 
     aut: tuple[int, ...]
-    weyl: Matrix
+    weyl: tuple[tuple[int, ...], ...]
 
     @classmethod
     def identity(cls, rank: int) -> "ExtendedElement":
-        return cls(aut=tuple(range(rank)), weyl=Matrix.identity(rank))
+        return cls(aut=tuple(range(rank)), weyl=_identity_rows(rank))
 
     def __mul__(self, other: "ExtendedElement") -> "ExtendedElement":
         # (a, w)(a', w') = (a a', (a'^-1 w a') w'), matching composition
         # of the lattice actions; conjugating by P_a' reindexes w.
         b = other.aut
-        w = self.weyl.int_rows()
+        w = self.weyl
         conj = [[w[i][j] for j in b] for i in b]
         return ExtendedElement(
-            aut=tuple(self.aut[i] for i in b),
-            weyl=Matrix.from_int_rows(int_product(conj, other.weyl.int_rows())),
+            aut=tuple(self.aut[i] for i in b), weyl=int_product(conj, other.weyl)
         )
 
     @cached_property
     def lattice_rows(self) -> tuple[tuple[int, ...], ...]:
         """P_a M_w as int rows: row k of M_w moves to row a[k]."""
         rows = [None] * len(self.aut)
-        for k, row in zip(self.aut, self.weyl.int_rows()):
+        for k, row in zip(self.aut, self.weyl):
             rows[k] = row
         return tuple(rows)
 
@@ -287,25 +277,18 @@ class ExtendedElement:
         """The inverse transpose of the lattice matrix, as int rows."""
         return tuple(zip(*_unimodular_inverse(self.lattice_rows)))
 
-    def lattice_matrix(self) -> Matrix:
-        return Matrix.from_int_rows(self.lattice_rows)
-
-    def dual_matrix(self) -> Matrix:
-        return Matrix.from_int_rows(self.dual_rows)
-
     def is_identity(self) -> bool:
         n = len(self.aut)
-        ident = _identity_rows(n)
-        return self.aut == tuple(range(n)) and self.weyl.int_rows() == ident
+        return self.aut == tuple(range(n)) and self.weyl == _identity_rows(n)
 
     def inverse(self) -> "ExtendedElement":
         inv_aut = [0] * len(self.aut)
         for i, v in enumerate(self.aut):
             inv_aut[v] = i
         # P_a M_w^-1 P_a^-1 has entry (i, j) = M_w^-1[a^-1 i][a^-1 j].
-        w_inv = _unimodular_inverse(self.weyl.int_rows())
-        conj = [[w_inv[i][j] for j in inv_aut] for i in inv_aut]
-        return ExtendedElement(aut=tuple(inv_aut), weyl=Matrix.from_int_rows(conj))
+        w_inv = _unimodular_inverse(self.weyl)
+        conj = tuple(tuple(w_inv[i][j] for j in inv_aut) for i in inv_aut)
+        return ExtendedElement(aut=tuple(inv_aut), weyl=conj)
 
 
 def _unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
@@ -346,9 +329,3 @@ def _row_reduce_inverse(rows):
             if f:
                 work[r] = [x - f * y for x, y in zip(work[r], work[c])]
     return tuple(tuple(row[n:]) for row in work)
-
-
-def extended_action(element: ExtendedElement, vector, dual: bool = False):
-    """Apply an extended element to a lattice vector or (dual) class."""
-    m = element.dual_matrix() if dual else element.lattice_matrix()
-    return m.apply(vector)

@@ -3,8 +3,9 @@
 Scenario files are a line-oriented key-value format with section
 headers; complex entries are written like `-1`, `i`, `1/2+1/2i`.
 Reports are deterministic: the same scenario and version give
-byte-identical output.  Exit codes: 0 success, 2 parse error,
-3 precondition violation, 4 cap exceeded, 5 failed re-verification.
+byte-identical output.  Exit codes: 0 success, 2 parse error (also a
+named file that cannot be read or written), 3 precondition violation,
+4 cap exceeded, 5 failed re-verification.
 """
 
 from __future__ import annotations
@@ -295,13 +296,29 @@ def serialize_scenario(scenario: Scenario) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_user_file(path: str, what: str) -> str:
+    """The UTF-8 text of a file named on the command line; a missing,
+    unreadable or undecodable file is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise ScenarioParseError(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _write_report(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot write report to {path}: {exc}") from exc
+
+
 def load_scenario(path_or_name: str) -> Scenario:
     if path_or_name.endswith(".scn") or "/" in path_or_name:
-        try:
-            with open(path_or_name, "r", encoding="utf-8") as fh:
-                return parse_scenario(fh.read())
-        except FileNotFoundError as exc:
-            raise ScenarioParseError(f"scenario file not found: {path_or_name}") from exc
+        return parse_scenario(_read_user_file(path_or_name, "scenario file"))
     return parse_scenario(bundled_scenario_text(path_or_name))
 
 
@@ -316,11 +333,9 @@ def bundled_scenario_text(name: str) -> str:
 
 def load_table(name_or_path: str) -> ContributionTable:
     if name_or_path.endswith(".json") or "/" in name_or_path:
+        text = _read_user_file(name_or_path, "table file")
         try:
-            with open(name_or_path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ScenarioParseError(f"table file not found: {name_or_path}") from exc
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ScenarioParseError(f"bad table JSON: {exc}") from exc
     else:
@@ -521,7 +536,10 @@ def run_command(command: str, args) -> dict:
                 {
                     "canonical": lift.is_canonical(),
                     "images": [
-                        {"aut": list(e.aut), "weyl": _matrix_rows(e.weyl)}
+                        {
+                            "aut": list(e.aut),
+                            "weyl": [list(map(str, row)) for row in e.weyl],
+                        }
                         for e in lift.images
                     ],
                 }
@@ -574,10 +592,6 @@ def run_command(command: str, args) -> dict:
     raise PreconditionError(f"unknown command {command!r}")
 
 
-def _matrix_rows(m: Matrix):
-    return [[_fr(x) for x in row] for row in m.data]
-
-
 def _resolve_plans(plan_arg, scenario, report):
     """Bundled plan names or a plan JSON file path."""
     labels = [c.quotient_label for c in report.components]
@@ -600,11 +614,9 @@ def _resolve_plans(plan_arg, scenario, report):
         return [(plan_arg, _z2z2_plan(report, "crepant", "i"))]
     if plan_arg == "z2z2:deformation":
         return [(plan_arg, _z2z2_plan(report, "deformation", "ix"))]
+    text = _read_user_file(plan_arg, "plan")
     try:
-        with open(plan_arg, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ScenarioParseError(f"plan not found: {plan_arg}") from exc
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"bad plan JSON: {exc}") from exc
     try:
@@ -704,7 +716,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = run_command(args.command, args)
+        text = render(run_command(args.command, args), args.format)
+        if args.out:
+            _write_report(args.out, text)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -717,11 +731,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 5
-    text = render(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -8,15 +8,16 @@ Products of two matrices over Q run on integers: each operand is scaled
 once to integer rows over the lcm of its denominators (kept on the
 matrix), the integer dot products are taken, and one Fraction is built
 per entry of the result.  Products with a cyclotomic operand take the
-entrywise generic path.  `from_int_rows` builds an integer matrix whose
-int rows are kept the same way, and `int_product` and `int_apply`
-multiply int rows without building a matrix.
+entrywise generic path.
+
+An integer matrix (a lattice action, a Weyl group element, a Smith
+transform) is not a `Matrix`: it is a tuple of int rows, and
+`int_product` and `int_apply` multiply those.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -26,10 +27,6 @@ from .cyclotomic import Cyclotomic
 MAX_DIM = 64
 
 _UNSET = object()
-
-# Integer entries repeat (Weyl and lattice matrices hold small ints), so
-# their Fractions are shared instead of built per entry.
-_fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 def _as_entry(x):
@@ -46,9 +43,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "_scaled", "_hash")
 
     def __init__(self, rows_data):
-        self._set(tuple(tuple(_as_entry(x) for x in row) for row in rows_data))
-
-    def _set(self, data):
+        data = tuple(tuple(_as_entry(x) for x in row) for row in rows_data)
         if not data or not data[0]:
             raise PreconditionError("matrix must be nonempty")
         if any(len(row) != len(data[0]) for row in data):
@@ -68,16 +63,6 @@ class Matrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_int_rows(cls, rows) -> "Matrix":
-        """An integer matrix from rows of ints, which it keeps as its
-        integer form."""
-        rows = tuple(map(tuple, rows))
-        m = cls.__new__(cls)
-        m._set(tuple(tuple(map(_fraction, row)) for row in rows))
-        m._scaled = 1, rows
-        return m
-
-    @classmethod
     def from_columns(cls, columns) -> "Matrix":
         cols = [list(c) for c in columns]
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
@@ -85,9 +70,6 @@ class Matrix:
     def __getitem__(self, rc):
         i, j = rc
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def column(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -163,13 +145,6 @@ class Matrix:
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
-
-    def is_integer(self) -> bool:
-        return all(
-            isinstance(x, Fraction) and x.denominator == 1
-            for row in self.data
-            for x in row
-        )
 
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """The entries as int rows (the kept integer form)."""

@@ -1,9 +1,9 @@
 """Smith normal form of integer matrices with unimodular transforms.
 
-Pivot choice is the smallest-absolute-value nonzero entry, ties broken
-by row-major position, so the decomposition is deterministic for a
-fixed input.  The algorithm and its exact re-verification run on rows
-of Python ints.
+Matrices come in and go out as tuples of int rows; no Fraction is
+built.  Pivot choice is the smallest-absolute-value nonzero entry, ties
+broken by row-major position, so the decomposition is deterministic for
+a fixed input.  The result is re-verified exactly on ints.
 """
 
 from __future__ import annotations
@@ -11,22 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import PreconditionError, VerificationError
-from .matrix import Matrix, int_product
+from .matrix import int_product
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V == D with U, V unimodular and D diagonal.
-
-    U, D, V are Matrices when M is a Matrix, and tuples of int rows when
-    M is given as int rows.  invariant_factors lists the full diagonal
-    of D (length min(m, n)), nonnegative, each nonzero entry dividing
-    the next.
+    """U @ M @ V == D with U, V unimodular and D diagonal, each a tuple of
+    int rows.  invariant_factors lists the full diagonal of D (length
+    min(m, n)), nonnegative, each nonzero entry dividing the next.
     """
 
-    U: Matrix | tuple[tuple[int, ...], ...]
-    D: Matrix | tuple[tuple[int, ...], ...]
-    V: Matrix | tuple[tuple[int, ...], ...]
+    U: tuple[tuple[int, ...], ...]
+    D: tuple[tuple[int, ...], ...]
+    V: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
 
     @property
@@ -46,21 +43,20 @@ def _find_pivot(a, t, m, n):
     return best
 
 
-def snf(matrix) -> SmithDecomposition:
-    """Smith normal form of an integer Matrix, or of a tuple of int rows
-    (then U, D, V come back as int rows and no Fraction is built)."""
-    if not isinstance(matrix, Matrix):
-        return _snf_rows(matrix)
-    if not matrix.is_integer():
+def _all_ints(*matrices) -> bool:
+    return all(type(x) is int for rows in matrices for row in rows for x in row)
+
+
+def snf(rows) -> SmithDecomposition:
+    """Smith normal form of a nonempty integer matrix given as rows of
+    ints."""
+    rows = tuple(map(tuple, rows))
+    if not rows or not rows[0]:
+        raise PreconditionError("snf requires a nonempty matrix")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise PreconditionError("snf requires rows of equal length")
+    if not _all_ints(rows):
         raise PreconditionError("snf requires integer entries")
-    dec = _snf_rows(matrix.int_rows())
-    return SmithDecomposition(
-        U=Matrix(dec.U), D=Matrix(dec.D), V=Matrix(dec.V),
-        invariant_factors=dec.invariant_factors,
-    )
-
-
-def _snf_rows(rows) -> SmithDecomposition:
     a = [list(row) for row in rows]
     m, n = len(a), len(a[0])
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -148,19 +144,11 @@ def _snf_rows(rows) -> SmithDecomposition:
     return result
 
 
-def _int_rows(x):
-    """Rows of ints; a Matrix with a non-integral entry fails the check."""
-    if not isinstance(x, Matrix):
-        return tuple(map(tuple, x))
-    if not x.is_integer():
-        raise VerificationError("snf transform verification failed")
-    return x.int_rows()
-
-
 def _verify(matrix, result: SmithDecomposition) -> None:
-    """Re-check U @ M @ V == D and the divisibility chain exactly, on ints."""
-    m, u, d, v = map(_int_rows, (matrix, result.U, result.D, result.V))
-    if int_product(int_product(u, m), v) != d:
+    """Re-check that U, D, V are integral, U @ M @ V == D and the
+    divisibility chain, exactly on ints."""
+    u, d, v = result.U, result.D, result.V
+    if not _all_ints(u, d, v) or int_product(int_product(u, matrix), v) != d:
         raise VerificationError("snf transform verification failed")
     factors = result.invariant_factors
     for x, y in zip(factors, factors[1:]):

@@ -266,8 +266,8 @@ class ChiLift:
     images: tuple[ExtendedElement, ...]  # coset index -> element
 
     def is_canonical(self) -> bool:
-        rank = self.psi.diagram.rank
-        return all(e.weyl == Matrix.identity(rank) for e in self.images)
+        ident = ExtendedElement.identity(self.psi.diagram.rank).weyl
+        return all(e.weyl == ident for e in self.images)
 
 
 def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
@@ -285,7 +285,7 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
     quotient = psi.source
     gens = _quotient_generators(quotient)
     tree = _quotient_tree(quotient, gens)
-    compose, ident, rows = _indexed_semidirect(weyl)
+    compose, ident = _indexed_semidirect(weyl)
 
     def power_is_identity(x, k):
         p = x
@@ -296,7 +296,7 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
     candidates = []
     for gen in gens:
         k = _coset_order(quotient, gen)
-        xs = ((psi.images[gen], i) for i in range(len(rows)))
+        xs = ((psi.images[gen], i) for i in range(len(weyl.elements)))
         candidates.append([x for x in xs if power_is_identity(x, k)])
     size = prod(len(c) for c in candidates)
     if size > LIFT_SEARCH_CAP:
@@ -329,7 +329,7 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
         found,
         key=lambda images: (
             any(i != ident[1] for _, i in images),
-            tuple((aut, rows[i]) for aut, i in images),
+            tuple((aut, weyl.elements[i]) for aut, i in images),
         ),
     )
     elements = {}
@@ -347,12 +347,10 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
 def _indexed_semidirect(weyl: WeylGroup):
     """Multiplication on (aut, index) pairs standing for
     ExtendedElement(aut, weyl.elements[index]), with the Weyl products
-    and conjugations cached by index; returns (compose, identity, the
-    int rows of weyl.elements)."""
-    rows = tuple(m.int_rows() for m in weyl.elements)
+    and conjugations cached by index; returns (compose, identity)."""
+    rows = weyl.elements
     index = {r: i for i, r in enumerate(rows)}
-    rank = weyl.diagram.rank
-    ident_aut = tuple(range(rank))
+    ident = ExtendedElement.identity(weyl.diagram.rank)
 
     def lookup(r):
         try:
@@ -374,11 +372,11 @@ def _indexed_semidirect(weyl: WeylGroup):
     def compose(x, y):
         # (a, w)(b, w') = (a b, (b^-1 w b) w'), as in ExtendedElement.
         (a, i), (b, j) = x, y
-        if b != ident_aut:
+        if b != ident.aut:
             i = conj(b, i)
         return tuple(a[t] for t in b), times(i, j)
 
-    return compose, (ident_aut, lookup(Matrix.identity(rank).int_rows())), rows
+    return compose, (ident.aut, lookup(ident.weyl))
 
 
 def _coset_order(quotient: QuotientGroup, coset: int) -> int:
@@ -483,7 +481,7 @@ def build_invariant_pair_problem(
     duals = [chi.images[coset].dual_rows for coset in range(quotient.order)]
     real_basis = None
     for dual in duals:
-        block = Matrix.from_int_rows(
+        block = Matrix(
             [[d - (i == j) for j, d in enumerate(row)] for i, row in enumerate(dual)]
         )
         real_basis = _intersect_kernel(real_basis, block)
@@ -922,7 +920,8 @@ def _move_axis_first(group: FiniteMatrixGroup, axis: int) -> FiniteMatrixGroup:
             for r in range(dim)
         ]
     )
-    p_inv = p.inverse()
+    # p is a permutation matrix, so its inverse is its transpose.
+    p_inv = p.T
     elements = tuple(
         Motion(matrix=p @ m.matrix @ p_inv) for m in group.elements
     )

@@ -54,9 +54,9 @@ class TorusLattice:
 
 
 @lru_cache(maxsize=4096)
-def _lattice_ints(motion: Motion, lattice: TorusLattice):
-    """Rows of the motion's integer matrix in lattice coordinates; errors
-    if the motion does not preserve the lattice."""
+def lattice_matrix(motion: Motion, lattice: TorusLattice) -> tuple[tuple[int, ...], ...]:
+    """The motion's integer matrix in lattice coordinates, as int rows;
+    errors if the motion does not preserve the lattice."""
     m = lattice._basis_inverse @ motion.matrix @ lattice.basis
     for j in range(m.cols):
         col = m.column(j)
@@ -65,19 +65,13 @@ def _lattice_ints(motion: Motion, lattice: TorusLattice):
                 f"motion does not preserve the lattice: basis vector {j} "
                 f"maps to non-integral coordinates {col}"
             )
-    return tuple(map(tuple, m.int_rows()))
-
-
-def lattice_matrix(motion: Motion, lattice: TorusLattice) -> Matrix:
-    """Matrix of the motion in lattice coordinates; errors if the motion
-    does not preserve the lattice."""
-    return Matrix(_lattice_ints(motion, lattice))
+    return m.int_rows()
 
 
 def lattice_matrices(group: FiniteMatrixGroup, lattice: TorusLattice):
     """Integer row tuples of every element in lattice coordinates, in
     element order; errors if some element does not preserve the lattice."""
-    return tuple(_lattice_ints(m, lattice) for m in group.elements)
+    return tuple(lattice_matrix(m, lattice) for m in group.elements)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ def _minus_identity(rows):
 
 def fixed_set(motion: Motion, lattice: TorusLattice) -> SubtorusFamily:
     """Solutions of (g - 1) x = 0 (mod lattice), as translates of a subtorus."""
-    return _family(_solve_congruence(_minus_identity(_lattice_ints(motion, lattice))))
+    return _family(_solve_congruence(_minus_identity(lattice_matrix(motion, lattice))))
 
 
 def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
@@ -196,7 +190,7 @@ def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
     stacked = tuple(
         row
         for m in motions
-        for row in _minus_identity(_lattice_ints(m, lattice))
+        for row in _minus_identity(lattice_matrix(m, lattice))
     )
     return _family(_solve_congruence(stacked))
 

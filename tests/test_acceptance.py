@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from orbitop.ade import DynkinDiagram, build_root_system, graph_automorphisms, weyl_group
-from orbitop.exact import Cyclotomic, Matrix, snf
+from orbitop.exact import Cyclotomic, Matrix, int_apply, int_product, snf
 from orbitop.group import Motion, close, conjugacy_classes
 from orbitop.invariants import (
     ChiData,
@@ -369,12 +369,12 @@ def test_criterion_12_property_suites(z4_group, gaussian_lattice):
         for _ in range(25):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
-            m = Matrix(
-                [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+            m = tuple(
+                tuple(rng.randint(-5, 5) for _ in range(cols)) for _ in range(rows)
             )
             d = snf(m)
-            assert abs(d.U.det()) == 1 and abs(d.V.det()) == 1
-            assert d.U @ m @ d.V == d.D
+            assert abs(Matrix(d.U).det()) == 1 and abs(Matrix(d.V).det()) == 1
+            assert int_product(int_product(d.U, m), d.V) == d.D
             nonzero = [f for f in d.invariant_factors if f]
             for a, b in zip(nonzero, nonzero[1:]):
                 assert b % a == 0
@@ -382,9 +382,10 @@ def test_criterion_12_property_suites(z4_group, gaussian_lattice):
         rs = build_root_system(DynkinDiagram.make("D", 4))
         w = weyl_group(rs)
         roots = set(rs.roots)
+        form = Matrix(rs.intersection_form)
         for m in w.elements:
-            assert m.T @ rs.intersection_form @ m == rs.intersection_form
-            assert {tuple(m.apply(v)) for v in roots} == roots
+            assert Matrix(m).T @ form @ Matrix(m) == form
+            assert {int_apply(m, v) for v in roots} == roots
         # pre-division commuting sums divisible by the group order
         report = orbifold_euler(z4_group, gaussian_lattice)
         assert report.value * z4_group.order % z4_group.order == 0

@@ -89,8 +89,47 @@ def test_parse_error_on_garbage(tmp_path):
     assert code == 2
 
 
-def test_parse_error_on_missing_file():
+def test_parse_error_on_missing_file(capsys):
     assert main(["group", "--scenario", "/nonexistent/x.scn"]) == 2
+    assert "scenario file not found: /nonexistent/x.scn" in capsys.readouterr().err
+    code, out, err = run_cli(
+        capsys, "ledger", "--scenario", "t6_z4", "--table", "/nonexistent/t.json"
+    )
+    assert (code, out) == (2, "")
+    assert "table file not found: /nonexistent/t.json" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["group", "--scenario"], "scenario file"),
+        (["ledger", "--scenario", "t6_z4", "--plan", "z4:k1", "--table"], "table file"),
+        (["ledger", "--scenario", "t6_z4", "--plan"], "plan"),
+    ],
+    ids=["scenario", "table", "plan"],
+)
+def test_unreadable_named_file_is_parse_error(tmp_path, capsys, argv, what, kind):
+    path = tmp_path / "named.scn"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe name: t6")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert f"cannot read {what} {path}" in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "a-directory"])
+def test_unwritable_out_is_parse_error(tmp_path, capsys, target):
+    (tmp_path / "a-directory").mkdir()
+    out_path = tmp_path / target
+    code, out, err = run_cli(
+        capsys, "euler", "--scenario", "t6_z4", "--out", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert "cannot write report to" in err
+    assert not (tmp_path / "missing-dir").exists()
 
 
 def test_unknown_bundled_scenario():

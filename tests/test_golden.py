@@ -4,6 +4,7 @@ Each file is named COMMAND_SCENARIO.json and holds the report of
 `orbitop COMMAND --scenario SCENARIO --format json` (default seed)."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,48 @@ def test_d4_pipeline_report_digest(command, scenario, tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == D4_PIPELINE_DIGESTS[command, scenario]
+
+
+# d4_q8z4 with z1 and z3 swapped and the splitting on axis 3: the
+# pipeline moves that axis first, after which nothing may change.
+D4_Q8Z4_ON_AXIS_3 = """\
+name: d4_q8z4
+ambient: linear
+complex_dim: 3
+
+[generator]
+row: -i 0 0
+row: 0 i 0
+row: 0 0 1
+
+[generator]
+row: 0 -1 0
+row: 1 0 0
+row: 0 0 1
+
+[generator]
+row: i 0 0
+row: 0 1 0
+row: 0 0 i
+
+[splitting]
+axis: 3
+"""
+
+
+@pytest.mark.parametrize("command", ["lifts", "invariant-pair"])
+def test_d4_pipeline_on_a_non_first_axis(command, tmp_path):
+    scn = tmp_path / "d4_q8z4_axis3.scn"
+    scn.write_text(D4_Q8Z4_ON_AXIS_3)
+    out = tmp_path / "report.json"
+    argv = [command, "--scenario", str(scn), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert (report["diagram"], report["lift_count"]) == ("D4", 80)
+    if command == "invariant-pair":
+        assert sum(d["exists"] for d in report["decisions"]) == 16
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == D4_PIPELINE_DIGESTS[command, "d4_q8z4"]
 
 
 # The sign-data reports for every grid size, pinned by SHA-256 of the

@@ -15,7 +15,7 @@ from orbitop.cli import main
 from orbitop import ade
 from orbitop.ade import ExtendedElement, build_root_system
 from orbitop.errors import VerificationError
-from orbitop.exact import Cyclotomic, Matrix, snf
+from orbitop.exact import Cyclotomic, int_product, snf
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import (
     FiniteMatrixGroup,
@@ -68,25 +68,29 @@ def test_quotient_projection_check_catches_corrupted_table(z4_group):
 
 
 def test_snf_verification_catches_bad_transform():
-    m = Matrix([[2, 4], [6, 8]])
+    m = ((2, 4), (6, 8))
     good = snf(m)
     _verify(m, good)
-    bad_u = Matrix([[1, 1], [0, 1]]) @ good.U
+    bad_u = int_product(((1, 1), (0, 1)), good.U)
     with pytest.raises(VerificationError, match="transform"):
         _verify(m, SmithDecomposition(bad_u, good.D, good.V, good.invariant_factors))
 
 
 def test_snf_verification_catches_non_integral_transform():
-    m = Matrix([[2, 4], [6, 8]])
+    m = ((2, 4), (6, 8))
     good = snf(m)
-    half_u = good.U.scale(Fraction(1, 2))
+    half_u = tuple(tuple(Fraction(x, 2) for x in row) for row in good.U)
     with pytest.raises(VerificationError, match="transform"):
         _verify(m, SmithDecomposition(half_u, good.D, good.V, good.invariant_factors))
+    # Here U M V == D holds exactly; only integrality rules U out.
+    half = ((Fraction(1, 2),),)
+    with pytest.raises(VerificationError, match="transform"):
+        _verify(((2,),), SmithDecomposition(half, ((1,),), ((1,),), (1,)))
 
 
 def test_snf_verification_catches_broken_divisibility_chain():
-    m = Matrix([[2, 0], [0, 3]])
-    ident = Matrix.identity(2)
+    m = ((2, 0), (0, 3))
+    ident = ((1, 0), (0, 1))
     with pytest.raises(VerificationError, match="divisibility"):
         _verify(m, SmithDecomposition(ident, m, ident, (2, 3)))
 
@@ -112,17 +116,17 @@ def test_pair_check_catches_corrupted_witness(z4_group):
 
 def test_dual_check_catches_corrupted_integer_inverse(monkeypatch):
     # s_1 of A2 in the simple-root basis, an involution of determinant -1
-    element = ExtendedElement(aut=(0, 1), weyl=Matrix([[1, 0], [1, -1]]))
-    assert element.dual_matrix() == Matrix([[1, 1], [0, -1]])
+    element = ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1)))
+    assert element.dual_rows == ((1, 1), (0, -1))
     reduce = ade._row_reduce_inverse
 
     def negated(rows):
         return tuple(tuple(-x for x in row) for row in reduce(rows))
 
     monkeypatch.setattr(ade, "_row_reduce_inverse", negated)
-    fresh = ExtendedElement(aut=(0, 1), weyl=Matrix([[1, 0], [1, -1]]))
+    fresh = ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1)))
     with pytest.raises(VerificationError, match="integer inverse"):
-        fresh.dual_matrix()
+        fresh.dual_rows
     with pytest.raises(VerificationError, match="integer inverse"):
         fresh.inverse()
 
@@ -182,7 +186,6 @@ OPTIMIZED_SCRIPT = """
 import sys
 assert False, "asserts are stripped under -O, so this never fires"
 from orbitop.errors import VerificationError
-from orbitop.exact import Matrix
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import FiniteMatrixGroup, Motion, close, normal_and_quotient
 from fractions import Fraction
@@ -198,8 +201,8 @@ try:
     normal_and_quotient(bad, [0, 2])
 except VerificationError:
     caught.append("quotient")
-m = Matrix([[2, 0], [0, 3]])
-ident = Matrix.identity(2)
+m = ((2, 0), (0, 3))
+ident = ((1, 0), (0, 1))
 try:
     _verify(m, SmithDecomposition(ident, m, ident, (2, 3)))
 except VerificationError:
@@ -222,7 +225,7 @@ from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_
 reduce = ade._row_reduce_inverse
 ade._row_reduce_inverse = lambda rows: tuple(tuple(-x for x in r) for r in reduce(rows))
 try:
-    ade.ExtendedElement(aut=(0, 1), weyl=Matrix([[1, 0], [1, -1]])).dual_matrix()
+    ade.ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1))).dual_rows
 except VerificationError:
     caught.append("dual")
 ade._row_reduce_inverse = reduce
