@@ -25,7 +25,7 @@ from math import factorial
 from operator import mul
 
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import int_apply, int_product
+from .exact import int_apply, int_product, snf
 
 RANK_CAP = 8
 WEYL_ENUMERATION_CAP = 100_000
@@ -293,39 +293,14 @@ class ExtendedElement:
 
 def _unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
     """Inverse of a square integer matrix of determinant +-1, as int
-    rows; the result is re-checked by an integer product."""
-    inv = _row_reduce_inverse(rows)
+    rows: with U L V = 1 from the Smith form, L^-1 = V U.  The result is
+    re-checked by an integer product."""
+    dec = snf(rows)
+    if 0 in dec.invariant_factors:
+        raise PreconditionError("matrix is singular")
+    if any(f != 1 for f in dec.invariant_factors):
+        raise PreconditionError("matrix is not invertible over the integers")
+    inv = int_product(dec.V, dec.U)
     if int_product(inv, rows) != _identity_rows(len(rows)):
         raise VerificationError("integer inverse check failed")
     return inv
-
-
-def _row_reduce_inverse(rows):
-    """Reduce [L | 1] to [1 | L^-1] by integer row operations: Euclid on
-    each column below the diagonal, then back substitution."""
-    n = len(rows)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        while True:
-            live = [r for r in range(c, n) if work[r][c]]
-            if not live:
-                raise PreconditionError("matrix is singular")
-            p = min(live, key=lambda r: abs(work[r][c]))
-            work[c], work[p] = work[p], work[c]
-            pivot = work[c][c]
-            for r in range(c + 1, n):
-                q = work[r][c] // pivot
-                if q:
-                    work[r] = [x - q * y for x, y in zip(work[r], work[c])]
-            if not any(work[r][c] for r in range(c + 1, n)):
-                break
-        if abs(pivot) != 1:
-            raise PreconditionError("matrix is not invertible over the integers")
-        if pivot < 0:
-            work[c] = [-x for x in work[c]]
-    for c in reversed(range(n)):
-        for r in range(c):
-            f = work[r][c]
-            if f:
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    return tuple(tuple(row[n:]) for row in work)

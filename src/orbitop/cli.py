@@ -25,7 +25,7 @@ from .errors import (
     ScenarioParseError,
     VerificationError,
 )
-from .exact import Matrix
+from .exact import Matrix, int_rank
 from .group import CLOSURE_CAP, Motion, close, conjugacy_classes, spin7_check, su_classify
 from .invariants import (
     ContributionTable,
@@ -74,7 +74,7 @@ class GeneratorSpec:
                 f"{size} rows of {size} entries"
             )
         if self.real:
-            return Motion(matrix=Matrix([list(r) for r in self.rows]))
+            return Motion.from_rational(self.rows)
         return Motion.from_complex(
             [list(r) for r in self.rows], conjugate=self.conjugate
         )
@@ -191,17 +191,25 @@ def parse_scenario(text: str) -> Scenario:
     node_classes = None
     for title, entries in sections:
         if title == "generator":
-            real = any(k == "real" and v == "true" for k, v in entries)
-            conj = any(k == "conjugate" and v == "true" for k, v in entries)
-            rows = []
+            flags = {"real": False, "conjugate": False}
             for k, v in entries:
-                if k != "row":
-                    continue
-                toks = v.split()
-                if real:
-                    rows.append(tuple(parse_rational_entry(t) for t in toks))
-                else:
-                    rows.append(tuple(parse_complex_entry(t) for t in toks))
+                if k in flags:
+                    if v not in ("true", "false"):
+                        raise ScenarioParseError(
+                            f"generator flag {k} must be true or false, got {v!r}"
+                        )
+                    flags[k] = v == "true"
+                elif k != "row":
+                    raise ScenarioParseError(f"unknown generator key {k!r}")
+            real, conj = flags["real"], flags["conjugate"]
+            if real and conj:
+                raise ScenarioParseError(
+                    "a real generator cannot be conjugate; write its real form"
+                )
+            parse = parse_rational_entry if real else parse_complex_entry
+            rows = [
+                tuple(parse(t) for t in v.split()) for k, v in entries if k == "row"
+            ]
             if not rows:
                 raise ScenarioParseError("generator section has no rows")
             generators.append(
@@ -478,14 +486,19 @@ def run_command(command: str, args) -> dict:
                     }
                 )
         else:
+            dim = group.dim_real
             for i, motion in enumerate(group.elements):
                 if i == group.identity_index:
                     continue
-                block = motion.matrix - Matrix.identity(group.dim_real)
+                # the kernel of rows / den - 1 is that of rows - den * 1
+                shifted = (
+                    [x - motion.den * (r == c) for c, x in enumerate(row)]
+                    for r, row in enumerate(motion.rows)
+                )
                 out.append(
                     {
                         "element": i,
-                        "fixed_subspace_dimension": len(block.kernel_basis()),
+                        "fixed_subspace_dimension": dim - int_rank(shifted, dim),
                     }
                 )
         base["fixed_sets"] = out
@@ -564,6 +577,12 @@ def run_command(command: str, args) -> dict:
 
     if command == "ledger":
         lattice = scenario.lattice()
+        if scenario.complex_dim != 3:
+            # Checked first: the exterior powers alone grow as 4^dim.
+            raise PreconditionError(
+                "the ledger needs a torus of complex dimension 3, "
+                f"not {scenario.complex_dim}"
+            )
         report = singular_set(group, lattice)
         base_betti = quotient_betti(group, lattice)
         table = load_table(args.table or scenario.table_ref or scenario.name)

@@ -3,7 +3,15 @@
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, integer_coefficients, totient
-from .matrix import MAX_DIM, Matrix, int_apply, int_product
+from .matrix import (
+    MAX_DIM,
+    Matrix,
+    common_denominator,
+    int_apply,
+    int_det,
+    int_product,
+    int_rank,
+)
 from .snf import SmithDecomposition, snf
 
 __all__ = [
@@ -12,9 +20,12 @@ __all__ = [
     "MAX_DIM",
     "Matrix",
     "SmithDecomposition",
+    "common_denominator",
     "cyclotomic_polynomial",
     "int_apply",
+    "int_det",
     "int_product",
+    "int_rank",
     "integer_coefficients",
     "snf",
     "totient",

@@ -4,29 +4,24 @@ Entries are Fractions or Cyclotomic elements (one kind per matrix).  All
 values are immutable; every operation returns a new matrix.  Dimensions
 are capped (default 64) so bad input fails loudly instead of crawling.
 
-Products of two matrices over Q run on integers: each operand is scaled
-once to integer rows over the lcm of its denominators (kept on the
-matrix), the integer dot products are taken, and one Fraction is built
-per entry of the result.  Products with a cyclotomic operand take the
-entrywise generic path.
-
-An integer matrix (a lattice action, a Weyl group element, a Smith
-transform) is not a `Matrix`: it is a tuple of int rows, and
-`int_product` and `int_apply` multiply those.
+An integer matrix (a motion over its denominator, a lattice action, a
+Weyl group element, a Smith transform) is not a `Matrix`: it is a tuple
+of int rows.  `int_product` and `int_apply` multiply those, `int_det`
+takes a determinant by fraction-free (Bareiss) elimination and
+`int_rank` a rank by fraction-free row reduction, so every division is
+exact and every entry stays an int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from ..errors import CapExceededError, PreconditionError
 from .cyclotomic import Cyclotomic
 
 MAX_DIM = 64
-
-_UNSET = object()
 
 
 def _as_entry(x):
@@ -40,7 +35,7 @@ def _as_entry(x):
 class Matrix:
     """Immutable rectangular matrix with exact entries."""
 
-    __slots__ = ("rows", "cols", "data", "_scaled", "_hash")
+    __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, rows_data):
         data = tuple(tuple(_as_entry(x) for x in row) for row in rows_data)
@@ -55,7 +50,6 @@ class Matrix:
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0])
-        self._scaled = _UNSET
         self._hash = None
 
     @classmethod
@@ -67,47 +61,11 @@ class Matrix:
         cols = [list(c) for c in columns]
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
-    def __getitem__(self, rc):
-        i, j = rc
-        return self.data[i][j]
-
-    def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise PreconditionError("matrix dimension mismatch in product")
-        left, right = self._integer_form(), other._integer_form()
-        if left is None or right is None:
-            cols = list(zip(*other.data))
-            return Matrix(
-                [[_dot(row, col) for col in cols] for row in self.data]
-            )
-        (da, int_left), (db, int_right) = left, right
-        den = da * db
-        cols = list(zip(*int_right))
-        return Matrix(
-            [
-                [Fraction(sum(map(mul, row, col)), den) for col in cols]
-                for row in int_left
-            ]
-        )
-
-    def _integer_form(self):
-        """(d, rows) with integer rows, self == rows / d and d the lcm of
-        the entry denominators; None unless every entry is a Fraction.
-        Computed on first use and kept, since the matrix is immutable."""
-        if self._scaled is _UNSET:
-            entries = [x for row in self.data for x in row]
-            if all(isinstance(x, Fraction) for x in entries):
-                d = lcm(*(x.denominator for x in entries))
-                self._scaled = d, tuple(
-                    tuple(x.numerator * (d // x.denominator) for x in row)
-                    for row in self.data
-                )
-            else:
-                self._scaled = None
-        return self._scaled
+        cols = list(zip(*other.data))
+        return Matrix([[_dot(row, col) for col in cols] for row in self.data])
 
     def apply(self, vector):
         """Matrix times column vector (any sequence), as a tuple."""
@@ -115,43 +73,12 @@ class Matrix:
             raise PreconditionError("vector length mismatch")
         return tuple(_dot(row, vector) for row in self.data)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise PreconditionError("matrix dimension mismatch in sum")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.data])
-
-    def scale(self, s) -> "Matrix":
-        return Matrix([[s * x for x in row] for row in self.data])
-
     @property
     def T(self) -> "Matrix":
         return Matrix(list(zip(*self.data)))
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise PreconditionError("column mismatch in stack")
-        return Matrix(list(self.data) + list(other.data))
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
-
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The entries as int rows (the kept integer form)."""
-        scaled = self._integer_form()
-        if scaled is None or scaled[0] != 1:
-            raise PreconditionError("matrix is not integral")
-        return scaled[1]
 
     def _echelon(self):
         """Row echelon form by exact elimination; returns (rows, pivot cols)."""
@@ -182,9 +109,6 @@ class Matrix:
     def rref(self):
         rows, pivots = self._echelon()
         return Matrix(rows), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self._echelon()[1])
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0}, ordered by free column index."""
@@ -257,6 +181,16 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def common_denominator(rows):
+    """Rational rows (Fractions or ints) as (int rows, d), d the lcm of
+    the entry denominators, so that the rows equal int rows / d."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(
+        tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
+    ), d
+
+
 def int_apply(rows, vector) -> tuple[int, ...]:
     """Matrix given as rows of ints times an int vector, as a tuple."""
     return tuple(sum(map(mul, row, vector)) for row in rows)
@@ -266,6 +200,53 @@ def int_product(left, right) -> tuple[tuple[int, ...], ...]:
     """Product of two matrices given as rows of ints, as int rows."""
     cols = list(zip(*right))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in left)
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so all entries stay ints."""
+    a = [list(row) for row in rows]
+    k = len(a)
+    if k == 0:
+        return 1
+    sign, prev = 1, 1
+    for i in range(k - 1):
+        if a[i][i] == 0:
+            swap = next((r for r in range(i + 1, k) if a[r][i]), None)
+            if swap is None:
+                return 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        p = a[i][i]
+        for r in range(i + 1, k):
+            ar, f = a[r], a[r][i]
+            for c in range(i + 1, k):
+                ar[c] = (ar[c] * p - f * a[i][c]) // prev
+        prev = p
+    return sign * a[-1][-1]
+
+
+def int_rank(rows, width: int) -> int:
+    """Rank of integer rows of the given width by fraction-free
+    elimination against one primitive pivot row per leading column;
+    stops at full rank."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        while any(row):
+            lead = next(c for c, x in enumerate(row) if x)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row)
+                pivots[lead] = [x // g for x in row]
+                if len(pivots) == width:
+                    return width
+                break
+            p, f = pivot[lead], row[lead]
+            row = [x * p - f * y for x, y in zip(row, pivot)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+    return len(pivots)
 
 
 def _dot(xs, ys):

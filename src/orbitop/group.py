@@ -1,11 +1,13 @@
 """Finite groups of exact linear motions of R^{2n} = C^n.
 
-Motions are stored as real 2n x 2n rational matrices so that
-conjugate-linear maps are first-class citizens; complex linearity is a
-derived property.  Groups are closed element lists with an index-based
-multiplication table, immutable after construction.  Closure makes
-n * |gens| exact products; the table comes from the generator word of
-each element by integer lookups, not from n^2 matrix products.
+A motion is a real 2n x 2n rational matrix, stored as int rows over one
+positive denominator in lowest terms, so conjugate-linear maps are
+first-class citizens and complex linearity is a derived property,
+tested on ints against the int rows of multiplication by i.  Groups are
+closed element lists with an index-based multiplication table, immutable
+after construction.  Closure makes n * |gens| integer products; the
+table comes from the generator word of each element by integer lookups,
+not from n^2 matrix products.
 """
 
 from __future__ import annotations
@@ -13,109 +15,148 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import gcd
 
 from .cayley_form import CAYLEY_FORM_TERMS
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import Cyclotomic, Matrix
+from .exact import (
+    MAX_DIM,
+    Cyclotomic,
+    Matrix,
+    common_denominator,
+    int_apply,
+    int_det,
+    int_product,
+)
 
 CLOSURE_CAP = 10_000
 
 
-def complex_structure(dim_real: int) -> Matrix:
-    """Block-diagonal rotation by 90 degrees: multiplication by i."""
-    if dim_real % 2:
-        raise PreconditionError("complex structure needs even dimension")
-    m = [[Fraction(0)] * dim_real for _ in range(dim_real)]
-    for k in range(dim_real // 2):
-        m[2 * k][2 * k + 1] = Fraction(-1)
-        m[2 * k + 1][2 * k] = Fraction(1)
-    return Matrix(m)
+def _lowest_terms(rows, den):
+    """rows / den as int rows over a positive denominator with no factor
+    shared by every entry."""
+    g = gcd(den, *itertools.chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g != 1:
+        rows = tuple(tuple(x // g for x in row) for row in rows)
+        den //= g
+    return rows, den
 
 
-def conjugation_matrix(dim_real: int) -> Matrix:
-    """Complex conjugation z_k -> conj(z_k) as a real matrix."""
-    m = [[Fraction(0)] * dim_real for _ in range(dim_real)]
-    for k in range(dim_real // 2):
-        m[2 * k][2 * k] = Fraction(1)
-        m[2 * k + 1][2 * k + 1] = Fraction(-1)
-    return Matrix(m)
-
-
-def realify(complex_rows) -> Matrix:
-    """Real 2n x 2n matrix of a complex n x n matrix given as (re, im) pairs."""
-    n = len(complex_rows)
-    m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for r in range(n):
-        for c in range(n):
-            a, b = complex_rows[r][c]
-            a, b = Fraction(a), Fraction(b)
-            m[2 * r][2 * c] = a
-            m[2 * r][2 * c + 1] = -b
-            m[2 * r + 1][2 * c] = b
-            m[2 * r + 1][2 * c + 1] = a
-    return Matrix(m)
+@lru_cache(maxsize=None)
+def _times_i(dim_real: int):
+    """Int rows of multiplication by i: the rotation by 90 degrees of
+    each coordinate plane (x_{2k}, x_{2k+1})."""
+    rows = [[0] * dim_real for _ in range(dim_real)]
+    for k in range(0, dim_real, 2):
+        rows[k][k + 1] = -1
+        rows[k + 1][k] = 1
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
 class Motion:
-    """An invertible exact linear motion of R^{2n}."""
+    """An invertible exact linear motion of R^{2n}: the rational matrix
+    rows / den.  Construction brings the fraction to lowest terms with
+    den > 0, so equality and hashing are those of the rational matrix."""
 
-    matrix: Matrix
+    rows: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        if self.matrix.rows != self.matrix.cols or self.matrix.rows % 2:
+        rows = tuple(map(tuple, self.rows))
+        size = len(rows)
+        if size > MAX_DIM:
+            raise CapExceededError(f"motion size {size}x{size} exceeds cap {MAX_DIM}")
+        if not size or size % 2 or any(len(row) != size for row in rows):
             raise PreconditionError("motion matrix must be square of even size")
-        if self.matrix.det() == 0:
+        if type(self.den) is not int or self.den == 0 or not all(
+            type(x) is int for row in rows for x in row
+        ):
+            raise PreconditionError("motion needs int rows over a nonzero int denominator")
+        rows, den = _lowest_terms(rows, self.den)
+        if int_det(rows) == 0:
             raise PreconditionError("motion matrix must be invertible")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def identity(cls, dim_real: int) -> "Motion":
+        return cls(
+            tuple(tuple(int(i == j) for j in range(dim_real)) for i in range(dim_real))
+        )
+
+    @classmethod
+    def from_rational(cls, rows) -> "Motion":
+        """The motion whose entries are these rationals (Fractions or ints)."""
+        return cls(*common_denominator(rows))
 
     @classmethod
     def from_complex(cls, complex_rows, conjugate: bool = False) -> "Motion":
-        m = realify(complex_rows)
-        if conjugate:
-            m = m @ conjugation_matrix(m.rows)
-        return cls(matrix=m)
+        """The real form of z -> A z, or of z -> A conj(z) when conjugate,
+        for a complex n x n matrix A given as rows of (re, im) pairs."""
+        n = len(complex_rows)
+        real = [[0] * (2 * n) for _ in range(2 * n)]
+        for r in range(n):
+            for c in range(n):
+                a, b = complex_rows[r][c]
+                real[2 * r][2 * c : 2 * c + 2] = a, -b
+                real[2 * r + 1][2 * c : 2 * c + 2] = b, a
+        if conjugate:  # conj negates every second real coordinate
+            for row in real:
+                row[1::2] = [-x for x in row[1::2]]
+        return cls.from_rational(real)
 
     @property
     def dim_real(self) -> int:
-        return self.matrix.rows
+        return len(self.rows)
 
     @cached_property
     def is_isometry(self) -> bool:
-        return self.matrix.T @ self.matrix == Matrix.identity(self.dim_real)
+        gram = int_product(tuple(zip(*self.rows)), self.rows)
+        square = self.den * self.den
+        return all(
+            x == (square if i == j else 0)
+            for i, row in enumerate(gram)
+            for j, x in enumerate(row)
+        )
 
     @cached_property
     def is_complex_linear(self) -> bool:
-        j = complex_structure(self.dim_real)
-        return self.matrix @ j == j @ self.matrix
+        j = _times_i(self.dim_real)
+        return int_product(self.rows, j) == int_product(j, self.rows)
 
     @cached_property
     def is_anti_linear(self) -> bool:
-        j = complex_structure(self.dim_real)
-        return self.matrix @ j == -(j @ self.matrix)
-
-    def compose(self, other: "Motion") -> "Motion":
-        return Motion(matrix=self.matrix @ other.matrix)
-
-    def inverse(self) -> "Motion":
-        return Motion(matrix=self.matrix.inverse())
+        j = _times_i(self.dim_real)
+        left, right = int_product(self.rows, j), int_product(j, self.rows)
+        return all(x == -y for a, b in zip(left, right) for x, y in zip(a, b))
 
     def complex_matrix(self) -> Matrix:
         """The n x n matrix over Q(i) of a complex-linear motion."""
         if not self.is_complex_linear:
             raise PreconditionError("motion is not complex-linear")
+        rows, den = self.rows, self.den
         n = self.dim_real // 2
-        rows = []
-        for r in range(n):
-            rows.append(
+        return Matrix(
+            [
                 [
                     Cyclotomic.gaussian(
-                        self.matrix[2 * r, 2 * c], self.matrix[2 * r + 1, 2 * c]
+                        Fraction(rows[2 * r][2 * c], den),
+                        Fraction(rows[2 * r + 1][2 * c], den),
                     )
                     for c in range(n)
                 ]
-            )
-        return Matrix(rows)
+                for r in range(n)
+            ]
+        )
+
+
+def _product(a: Motion, b: Motion):
+    """(rows, den) of the product a b in lowest terms."""
+    return _lowest_terms(int_product(a.rows, b.rows), a.den * b.den)
 
 
 @dataclass(frozen=True)
@@ -161,12 +202,12 @@ class FiniteMatrixGroup:
 def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     """Smallest closed group of motions containing the generators.
 
-    Breadth-first closure makes n * |gens| exact products: each element
+    Breadth-first closure makes n * |gens| integer products: each element
     is multiplied on the right by every generator once.  Every element
     after the identity is recorded as a word, its BFS parent times one
     generator, so the multiplication table follows from integer lookups:
     a * b = (a * parent(b)) * gen(b).  A sample of min(n^2, 200) table
-    entries is then re-verified by exact products, plus an associativity
+    entries is then re-verified by integer products, plus an associativity
     spot check."""
     if not generators:
         raise PreconditionError("need at least one generator")
@@ -175,22 +216,21 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
         raise PreconditionError("generators must share a dimension")
     if cap < 1:
         raise PreconditionError("cap must be at least 1")
-    ident = Motion(matrix=Matrix.identity(dim))
-    index = {ident.matrix: 0}
+    ident = Motion.identity(dim)
+    index = {(ident.rows, ident.den): 0}
     elements = [ident]
     word = [None]  # word[k] = (parent index, generator index); None for 1
-    right = []  # right[k][s] = index of elements[k] * gens[s]
-    gens = [g.matrix for g in generators]
+    right = []  # right[k][s] = index of elements[k] * generators[s]
     for k, m in enumerate(elements):  # grows while iterating: BFS order
         row = []
-        for s, g in enumerate(gens):
-            p = m.matrix @ g
+        for s, g in enumerate(generators):
+            p = _product(m, g)
             j = index.get(p)
             if j is None:
                 if len(elements) >= cap:
                     raise CapExceededError(f"group closure exceeded cap {cap}")
                 j = index[p] = len(elements)
-                elements.append(Motion(matrix=p))
+                elements.append(Motion(*p))
                 word.append((k, s))
             row.append(j)
         right.append(row)
@@ -212,7 +252,7 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
 
 
 def _verify_table_sample(group: FiniteMatrixGroup, samples: int = 200) -> None:
-    """Compare min(n^2, samples) table entries with exact products."""
+    """Compare min(n^2, samples) table entries with integer products."""
     n = group.order
     pairs = (
         itertools.product(range(n), repeat=2)
@@ -221,8 +261,8 @@ def _verify_table_sample(group: FiniteMatrixGroup, samples: int = 200) -> None:
     )
     elements = group.elements
     for a, b in pairs:
-        product = elements[a].matrix @ elements[b].matrix
-        if product != elements[group.mul(a, b)].matrix:
+        c = elements[group.mul(a, b)]
+        if _product(elements[a], elements[b]) != (c.rows, c.den):
             raise VerificationError(
                 f"multiplication table entry ({a}, {b}) disagrees with the product"
             )
@@ -349,18 +389,18 @@ def stabilizer(group: FiniteMatrixGroup, point=None, subspace=None) -> tuple[int
     (the stabilizer of a generic point of that subspace)."""
     if (point is None) == (subspace is None):
         raise PreconditionError("pass exactly one of point or subspace")
-    out = []
-    for i, motion in enumerate(group.elements):
-        if point is not None:
-            ok = motion.matrix.apply(point) == tuple(Fraction(x) for x in point)
-        else:
-            ok = all(
-                motion.matrix.apply(v) == tuple(Fraction(x) for x in v)
-                for v in subspace
-            )
-        if ok:
-            out.append(i)
-    return tuple(out)
+    # Each vector scaled to ints: rows / den fixes v when rows v == den v.
+    vectors = [
+        common_denominator((v,))[0][0]
+        for v in ((point,) if point is not None else subspace)
+    ]
+    if any(len(v) != group.dim_real for v in vectors):
+        raise PreconditionError("vector length mismatch")
+    return tuple(
+        i
+        for i, m in enumerate(group.elements)
+        if all(int_apply(m.rows, v) == tuple(m.den * x for x in v) for v in vectors)
+    )
 
 
 @dataclass(frozen=True)
@@ -386,21 +426,19 @@ def su_classify(motion: Motion) -> SuClassification:
 
 def spin7_check(motion: Motion) -> bool:
     """True iff the pullback of the calibration 4-form equals the form,
-    compared exactly on all 70 components."""
+    compared exactly on all 70 components: the 4 x 4 minors of rows / den
+    are those of rows over den^4."""
     if motion.dim_real != 8:
         raise PreconditionError("Spin(7) test requires dimension 8")
-    g = motion.matrix
-    coeff = {idx: Fraction(c) for idx, c in CAYLEY_FORM_TERMS}
-    for target in itertools.combinations(range(1, 9), 4):
-        total = Fraction(0)
-        for source, c in CAYLEY_FORM_TERMS:
-            sub = g.submatrix(
-                [s - 1 for s in source], [t - 1 for t in target]
-            )
-            d = sub.det()
-            if d:
-                total += c * d
-        if total != coeff.get(target, Fraction(0)):
+    rows = motion.rows
+    scale = motion.den**4
+    coeff = dict(CAYLEY_FORM_TERMS)
+    for target in itertools.combinations(range(8), 4):
+        total = sum(
+            c * int_det([[rows[s - 1][t] for t in target] for s in source])
+            for source, c in CAYLEY_FORM_TERMS
+        )
+        if total != coeff.get(tuple(t + 1 for t in target), 0) * scale:
             return False
     return True
 
@@ -414,11 +452,11 @@ def splitting_multiplier(motion: Motion, axis: int = 0) -> Cyclotomic:
     if not 0 <= axis < n:
         raise PreconditionError("axis out of range")
     plane = (2 * axis, 2 * axis + 1)
+    rows = motion.rows
     for j in range(motion.dim_real):
-        col = motion.matrix.column(j)
-        inside = [col[i] != 0 for i in plane]
+        inside = [rows[i][j] != 0 for i in plane]
         outside = [
-            col[i] != 0 for i in range(motion.dim_real) if i not in plane
+            rows[i][j] != 0 for i in range(motion.dim_real) if i not in plane
         ]
         if j in plane and any(outside):
             raise PreconditionError("motion does not preserve the splitting")
@@ -426,6 +464,6 @@ def splitting_multiplier(motion: Motion, axis: int = 0) -> Cyclotomic:
             raise PreconditionError("motion does not preserve the splitting")
     # The plane is spanned by e, Je; complex linearity makes the block
     # act as one complex scalar a + bi.
-    a = motion.matrix[plane[0], plane[0]]
-    b = motion.matrix[plane[1], plane[0]]
+    a = Fraction(rows[plane[0]][plane[0]], motion.den)
+    b = Fraction(rows[plane[1]][plane[0]], motion.den)
     return Cyclotomic.gaussian(a, b)

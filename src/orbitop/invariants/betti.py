@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
 from ..errors import PreconditionError
-from ..exact import Matrix
+from ..exact import Matrix, int_det, int_rank
 from ..group import FiniteMatrixGroup
 from ..torus import SingularSetReport, TorusLattice, lattice_matrices
 
@@ -60,59 +60,13 @@ def exterior_power_matrix(m: Matrix, k: int) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def _bareiss_det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so all entries stay ints."""
-    a = [list(row) for row in rows]
-    k = len(a)
-    if k == 0:
-        return 1
-    sign, prev = 1, 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            swap = next((r for r in range(i + 1, k) if a[r][i]), None)
-            if swap is None:
-                return 0
-            a[i], a[swap] = a[swap], a[i]
-            sign = -sign
-        p = a[i][i]
-        for r in range(i + 1, k):
-            ar, f = a[r], a[r][i]
-            for c in range(i + 1, k):
-                ar[c] = (ar[c] * p - f * a[i][c]) // prev
-        prev = p
-    return sign * a[-1][-1]
-
-
 def _exterior_rows(rows, k: int):
     """Rows of the k-th exterior power of an integer matrix: entry (s, t)
     is the minor on rows s and columns t, over sorted k-subsets."""
     subsets = list(itertools.combinations(range(len(rows)), k))
     for s in subsets:
         picked = [rows[i] for i in s]
-        yield [_bareiss_det([[r[j] for j in t] for r in picked]) for t in subsets]
-
-
-def _int_rank(rows, width: int) -> int:
-    """Rank of integer rows by fraction-free elimination against one
-    primitive pivot row per leading column; stops at full rank."""
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        while any(row):
-            lead = next(c for c, x in enumerate(row) if x)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                g = gcd(*row)
-                pivots[lead] = [x // g for x in row]
-                if len(pivots) == width:
-                    return width
-                break
-            p, f = pivot[lead], row[lead]
-            row = [x * p - f * y for x, y in zip(row, pivot)]
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-    return len(pivots)
+        yield [int_det([[r[j] for j in t] for r in picked]) for t in subsets]
 
 
 def quotient_betti(group: FiniteMatrixGroup, lattice: TorusLattice) -> BettiVector:
@@ -130,7 +84,7 @@ def quotient_betti(group: FiniteMatrixGroup, lattice: TorusLattice) -> BettiVect
             for m in others
             for i, row in enumerate(_exterior_rows(m, k))
         )
-        out.append(width - _int_rank(rows, width))
+        out.append(width - int_rank(rows, width))
     return BettiVector(b=tuple(out))
 
 

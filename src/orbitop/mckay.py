@@ -228,23 +228,22 @@ def compute_psi(
 def _match_subgroup_elements(group, h_sorted, subgroup):
     """Mutual index maps between parent H elements and the standalone
     restricted subgroup, matched on the complement blocks."""
-    by_matrix = {m.matrix: i for i, m in enumerate(subgroup.elements)}
+    by_motion = {m: i for i, m in enumerate(subgroup.elements)}
     local_of_parent = {}
     parent_of_local = {}
     for parent_idx in h_sorted:
         block = _complement_block(group.elements[parent_idx])
-        if block not in by_matrix:
+        if block not in by_motion:
             raise PreconditionError("subgroup elements do not match restriction")
-        local = by_matrix[block]
+        local = by_motion[block]
         local_of_parent[parent_idx] = local
         parent_of_local[local] = parent_idx
     return local_of_parent, parent_of_local
 
 
-def _complement_block(motion: Motion) -> Matrix:
-    dim = motion.dim_real
-    idx = list(range(2, dim))
-    return motion.matrix.submatrix(idx, idx)
+def _complement_block(motion: Motion) -> Motion:
+    """The motion restricted to the complement of the first complex axis."""
+    return Motion(tuple(row[2:] for row in motion.rows[2:]), motion.den)
 
 
 def _is_perm_hom(quotient: QuotientGroup, images) -> bool:
@@ -867,8 +866,8 @@ def analyze_splitting(
         group = _move_axis_first(group, axis)
         axis = 0
     plane = [
-        tuple(Fraction(int(i == 2 * axis)) for i in range(dim)),
-        tuple(Fraction(int(i == 2 * axis + 1)) for i in range(dim)),
+        tuple(int(i == 2 * axis) for i in range(dim)),
+        tuple(int(i == 2 * axis + 1) for i in range(dim)),
     ]
     h_indices = stabilizer(group, subspace=plane)
     if len(h_indices) == group.order:
@@ -877,9 +876,7 @@ def analyze_splitting(
         raise PreconditionError(
             "distinguished line has trivial pointwise stabilizer"
         )
-    sub_elements = [
-        Motion(matrix=_complement_block(group.elements[i])) for i in h_indices
-    ]
+    sub_elements = [_complement_block(group.elements[i]) for i in h_indices]
     subgroup = close(sub_elements)
     if subgroup.order != len(h_indices):
         raise PreconditionError("restricted subgroup does not close to H")
@@ -909,21 +906,14 @@ def analyze_splitting(
 
 def _move_axis_first(group: FiniteMatrixGroup, axis: int) -> FiniteMatrixGroup:
     """Conjugate the group by the coordinate swap bringing the chosen
-    complex axis to position 0; the multiplication table is unchanged."""
-    dim = group.dim_real
-    perm = list(range(dim))
+    complex axis to position 0; the multiplication table is unchanged.
+    Conjugating by a permutation reindexes rows and columns alike."""
+    perm = list(range(group.dim_real))
     perm[0], perm[2 * axis] = perm[2 * axis], perm[0]
     perm[1], perm[2 * axis + 1] = perm[2 * axis + 1], perm[1]
-    p = Matrix(
-        [
-            [Fraction(int(perm[r] == c)) for c in range(dim)]
-            for r in range(dim)
-        ]
-    )
-    # p is a permutation matrix, so its inverse is its transpose.
-    p_inv = p.T
     elements = tuple(
-        Motion(matrix=p @ m.matrix @ p_inv) for m in group.elements
+        Motion(tuple(tuple(m.rows[r][c] for c in perm) for r in perm), m.den)
+        for m in group.elements
     )
     return FiniteMatrixGroup(
         elements=elements,

@@ -3,7 +3,8 @@ lattice congruences and Smith normal form, and the full singular-set
 decomposition of the quotient.
 
 Everything runs in lattice coordinates, on Python ints.  Each motion
-becomes an integer matrix once per lattice.  A torus point is a vector
+becomes an integer matrix once per lattice, by integer products with the
+basis and its inverse scaled to ints.  A torus point is a vector
 of integer numerators over one common denominator N, reduced mod N, so
 fixed-point and incidence checks are congruences mod N.  A subtorus
 translate is hashed by its direction span and the values that the
@@ -22,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import Matrix, int_apply, snf
+from .exact import Matrix, common_denominator, int_apply, int_product, snf
 from .group import FiniteMatrixGroup, Motion
 
 REPRESENTATIVE_CAP = 65_536
@@ -49,23 +50,28 @@ class TorusLattice:
         return self.basis.rows
 
     @cached_property
-    def _basis_inverse(self) -> Matrix:
-        return self.basis.inverse()
+    def _integer_change(self):
+        """(P, Q, d): int rows with B^-1 M B = P M Q / d for every M, from
+        the basis B and its inverse each scaled to ints once."""
+        inverse, d_inv = common_denominator(self.basis.inverse().data)
+        basis, d_basis = common_denominator(self.basis.data)
+        return inverse, basis, d_inv * d_basis
 
 
 @lru_cache(maxsize=4096)
 def lattice_matrix(motion: Motion, lattice: TorusLattice) -> tuple[tuple[int, ...], ...]:
     """The motion's integer matrix in lattice coordinates, as int rows;
     errors if the motion does not preserve the lattice."""
-    m = lattice._basis_inverse @ motion.matrix @ lattice.basis
-    for j in range(m.cols):
-        col = m.column(j)
-        if any(x.denominator != 1 for x in col):
+    left, right, d = lattice._integer_change
+    d *= motion.den
+    m = int_product(int_product(left, motion.rows), right)
+    for j, col in enumerate(zip(*m)):
+        if any(x % d for x in col):
             raise PreconditionError(
                 f"motion does not preserve the lattice: basis vector {j} "
-                f"maps to non-integral coordinates {col}"
+                f"maps to non-integral coordinates {tuple(Fraction(x, d) for x in col)}"
             )
-    return m.int_rows()
+    return tuple(tuple(x // d for x in row) for row in m)
 
 
 def lattice_matrices(group: FiniteMatrixGroup, lattice: TorusLattice):

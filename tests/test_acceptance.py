@@ -62,7 +62,7 @@ class CriterionTimer:
 
 
 def _powers(group, motion):
-    idx = next(i for i, m in enumerate(group.elements) if m.matrix == motion.matrix)
+    idx = next(i for i, m in enumerate(group.elements) if m == motion)
     out = {1: idx}
     cur = idx
     for k in range(2, group.order + 1):
@@ -390,19 +390,15 @@ def test_criterion_12_property_suites(z4_group, gaussian_lattice):
         report = orbifold_euler(z4_group, gaussian_lattice)
         assert report.value * z4_group.order % z4_group.order == 0
         # fixed-set multiplicativity under block-diagonal actions
-        blocks = [
-            Matrix([[0, -1], [1, 0]]),
-            Matrix([[-1, 0], [0, -1]]),
-            Matrix([[1, 0], [0, 1]]),
-        ]
+        blocks = [((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((1, 0), (0, 1))]
         for b1 in blocks:
             for b2 in blocks:
-                m = [[Fraction(0)] * 4 for _ in range(4)]
+                m = [[0] * 4 for _ in range(4)]
                 for i in range(2):
                     for j in range(2):
-                        m[i][j] = b1[i, j]
-                        m[2 + i][2 + j] = b2[i, j]
-                f = fixed_set(Motion(matrix=Matrix(m)), TorusLattice.standard(4))
-                f1 = fixed_set(Motion(matrix=b1), TorusLattice.standard(2))
-                f2 = fixed_set(Motion(matrix=b2), TorusLattice.standard(2))
+                        m[i][j] = b1[i][j]
+                        m[2 + i][2 + j] = b2[i][j]
+                f = fixed_set(Motion(m), TorusLattice.standard(4))
+                f1 = fixed_set(Motion(b1), TorusLattice.standard(2))
+                f2 = fixed_set(Motion(b2), TorusLattice.standard(2))
                 assert f.component_count == f1.component_count * f2.component_count

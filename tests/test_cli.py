@@ -138,6 +138,9 @@ def test_unknown_bundled_scenario():
 
 C3_HEADER = "name: bad\nambient: linear\ncomplex_dim: 3\n\n"
 DIAGONAL = "[generator]\nrow: -1 0 0\nrow: 0 i 0\nrow: 0 0 i\n"
+REAL_IDENTITY = "".join(
+    "row: " + " ".join(str(int(i == j)) for j in range(6)) + "\n" for i in range(6)
+)
 
 
 @pytest.mark.parametrize(
@@ -151,6 +154,13 @@ DIAGONAL = "[generator]\nrow: -1 0 0\nrow: 0 i 0\nrow: 0 0 i\n"
         ("group", DIAGONAL + "[lattice]\nrow: 1 x\n", "bad rational entry 'x'"),
         ("group", DIAGONAL + "[lattice]\nrow: 1 1/0\n", "bad rational entry '1/0'"),
         ("group", "[generator]\nreal: true\nrow: 1 y\n", "bad rational entry 'y'"),
+        # Flag values other than true/false, real next to conjugate and
+        # unknown keys used to be dropped without a word.
+        ("group", "[generator]\nconjugate: True\nrow: -1 0 0\nrow: 0 i 0\nrow: 0 0 i\n",
+         "generator flag conjugate must be true or false, got 'True'"),
+        ("group", "[generator]\nreal: true\nconjugate: true\n" + REAL_IDENTITY,
+         "a real generator cannot be conjugate"),
+        ("group", DIAGONAL + "rwo: 1 0 0\n", "unknown generator key 'rwo'"),
     ],
     ids=[
         "non-integer-axis",
@@ -161,6 +171,9 @@ DIAGONAL = "[generator]\nrow: -1 0 0\nrow: 0 i 0\nrow: 0 0 i\n"
         "lattice-word",
         "lattice-zero-denominator",
         "real-generator-word",
+        "capitalised-flag-value",
+        "conjugate-real-generator",
+        "unknown-generator-key",
     ],
 )
 def test_bad_scenario_is_parse_error(tmp_path, capsys, command, body, message):
@@ -178,6 +191,52 @@ def test_euler_t6_z4_reports_48(capsys):
     code, out, _ = run_cli(capsys, "euler", "--scenario", "t6_z4")
     assert code == 0
     assert "euler_characteristic: 48" in out
+
+
+def test_explicit_false_flags_are_the_defaults(tmp_path, capsys):
+    plain = tmp_path / "plain.scn"
+    plain.write_text(C3_HEADER + DIAGONAL)
+    flagged = tmp_path / "flagged.scn"
+    flagged.write_text(
+        C3_HEADER + DIAGONAL.replace("\n", "\nreal: false\nconjugate: false\n", 1)
+    )
+    assert load_scenario(str(plain)).motions() == load_scenario(str(flagged)).motions()
+
+
+def test_motion_over_the_size_cap_exits_4(tmp_path, capsys):
+    # complex_dim 33 gives 66 x 66 real motions, over MAX_DIM = 64.
+    scn = tmp_path / "big.scn"
+    scn.write_text(
+        "name: big\nambient: linear\ncomplex_dim: 33\n\n[generator]\n"
+        + "".join(
+            "row: " + " ".join("1" if i == j else "0" for j in range(33)) + "\n"
+            for i in range(33)
+        )
+    )
+    code, _, err = run_cli(capsys, "group", "--scenario", str(scn))
+    assert code == 4
+    assert "exceeds cap 64" in err
+
+
+def test_ledger_refuses_a_torus_that_is_not_a_threefold(tmp_path):
+    """Z2 = {1, -1} on a complex 7-torus: the ledger must refuse it before
+    any exterior power or singular set is computed."""
+    scn = tmp_path / "t14.scn"
+    scn.write_text(
+        "name: t14\nambient: torus\ncomplex_dim: 7\n\n[generator]\n"
+        + "".join(
+            "row: " + " ".join("-1" if i == j else "0" for j in range(7)) + "\n"
+            for i in range(7)
+        )
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitop.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "orbitop.cli", "ledger", "--scenario", str(scn),
+         "--plan", "z4:k0"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "complex dimension 3" in done.stderr
 
 
 def test_group_on_trivial_scenario(tmp_path, capsys):

@@ -11,7 +11,7 @@ from sympy import Matrix as SympyMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from orbitop.errors import CapExceededError, FieldDivisionError, PreconditionError
-from orbitop.exact import Cyclotomic, Matrix, int_product, snf, totient
+from orbitop.exact import Cyclotomic, Matrix, int_product, int_rank, snf, totient
 from orbitop.exact.matrix import _dot
 
 
@@ -150,10 +150,13 @@ def test_rank_nullity_randomized():
     for _ in range(40):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = _random_int_matrix(rng, rows, cols, bound=3)
-        # Independent rank via the transpose's echelon form.
-        assert m.rank() == m.T.rank()
-        assert m.rank() == cols - len(m.kernel_basis())
+        ints = _random_int_rows(rng, rows, cols, bound=3)
+        m = Matrix(ints)
+        # Independent ranks: the pivots of the matrix and of its transpose
+        # over Q, and fraction-free elimination on the int rows.
+        rank = len(m.rref()[1])
+        assert rank == len(m.T.rref()[1]) == int_rank(iter(ints), cols)
+        assert rank == cols - len(m.kernel_basis())
 
 
 def test_kernel_vectors_annihilated():
@@ -293,8 +296,7 @@ def test_rational_product_matches_entrywise_reference(pairs):
 @given(_q_matrix_pairs(copies=2))
 def test_gaussian_product_agrees_with_rational_kernel(pairs):
     """(A + iB)(C + iD) = (AC - BD) + i(AD + BC): the product over Q(i)
-    runs on the generic path, its real and imaginary parts on the
-    integer kernel."""
+    agrees with its real and imaginary parts taken over Q."""
     [(a, c), (b, d)] = pairs
 
     def gaussian(re, im):
@@ -305,9 +307,14 @@ def test_gaussian_product_agrees_with_rational_kernel(pairs):
             ]
         )
 
+    def combine(x, y, sign):
+        return Matrix(
+            [[p + sign * q for p, q in zip(r1, r2)] for r1, r2 in zip(x.data, y.data)]
+        )
+
     product = gaussian(a, b) @ gaussian(c, d)
     assert product.data == _reference_product(gaussian(a, b), gaussian(c, d))
-    assert product == gaussian(a @ c - b @ d, a @ d + b @ c)
+    assert product == gaussian(combine(a @ c, b @ d, -1), combine(a @ d, b @ c, 1))
 
 
 def test_cyclotomic_and_mixed_products_match_reference():
@@ -323,7 +330,9 @@ def test_cyclotomic_and_mixed_products_match_reference():
                 [[_random_cyclotomic(rng, order) for _ in range(cols)]
                  for _ in range(inner)]
             )
-            q = _random_int_matrix(rng, cols, 2).scale(Fraction(1, 3))
+            q = Matrix(
+                [[Fraction(x, 3) for x in row] for row in _random_int_rows(rng, cols, 2)]
+            )
             assert (a @ b).data == _reference_product(a, b)
             assert (b @ q).data == _reference_product(b, q)
             assert (a @ b) @ q == a @ (b @ q)

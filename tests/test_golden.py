@@ -54,6 +54,54 @@ def test_d4_pipeline_report_digest(command, scenario, tmp_path):
     assert digest == D4_PIPELINE_DIGESTS[command, scenario]
 
 
+# The other stress scenarios (default seed): e6_bt is the only group
+# with denominator 2, mono48 the largest linear group closed here, and
+# t6_z4z4 carries the benchmark's seed-0 lattice, so lattice coordinates
+# with a non-identity basis are pinned.
+T6_Z4Z4_SEED0_LATTICE = """
+[lattice]
+row: 0 0 -1 -1 -1 1
+row: 1 0 0 0 0 0
+row: 0 0 0 0 0 1
+row: 0 -1 0 0 0 0
+row: 0 0 0 0 1 0
+row: 0 0 1 0 1 0
+"""
+STRESS_DIGESTS = {
+    ("group", "e6_bt"):
+        "03063df6c7939cb736138e1399a843adc1889fcd039902954d032d2b090ec0dd",
+    ("euler", "e6_bt"):
+        "2796ae876b9183f868807103fe54442ad841e1ba37e53013fd4cf1c561ec3350",
+    ("group", "mono48"):
+        "4996a73d18ab08ac204ffbbeea7041119fac3493a892df86312b90d1c728b951",
+    ("euler", "mono48"):
+        "5eb9dc5700dd66e4684eef20032b826d24c9d58642cce6532b85f8bb9a968712",
+    ("fixed-sets", "mono48"):
+        "02e3b03ef93e7008b5744b28da4c2983cfbf38ae731a8f715772821d43f075a6",
+    ("fixed-sets", "t6_z4z4"):
+        "ed4c8f73e80f73072e0a136ac27487e02f3d66d39df6da36cd874a0c29cd676c",
+    ("singular-set", "t6_z4z4"):
+        "94cb3330e68a823ef92f202f2fecc5fa8d7590f31c7a95415f41bd9bbbd18563",
+    ("euler", "t6_z4z4"):
+        "851a39ba867f553750c67fe7b0d92baa3a4665c36464b642e6f0ac667a1c6221",
+    ("nodes", "nodes_d4"):
+        "3b7456bb0bcaec03214735cfd4051bdf2a31f4c141d771d14a665fc8c18ea69b",
+}
+
+
+@pytest.mark.parametrize("command,scenario", sorted(STRESS_DIGESTS))
+def test_stress_report_digest(command, scenario, tmp_path):
+    path = STRESS / f"{scenario}.scn"
+    if scenario == "t6_z4z4":
+        path = tmp_path / "t6_z4z4_seed0.scn"
+        path.write_text((STRESS / "t6_z4z4.scn").read_text() + T6_Z4Z4_SEED0_LATTICE)
+    out = tmp_path / "report.json"
+    argv = [command, "--scenario", str(path), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == STRESS_DIGESTS[command, scenario]
+
+
 # d4_q8z4 with z1 and z3 swapped and the splitting on axis 3: the
 # pipeline moves that axis first, after which nothing may change.
 D4_Q8Z4_ON_AXIS_3 = """\

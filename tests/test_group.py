@@ -1,12 +1,18 @@
 """Finite motion groups: closure, classes, quotients, classification."""
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitop import group as group_module
 from orbitop.cli import load_scenario
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Matrix
+from orbitop.exact import Matrix, int_product
 from orbitop.group import (
     Motion,
     NotASubgroupError,
@@ -19,6 +25,12 @@ from orbitop.group import (
     stabilizer,
     su_classify,
 )
+
+
+def as_matrix(motion):
+    """The motion as a Fraction matrix, an oracle independent of its int
+    rows over one denominator."""
+    return Matrix([[Fraction(x, motion.den) for x in row] for row in motion.rows])
 
 
 def brute_force_classes(group):
@@ -109,7 +121,7 @@ def test_quotient_by_whole_group(z4_group):
 def test_order8_quotient_by_cyclic(order8_group, octonionic_pair):
     kap, _ = octonionic_pair
     ki = next(
-        i for i, m in enumerate(order8_group.elements) if m.matrix == kap.matrix
+        i for i, m in enumerate(order8_group.elements) if m == kap
     )
     h = {order8_group.identity_index}
     cur = ki
@@ -146,7 +158,7 @@ def test_not_subgroup_and_not_normal_are_distinct(order8_group):
     s3 = close([swap12, cycle])
     assert s3.order == 6
     swap_idx = next(
-        i for i, m in enumerate(s3.elements) if m.matrix == swap12.matrix
+        i for i, m in enumerate(s3.elements) if m == swap12
     )
     with pytest.raises(NotNormalError):
         normal_and_quotient(s3, {s3.identity_index, swap_idx})
@@ -159,7 +171,7 @@ def test_stabilizer_of_axis_plane(z4_group, kappa):
     ]
     stab = stabilizer(z4_group, subspace=plane)
     ki = next(
-        i for i, m in enumerate(z4_group.elements) if m.matrix == kappa.matrix
+        i for i, m in enumerate(z4_group.elements) if m == kappa
     )
     k2 = z4_group.mul(ki, ki)
     assert sorted(stab) == sorted([z4_group.identity_index, k2])
@@ -177,7 +189,7 @@ def test_generic_point_has_trivial_stabilizer(z4_group):
     # oracle: every nonidentity element visibly moves the point
     for i, m in enumerate(z4_group.elements):
         if i != z4_group.identity_index:
-            assert m.matrix.apply(point) != point
+            assert as_matrix(m).apply(point) != point
     assert stabilizer(z4_group, point=point) == (z4_group.identity_index,)
 
 
@@ -198,10 +210,10 @@ def test_su_classification(kappa, octonionic_pair):
     assert su_classify(kappa).determinant == 1
     assert su_classify(kap8).kind == "su"
     assert su_classify(lam8).kind == "anti_linear"
-    ident = Motion(matrix=Matrix.identity(4))
+    ident = Motion.identity(4)
     assert su_classify(ident).kind == "su"
     phase = Motion.from_complex([[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
-    cls = phase.matrix and su_classify(phase)
+    cls = su_classify(phase)
     assert cls.kind == "u_not_su"
     from orbitop.exact import Cyclotomic
 
@@ -212,22 +224,46 @@ def test_su_closure_under_product(z4_group):
     for a in z4_group.elements:
         for b in z4_group.elements:
             if su_classify(a).in_su() and su_classify(b).in_su():
-                assert su_classify(a.compose(b)).in_su()
+                product = Motion(int_product(a.rows, b.rows), a.den * b.den)
+                assert su_classify(product).in_su()
 
 
 def test_spin7_membership(order8_group, octonionic_pair):
     kap8, lam8 = octonionic_pair
-    ident = Motion(matrix=Matrix.identity(8))
+    ident = Motion.identity(8)
     assert spin7_check(ident)
     assert spin7_check(kap8)
     assert spin7_check(lam8)
     assert all(spin7_check(m) for m in order8_group.elements)
 
 
+def test_spin7_with_denominator_two():
+    """A binary tetrahedral block on (z1, z2): in SU(4), hence in Spin(7),
+    with diag(1, 1) on (z3, z4), and outside it with diag(1, i)."""
+    h = Fraction(1, 2)
+    zero = (0, 0)
+
+    def on_c4(last):
+        return Motion.from_complex(
+            [
+                [(h, h), (h, h), zero, zero],
+                [(-h, h), (h, -h), zero, zero],
+                [zero, zero, (1, 0), zero],
+                [zero, zero, zero, last],
+            ]
+        )
+
+    su4, u4 = on_c4((1, 0)), on_c4((0, 1))
+    assert su4.den == 2 and su_classify(su4).kind == "su"
+    assert spin7_check(su4)
+    assert su_classify(u4).kind == "u_not_su"
+    assert not spin7_check(u4)
+
+
 def test_spin7_rejects_reflection():
-    rows = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
-    rows[0][0] = Fraction(-1)
-    assert not spin7_check(Motion(matrix=Matrix(rows)))
+    rows = [[int(i == j) for j in range(8)] for i in range(8)]
+    rows[0][0] = -1
+    assert not spin7_check(Motion(rows))
 
 
 def test_spin7_needs_dimension_eight(kappa):
@@ -237,7 +273,7 @@ def test_spin7_needs_dimension_eight(kappa):
 
 def test_splitting_multiplier_values(kappa, flip_generators):
     assert splitting_multiplier(kappa, 0) == -1
-    ident = Motion(matrix=Matrix.identity(6))
+    ident = Motion.identity(6)
     assert splitting_multiplier(ident, 0) == 1
     _, k2 = flip_generators
     assert splitting_multiplier(k2, 0) == -1
@@ -255,6 +291,9 @@ def test_motion_flags(kappa, octonionic_pair):
     assert not kappa.is_anti_linear
     assert lam8.is_anti_linear and lam8.is_isometry
     assert not lam8.is_complex_linear
+    # z -> conj(z) fixes the real axis and negates the imaginary one.
+    conj = Motion.from_complex([[(1, 0)]], conjugate=True)
+    assert conj == Motion(((1, 0), (0, -1))) and conj.is_anti_linear
 
 
 # --- multiplication table from generator words ---------------------------
@@ -283,6 +322,24 @@ def _generators(name):
     return load_scenario(name).motions()
 
 
+def _scaled(matrix):
+    """A Fraction matrix as (d, int columns) over the lcm d of its
+    denominators."""
+    d = lcm(*(x.denominator for row in matrix.data for x in row))
+    return d, tuple(zip(*((int(x * d) for x in row) for row in matrix.data)))
+
+
+def _scaled_product(a, b):
+    """The Fraction matrix of a @ b from two scaled operands: one Fraction
+    per entry instead of one per term, so the n^2 products of the brute
+    force stay fast."""
+    (da, cols_a), (db, cols_b) = a, b
+    rows_a = list(zip(*cols_a))
+    return Matrix(
+        [[Fraction(sum(map(mul, r, c)), da * db) for c in cols_b] for r in rows_a]
+    )
+
+
 @pytest.mark.parametrize(
     "name,order",
     [("t6_z4", 4), ("t6_z2z2", 4), ("c3_z4", 4), ("c3_z2z2", 4), ("r8_q8", 8),
@@ -291,14 +348,13 @@ def _generators(name):
 def test_table_equals_brute_force_products(name, order, monkeypatch):
     generators = _generators(name)
     products = 0
-    matmul = Matrix.__matmul__
 
     def counting(a, b):
         nonlocal products
         products += 1
-        return matmul(a, b)
+        return int_product(a, b)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    monkeypatch.setattr(group_module, "int_product", counting)
     group = close(generators)
     monkeypatch.undo()
     n = group.order
@@ -307,13 +363,72 @@ def test_table_equals_brute_force_products(name, order, monkeypatch):
     # re-verifies min(n^2, 200) table entries: never more products than
     # the n * |gens| + n^2 of building the table by brute force.
     assert products == n * len(generators) + min(n * n, 200)
-    index = {m.matrix: i for i, m in enumerate(group.elements)}
+    # The oracle: Fraction matrices built from each motion's rows / den.
+    matrices = [as_matrix(m) for m in group.elements]
+    index = {m: i for i, m in enumerate(matrices)}
+    assert len(index) == n
+    scaled = [_scaled(m) for m in matrices]
+    for a, b in ((0, n - 1), (n - 1, n // 2)):
+        assert _scaled_product(scaled[a], scaled[b]) == matrices[a] @ matrices[b]
     brute = tuple(
-        tuple(index[a.matrix @ b.matrix] for b in group.elements)
-        for a in group.elements
+        tuple(index[_scaled_product(a, b)] for b in scaled) for a in scaled
     )
     assert group.table == brute
     ident = Matrix.identity(group.dim_real)
-    assert group.elements[group.identity_index].matrix == ident
-    for i, m in enumerate(group.elements):
-        assert m.matrix @ group.elements[group.inverse[i]].matrix == ident
+    assert matrices[group.identity_index] == ident
+    for i, m in enumerate(matrices):
+        assert m @ matrices[group.inverse[i]] == ident
+
+
+# --- int rows over one denominator against Fraction matrices ----------------
+
+STRESS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+SCENARIO_GENERATORS = {
+    name: load_scenario(name).motions()
+    for name in ("t6_z4", "t6_z2z2", "c3_z4", "c3_z2z2", "r8_q8")
+} | {
+    path.stem: load_scenario(str(path)).motions()
+    for path in sorted(STRESS.glob("*.scn"))
+}
+
+
+@st.composite
+def _words(draw):
+    name = draw(st.sampled_from(sorted(SCENARIO_GENERATORS)))
+    count = len(SCENARIO_GENERATORS[name])
+    word = st.lists(st.integers(0, count - 1), max_size=6)
+    return name, draw(word), draw(word)
+
+
+def _motion_word(name, word):
+    generators = SCENARIO_GENERATORS[name]
+    out = Motion.identity(generators[0].dim_real)
+    for k in word:
+        out = Motion(*group_module._product(out, generators[k]))
+    return out
+
+
+def _matrix_word(name, word):
+    generators = SCENARIO_GENERATORS[name]
+    out = Matrix.identity(generators[0].dim_real)
+    for k in word:
+        out = out @ as_matrix(generators[k])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_words())
+def test_int_products_and_equality_match_fraction_matrices(case):
+    """Words in the bundled and stress generators: the int product over
+    one denominator is the Fraction matrix product, and two motions are
+    equal, with equal hashes, exactly when their Fraction matrices are.
+    So the denominator is canonical: positive and in lowest terms."""
+    name, w1, w2 = case
+    m1, m2 = _motion_word(name, w1), _motion_word(name, w2)
+    f1, f2 = _matrix_word(name, w1), _matrix_word(name, w2)
+    assert as_matrix(m1) == f1 and as_matrix(m2) == f2
+    assert (m1 == m2) == (f1 == f2)
+    if f1 == f2:
+        assert hash(m1) == hash(m2) and (m1.rows, m1.den) == (m2.rows, m2.den)
+    for m in (m1, m2):
+        assert m.den > 0 and gcd(m.den, *(x for row in m.rows for x in row)) == 1

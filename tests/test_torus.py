@@ -18,7 +18,7 @@ from orbitop.torus import (
 
 
 def _powers(group, motion):
-    idx = next(i for i, m in enumerate(group.elements) if m.matrix == motion.matrix)
+    idx = next(i for i, m in enumerate(group.elements) if m == motion)
     out = {1: idx}
     cur = idx
     for k in range(2, group.order + 1):
@@ -28,7 +28,7 @@ def _powers(group, motion):
 
 
 def test_lattice_matrix_identity(gaussian_lattice):
-    ident = Motion(matrix=Matrix.identity(6))
+    ident = Motion.identity(6)
     assert lattice_matrix(ident, gaussian_lattice) == tuple(
         tuple(int(i == j) for j in range(6)) for i in range(6)
     )
@@ -42,11 +42,7 @@ def test_lattice_matrix_kappa_integral(kappa, gaussian_lattice):
 
 def test_non_preserving_motion_rejected():
     # A rational rotation of infinite order cannot fix the square lattice.
-    rot = Motion(
-        matrix=Matrix(
-            [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
-        )
-    )
+    rot = Motion(((3, -4), (4, 3)), 5)
     with pytest.raises(PreconditionError):
         lattice_matrix(rot, TorusLattice.standard(2))
 
@@ -75,7 +71,7 @@ def test_fixed_sets_of_z4(kappa, z4_group, gaussian_lattice):
 
 
 def test_fixed_set_identity(gaussian_lattice):
-    ident = Motion(matrix=Matrix.identity(6))
+    ident = Motion.identity(6)
     fam = fixed_set(ident, gaussian_lattice)
     assert (fam.dimension, fam.component_count) == (6, 1)
 
@@ -100,7 +96,7 @@ def test_common_fixed_set_of_generator_and_square(kappa, z4_group, gaussian_latt
 
 
 def test_common_fixed_set_identity_pair(gaussian_lattice):
-    ident = Motion(matrix=Matrix.identity(6))
+    ident = Motion.identity(6)
     fam = common_fixed_set([ident, ident], gaussian_lattice)
     assert (fam.dimension, fam.component_count) == (6, 1)
 
@@ -132,23 +128,22 @@ def test_fixed_set_equals_inverse_fixed_set(kappa, z4_group, gaussian_lattice):
 def test_component_count_multiplicative_on_blocks():
     rng = random.Random(314)
     blocks = [
-        Matrix([[0, -1], [1, 0]]),
-        Matrix([[-1, 0], [0, -1]]),
-        Matrix([[0, 1], [-1, -1]]),  # order 6
-        Matrix([[1, 0], [0, 1]]),
+        ((0, -1), (1, 0)),
+        ((-1, 0), (0, -1)),
+        ((0, 1), (-1, -1)),  # order 6
+        ((1, 0), (0, 1)),
     ]
     for _ in range(12):
         b1 = rng.choice(blocks)
         b2 = rng.choice(blocks)
-        m = [[Fraction(0)] * 4 for _ in range(4)]
+        m = [[0] * 4 for _ in range(4)]
         for i in range(2):
             for j in range(2):
-                m[i][j] = b1[i, j]
-                m[2 + i][2 + j] = b2[i, j]
-        combined = Motion(matrix=Matrix(m))
-        f = fixed_set(combined, TorusLattice.standard(4))
-        f1 = fixed_set(Motion(matrix=b1), TorusLattice.standard(2))
-        f2 = fixed_set(Motion(matrix=b2), TorusLattice.standard(2))
+                m[i][j] = b1[i][j]
+                m[2 + i][2 + j] = b2[i][j]
+        f = fixed_set(Motion(m), TorusLattice.standard(4))
+        f1 = fixed_set(Motion(b1), TorusLattice.standard(2))
+        f2 = fixed_set(Motion(b2), TorusLattice.standard(2))
         assert f.component_count == f1.component_count * f2.component_count
         assert f.dimension == f1.dimension + f2.dimension
 
@@ -228,7 +223,8 @@ def z4z4_group():
 def test_isolated_fixed_points_match_lefschetz(seed, z4_group, z2z2_group, z4z4_group):
     """An automorphism M of a torus with isolated fixed points has
     |det(M - 1)| of them; the determinant is taken on the motion itself,
-    so it does not depend on the lattice basis or on the torus code."""
+    as a Fraction matrix built from its rows / den, so it depends neither
+    on the lattice basis nor on the torus code."""
     if seed is None:
         lattice = TorusLattice.standard(6)
     else:
@@ -239,6 +235,12 @@ def test_isolated_fixed_points_match_lefschetz(seed, z4_group, z2z2_group, z4z4_
             fam = fixed_set(motion, lattice)
             if fam.dimension == 0:
                 isolated += 1
-                lefschetz = abs((motion.matrix - Matrix.identity(6)).det())
+                shifted = Matrix(
+                    [
+                        [Fraction(x, motion.den) - (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(motion.rows)
+                    ]
+                )
+                lefschetz = abs(shifted.det())
                 assert fam.component_count == len(fam.representatives) == lefschetz
     assert isolated == 2 + 0 + 6

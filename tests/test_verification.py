@@ -118,12 +118,15 @@ def test_dual_check_catches_corrupted_integer_inverse(monkeypatch):
     # s_1 of A2 in the simple-root basis, an involution of determinant -1
     element = ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1)))
     assert element.dual_rows == ((1, 1), (0, -1))
-    reduce = ade._row_reduce_inverse
 
-    def negated(rows):
-        return tuple(tuple(-x for x in row) for row in reduce(rows))
+    def negated_u(rows):
+        # With U negated, V U is minus the inverse: only the integer
+        # re-check of the inverse can catch it.
+        dec = snf(rows)
+        negated = tuple(tuple(-x for x in row) for row in dec.U)
+        return SmithDecomposition(negated, dec.D, dec.V, dec.invariant_factors)
 
-    monkeypatch.setattr(ade, "_row_reduce_inverse", negated)
+    monkeypatch.setattr(ade, "snf", negated_u)
     fresh = ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1)))
     with pytest.raises(VerificationError, match="integer inverse"):
         fresh.dual_rows
@@ -187,7 +190,9 @@ import sys
 assert False, "asserts are stripped under -O, so this never fires"
 from orbitop.errors import VerificationError
 from orbitop.exact.snf import SmithDecomposition, _verify
-from orbitop.group import FiniteMatrixGroup, Motion, close, normal_and_quotient
+from orbitop.group import (
+    FiniteMatrixGroup, Motion, _verify_table_sample, close, normal_and_quotient,
+)
 from fractions import Fraction
 from orbitop.invariants import NodeConfiguration, chi, node_kahler, node_smoothable, nodes
 
@@ -197,6 +202,10 @@ table = [list(row) for row in group.table]
 table[2][3] = 2
 bad = FiniteMatrixGroup(group.elements, tuple(map(tuple, table)), 0, group.inverse)
 caught = []
+try:
+    _verify_table_sample(bad)
+except VerificationError:
+    caught.append("table")
 try:
     normal_and_quotient(bad, [0, 2])
 except VerificationError:
@@ -222,13 +231,19 @@ from orbitop import ade
 from orbitop.exact import Cyclotomic
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 
-reduce = ade._row_reduce_inverse
-ade._row_reduce_inverse = lambda rows: tuple(tuple(-x for x in r) for r in reduce(rows))
+smith = ade.snf
+
+def negated_u(rows):
+    dec = smith(rows)
+    negated = tuple(tuple(-x for x in r) for r in dec.U)
+    return SmithDecomposition(negated, dec.D, dec.V, dec.invariant_factors)
+
+ade.snf = negated_u
 try:
     ade.ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1))).dual_rows
 except VerificationError:
     caught.append("dual")
-ade._row_reduce_inverse = reduce
+ade.snf = smith
 kappa3 = Motion.from_complex(
     [[(-1, 0), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (0, 1)]]
 )
@@ -266,7 +281,7 @@ def test_verification_survives_python_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "1", "quotient", "snf", "witness", "kahler", "dual", "pair",
+        "1", "table", "quotient", "snf", "witness", "kahler", "dual", "pair",
         "census", "count",
     ]
 
