@@ -55,6 +55,9 @@ COMMANDS = (
     "nodes",
 )
 
+# Keys a scenario file may set before its first section.
+HEADER_KEYS = ("name", "ambient", "complex_dim", "plan", "table")
+
 
 # ---------------------------------------------------------------------------
 # Scenario model and parsing
@@ -174,6 +177,9 @@ def parse_scenario(text: str) -> Scenario:
         else:
             current.append((key, value))
 
+    for key in header:
+        if key not in HEADER_KEYS:
+            raise ScenarioParseError(f"unknown header key {key!r}")
     for needed in ("name", "ambient", "complex_dim"):
         if needed not in header:
             raise ScenarioParseError(f"missing header field {needed!r}")
@@ -216,26 +222,19 @@ def parse_scenario(text: str) -> Scenario:
                 GeneratorSpec(rows=tuple(rows), real=real, conjugate=conj)
             )
         elif title == "lattice":
-            lattice_rows = tuple(
-                tuple(parse_rational_entry(t) for t in v.split())
-                for k, v in entries
-                if k == "row"
-            )
+            lattice_rows = _rational_rows(title, entries)
         elif title == "splitting":
             for k, v in entries:
-                if k == "axis":
-                    try:
-                        splitting_axis = int(v)
-                    except ValueError as exc:
-                        raise ScenarioParseError(
-                            f"splitting axis must be an integer, got {v!r}"
-                        ) from exc
+                if k != "axis":
+                    raise ScenarioParseError(f"unknown splitting key {k!r}")
+                try:
+                    splitting_axis = int(v)
+                except ValueError as exc:
+                    raise ScenarioParseError(
+                        f"splitting axis must be an integer, got {v!r}"
+                    ) from exc
         elif title == "node_classes":
-            node_classes = tuple(
-                tuple(parse_rational_entry(t) for t in v.split())
-                for k, v in entries
-                if k == "row"
-            )
+            node_classes = _rational_rows(title, entries)
         else:
             raise ScenarioParseError(f"unknown section [{title}]")
     if not generators:
@@ -262,6 +261,14 @@ def parse_scenario(text: str) -> Scenario:
     except ValueError as exc:
         raise ScenarioParseError(str(exc)) from exc
     return scenario
+
+
+def _rational_rows(title, entries):
+    """The `row` entries of a [lattice] or [node_classes] section."""
+    for k, _ in entries:
+        if k != "row":
+            raise ScenarioParseError(f"unknown {title} key {k!r}")
+    return tuple(tuple(parse_rational_entry(t) for t in v.split()) for _, v in entries)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

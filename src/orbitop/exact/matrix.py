@@ -95,11 +95,11 @@ class Matrix:
                 continue
             work[r], work[pivot_row] = work[pivot_row], work[r]
             inv = 1 / work[r][c]
-            work[r] = [x * inv for x in work[r]]
+            work[r] = [x * inv if x else x for x in work[r]]
             for i in range(self.rows):
                 if i != r and work[i][c] != 0:
                     f = work[i][c]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                    work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
             pivots.append(c)
             r += 1
             if r == self.rows:

@@ -72,7 +72,7 @@ def node_smoothable(cfg: NodeConfiguration, seed: int = 0) -> SmoothabilityResul
     for j in range(k):
         if all(vec[j] == 0 for vec in kernel):
             return SmoothabilityResult(smoothable=False, witness=None)
-    forms = [tuple(Fraction(int(i == j)) for i in range(k)) for j in range(k)]
+    forms = [tuple(int(i == j) for i in range(k)) for j in range(k)]
     witness = generic_combination(kernel, forms, seed=seed)
     if any(x != 0 for x in m.apply(witness)):
         raise VerificationError("witness is not a relation")
@@ -158,14 +158,13 @@ def generic_combination(basis, forms, seed: int = 0, attempts: int = 1000):
     is nonzero.  Seeded random rationals first, then a deterministic
     power-basis fallback that is guaranteed to succeed.
 
-    The forms are rational.  Candidates are tested on integers: each
+    The forms are int rows.  Candidates are tested on integers: each
     pairing of a combination is the same combination of the basis
     vectors' pairings, taken on their integer coefficient rows."""
+    if not all(isinstance(x, int) for f in forms for x in f):
+        raise PreconditionError("generic_combination needs integer forms")
     parts = integer_coefficients(basis)[2]
-    order, _, form_parts = integer_coefficients(forms)
-    if order != 1:
-        raise PreconditionError("generic_combination needs rational forms")
-    pairings = [[int_apply(vec, f) for vec in parts] for (f,) in form_parts]
+    pairings = [[int_apply(vec, f) for vec in parts] for f in forms]
     # Per relevant form, the pairings of the basis vectors by coefficient.
     relevant = [list(zip(*p)) for p in pairings if any(map(any, p))]
 

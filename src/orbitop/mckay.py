@@ -468,53 +468,53 @@ class InvariantPairDecision:
 
 
 def build_invariant_pair_problem(
-    rs: RootSystem, chi: ChiLift, phi
+    rs: RootSystem, chi: ChiLift, phi, field_order: int | None = None
 ) -> InvariantPairProblem:
-    """Fixed spaces of the two twisted dual actions of K."""
-    quotient = chi.psi.source
-    orders = [s.root_of_unity_order() for s in phi]
-    if None in orders:
-        raise PreconditionError("splitting multiplier is not a root of unity")
-    field_order = lcm(*orders)
+    """Fixed spaces of the two twisted dual actions of K, each the kernel
+    of the blocks of the generators of K stacked.
 
-    duals = [chi.images[coset].dual_rows for coset in range(quotient.order)]
-    real_basis = None
-    for dual in duals:
-        block = Matrix(
-            [[d - (i == j) for j, d in enumerate(row)] for i, row in enumerate(dual)]
-        )
-        real_basis = _intersect_kernel(real_basis, block)
-    complex_basis = None
-    for coset, dual in enumerate(duals):
-        scalar = phi[coset].embed(lcm(field_order, phi[coset].order))
+    chi and phi are homomorphisms, so a vector fixed by every generator
+    is fixed by every coset.  A kernel basis has a 1 at each free column
+    and 0 at the others: it is the reduced echelon basis of the space
+    read from the last coordinate, so it depends on the space alone and
+    equals the basis an intersection over all cosets gives.  field_order
+    (see `_phi_field_order`) is computed here when not given."""
+    quotient = chi.psi.source
+    if field_order is None:
+        field_order = _phi_field_order(phi)
+    # A trivial K has no generators: its identity coset fixes everything.
+    gens = _quotient_generators(quotient) or (quotient.identity_coset,)
+    real_rows, complex_rows = [], []
+    for coset in gens:
+        dual = chi.images[coset].dual_rows
+        scalar = phi[coset].embed(field_order)
         entries = {}  # (d, on the diagonal) -> scalar * d - [i == j]
-        rows = []
         for i, row in enumerate(dual):
+            real_rows.append([d - (i == j) for j, d in enumerate(row)])
             out = []
             for j, d in enumerate(row):
                 key = d, i == j
                 if key not in entries:
                     entries[key] = scalar * d - int(i == j)
                 out.append(entries[key])
-            rows.append(out)
-        complex_basis = _intersect_kernel(complex_basis, Matrix(rows))
+            complex_rows.append(out)
     return InvariantPairProblem(
         root_system=rs,
         chi=chi,
         phi=tuple(phi),
-        real_fixed_basis=tuple(real_basis or ()),
-        complex_fixed_basis=tuple(complex_basis or ()),
+        real_fixed_basis=tuple(Matrix(real_rows).kernel_basis()),
+        complex_fixed_basis=tuple(Matrix(complex_rows).kernel_basis()),
     )
 
 
-def _intersect_kernel(basis, block):
-    if basis is None:
-        return block.kernel_basis()
-    if not basis:
-        return []
-    bm = Matrix.from_columns(basis)
-    coeffs = (block @ bm).kernel_basis()
-    return [bm.apply(c) for c in coeffs]
+def _phi_field_order(phi) -> int:
+    """The order m of the field Q(zeta_m) the twisted fixed space is
+    computed in: the lcm of the multiplicative orders of the values of
+    phi and of the fields they are written in."""
+    orders = [s.root_of_unity_order() for s in phi]
+    if None in orders:
+        raise PreconditionError("splitting multiplier is not a root of unity")
+    return lcm(*orders, *(s.order for s in phi))
 
 
 def invariant_pair_decide(
@@ -536,13 +536,12 @@ def invariant_pair_decide(
                 exists=False, label=None, blocking_root=delta
             )
     rank = rs.rank
-    forms = [tuple(Fraction(x) for x in delta) for delta in rs.roots]
     if a_basis:
-        alpha = generic_combination(a_basis, forms, seed=seed)
+        alpha = generic_combination(a_basis, rs.roots, seed=seed)
     else:
         alpha = tuple(Fraction(0) for _ in range(rank))
     if b_basis:
-        beta = tuple(generic_combination(b_basis, forms, seed=seed))
+        beta = tuple(generic_combination(b_basis, rs.roots, seed=seed))
     else:
         zero = Cyclotomic.from_rational(0)
         beta = tuple(zero for _ in range(rank))
@@ -845,9 +844,12 @@ class PipelineResult:
     def decisions(self) -> tuple[InvariantPairDecision, ...]:
         """The invariant-pair decision of each lift, in lift order; decided
         on first access."""
+        order = _phi_field_order(self.phi)
         return tuple(
             invariant_pair_decide(
-                build_invariant_pair_problem(self.root_system, lift, self.phi),
+                build_invariant_pair_problem(
+                    self.root_system, lift, self.phi, field_order=order
+                ),
                 seed=self.seed,
             )
             for lift in self.lifts

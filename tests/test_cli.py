@@ -71,6 +71,33 @@ def test_bundled_scenarios_parse_and_roundtrip(name):
     assert serialize_scenario(again) == text
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_FILES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src/orbitop/scenarios", "perfbench/scenarios")
+    for path in (ROOT / folder).glob("*.scn")
+)
+
+
+@pytest.mark.parametrize("relpath", SCENARIO_FILES + ["t6_z4z4+lattice"])
+def test_shipped_scenario_files_parse(relpath, tmp_path):
+    """The parser refuses unknown keys, so every scenario file the package
+    and the benchmark read must still parse; the benchmark appends a
+    seeded [lattice] section to t6_z4z4, as this test does."""
+    if relpath == "t6_z4z4+lattice":
+        text = (ROOT / "perfbench/scenarios/t6_z4z4.scn").read_text()
+        path = tmp_path / "t6_z4z4.scn"
+        path.write_text(text + "\n[lattice]\n" + "".join(
+            "row: " + " ".join(str(int(j == (i + 1) % 6)) for j in range(6)) + "\n"
+            for i in range(6)
+        ))
+    else:
+        path = ROOT / relpath
+    scenario = load_scenario(str(path))
+    assert scenario.name == path.stem
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
 @pytest.mark.parametrize(
     "name,order",
     [("t6_z4", 4), ("t6_z2z2", 4), ("c3_z4", 4), ("c3_z2z2", 4), ("r8_q8", 8)],
@@ -161,6 +188,13 @@ REAL_IDENTITY = "".join(
         ("group", "[generator]\nreal: true\nconjugate: true\n" + REAL_IDENTITY,
          "a real generator cannot be conjugate"),
         ("group", DIAGONAL + "rwo: 1 0 0\n", "unknown generator key 'rwo'"),
+        # A misspelt splitting key used to run on axis 1.
+        ("lifts", DIAGONAL + "[splitting]\naxsi: 3\n", "unknown splitting key 'axsi'"),
+        ("group", DIAGONAL + "[lattice]\nrow: 1 0 0 0 0 0\nrwo: 0 1 0 0 0 0\n",
+         "unknown lattice key 'rwo'"),
+        ("nodes", DIAGONAL + "[node_classes]\nrow: 1 0\nclass: 0 1\n",
+         "unknown node_classes key 'class'"),
+        ("group", "seed: 3\n" + DIAGONAL, "unknown header key 'seed'"),
     ],
     ids=[
         "non-integer-axis",
@@ -174,6 +208,10 @@ REAL_IDENTITY = "".join(
         "capitalised-flag-value",
         "conjugate-real-generator",
         "unknown-generator-key",
+        "unknown-splitting-key",
+        "unknown-lattice-key",
+        "unknown-node-classes-key",
+        "unknown-header-key",
     ],
 )
 def test_bad_scenario_is_parse_error(tmp_path, capsys, command, body, message):

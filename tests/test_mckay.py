@@ -1,8 +1,11 @@
 """ADE classification, diagram actions, lifts, invariant pairs, second stage."""
 
+import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -13,9 +16,15 @@ from orbitop.ade import DynkinDiagram, build_root_system, weyl_group
 from orbitop import mckay
 from orbitop.cli import load_scenario, main
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Cyclotomic, integer_coefficients
+from orbitop.exact import Cyclotomic, Matrix, integer_coefficients
 from orbitop.invariants.nodes import generic_combination
-from orbitop.group import Motion, close, normal_and_quotient, stabilizer
+from orbitop.group import (
+    Motion,
+    close,
+    normal_and_quotient,
+    splitting_multiplier,
+    stabilizer,
+)
 from orbitop.mckay import (
     ASeriesModel,
     PsiHom,
@@ -366,6 +375,132 @@ def test_blocking_case_impossible_and_sampled_oracle():
         assert not _satisfies_genericity(alpha, beta, rs)
 
 
+# --- fixed spaces from the generators of K against all cosets -------------------
+
+STRESS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+
+
+@functools.lru_cache(maxsize=None)
+def _pipeline(name):
+    path = STRESS / f"{name}.scn"
+    scenario = load_scenario(str(path) if path.exists() else name)
+    group = close(scenario.motions())
+    return analyze_splitting(group, axis=scenario.splitting_axis - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_problems(name):
+    """(root system, lifts, phi, quotient) of a scenario, or of the trivial
+    action of the synthetic Z2 x Z2 on a diagram ("z2z2/A3"): the bundled
+    and stress scenarios all have a cyclic K."""
+    if not name.startswith("z2z2/"):
+        result = _pipeline(name)
+        return result.root_system, result.lifts, result.phi, result.quotient
+    diagram = DynkinDiagram.make(name[5], int(name[6:]))
+    rs = build_root_system(diagram)
+    quotient = _synthetic_z2z2_quotient()
+    lifts = enumerate_chi_lifts(_trivial_psi(quotient, diagram), weyl_group(rs))
+    phi = tuple(
+        splitting_multiplier(quotient.parent.elements[quotient.coset_rep(c)])
+        for c in range(quotient.order)
+    )
+    return rs, lifts, phi, quotient
+
+
+def _reference_fixed_bases(rs, chi, phi):
+    """The fixed spaces as they were computed before: one kernel per
+    coset of K, intersected in coset order through a matrix product."""
+    quotient = chi.psi.source
+    field_order = lcm(*(s.root_of_unity_order() for s in phi))
+
+    def intersect(basis, block):
+        if basis is None:
+            return block.kernel_basis()
+        if not basis:
+            return []
+        bm = Matrix.from_columns(basis)
+        return [bm.apply(c) for c in (block @ bm).kernel_basis()]
+
+    real = complex_ = None
+    for coset in range(quotient.order):
+        dual = chi.images[coset].dual_rows
+        scalar = phi[coset].embed(lcm(field_order, phi[coset].order))
+        real = intersect(real, Matrix(
+            [[d - (i == j) for j, d in enumerate(row)] for i, row in enumerate(dual)]
+        ))
+        complex_ = intersect(complex_, Matrix(
+            [[scalar * d - int(i == j) for j, d in enumerate(row)]
+             for i, row in enumerate(dual)]
+        ))
+    return tuple(real), tuple(complex_)
+
+
+def _spelled(basis):
+    """Entries with their field: the reports print a Cyclotomic's order."""
+    return [[repr(x) for x in vec] for vec in basis]
+
+
+def _assert_reference_bases(rs, lift, phi):
+    problem = build_invariant_pair_problem(rs, lift, phi)
+    real, complex_ = _reference_fixed_bases(rs, lift, phi)
+    assert problem.real_fixed_basis == real
+    assert problem.complex_fixed_basis == complex_
+    assert _spelled(problem.real_fixed_basis) == _spelled(real)
+    assert _spelled(problem.complex_fixed_basis) == _spelled(complex_)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["gens", "reversed-gens"])
+@pytest.mark.parametrize(
+    "name",
+    ["c3_z4", "c3_z2z2", "t6_z4", "t6_z2z2", "d4_q8z2", "d4_q8z4", "z2z2/A2", "z2z2/A3"],
+)
+def test_generator_fixed_spaces_equal_all_coset_reference(name, reverse, monkeypatch):
+    rs, lifts, phi, quotient = _lift_problems(name)
+    gens = mckay._quotient_generators(quotient)
+    assert len(gens) == (2 if name.startswith("z2z2/") else 1)
+    if reverse:
+        monkeypatch.setattr(mckay, "_quotient_generators", lambda q: gens[::-1])
+    for lift in lifts:
+        _assert_reference_bases(rs, lift, phi)
+
+
+def test_trivial_quotient_fixes_the_whole_space(trivial_c3_group):
+    quotient = normal_and_quotient(trivial_c3_group, {trivial_c3_group.identity_index})
+    assert mckay._quotient_generators(quotient) == ()
+    diagram = DynkinDiagram.make("A", 1)
+    rs = build_root_system(diagram)
+    psi = PsiHom(source=quotient, diagram=diagram, images=((0,),))
+    (lift,) = enumerate_chi_lifts(psi, weyl_group(rs))
+    phi = (Cyclotomic.zeta(4) ** 4,)
+    problem = build_invariant_pair_problem(rs, lift, phi)
+    assert problem.real_fixed_basis == ((Fraction(1),),)
+    assert problem.complex_fixed_basis == ((Cyclotomic.from_rational(1, 4),),)
+    _assert_reference_bases(rs, lift, phi)
+
+
+def test_deciding_d4_q8z4_lifts_takes_one_kernel_per_field(monkeypatch):
+    result = _pipeline("d4_q8z4")
+    assert len(result.lifts) == 80
+    calls = {"kernel": 0, "matmul": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(Matrix, "kernel_basis", counting("kernel", Matrix.kernel_basis))
+    monkeypatch.setattr(Matrix, "__matmul__", counting("matmul", Matrix.__matmul__))
+    # A fresh result, so that `decisions` is not already cached.
+    decisions = dataclasses.replace(result).decisions
+    monkeypatch.undo()
+    assert len(decisions) == 80
+    # K = Z4 has one generator: a real and a Q(zeta) kernel per lift.
+    assert calls["kernel"] <= 2 * 80
+    assert calls["matmul"] == 0
+
+
 def _satisfies_genericity(alpha, beta, rs):
     for delta in rs.roots:
         a = sum(x * d for x, d in zip(alpha, delta))
@@ -520,10 +655,20 @@ def test_generic_combination_matches_boxed_reference(case, raw_forms, seed, atte
         # Unit vectors: forms like (1, -1) vanish on the plain sum, so the
         # power-basis fallback has to go past t = 1.
         basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    forms = [tuple(Fraction(x) for x in f[:n]) for f in raw_forms]
+    forms = [tuple(f[:n]) for f in raw_forms]
     assert _outcome(
         generic_combination, basis, forms, seed=seed, attempts=attempts
     ) == _outcome(_reference_generic_combination, basis, forms, seed, attempts)
+
+
+def test_generic_combination_refuses_non_integer_forms():
+    basis = [(Fraction(1), Fraction(0))]
+    for form in ((Fraction(1), 0), (Cyclotomic.zeta(4), 0), (0.5, 1)):
+        with pytest.raises(PreconditionError, match="integer forms"):
+            generic_combination(basis, [form])
+    # (0, 1) vanishes on the whole span, so only (1, 0) constrains.
+    x, y = generic_combination(basis, [(1, 0), (0, 1)])
+    assert x != 0 and y == 0
 
 
 def test_witnesses_reverify_exactly(z4_group):
