@@ -19,10 +19,10 @@ integer row operations, re-checked by an integer product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import int_apply, int_product, snf
@@ -49,8 +49,7 @@ _E_HIGHEST = {
 }
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     family: str
     rank: int
     edges: tuple[tuple[int, int], ...]
@@ -102,8 +101,7 @@ class DynkinDiagram:
         return _E_HIGHEST[r]
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     diagram: DynkinDiagram
     cartan: tuple[tuple[int, ...], ...]
     intersection_form: tuple[tuple[int, ...], ...]
@@ -168,8 +166,7 @@ def weyl_order(diagram: DynkinDiagram) -> int:
     return _E_WEYL_ORDERS[r]
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(NamedTuple):
     diagram: DynkinDiagram
     generators: tuple[tuple[tuple[int, ...], ...], ...]
     order: int
@@ -242,13 +239,14 @@ def graph_automorphisms(diagram: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(auts)
 
 
-@dataclass(frozen=True)
-class ExtendedElement:
+class ExtendedElement(
+    NamedTuple(
+        "ExtendedElement",
+        [("aut", tuple[int, ...]), ("weyl", tuple[tuple[int, ...], ...])],
+    )
+):
     """Element (a, w) of Aut(diagram) x| W acting on the root lattice by
     v |-> P_a (M_w v), with M_w as int rows."""
-
-    aut: tuple[int, ...]
-    weyl: tuple[tuple[int, ...], ...]
 
     @classmethod
     def identity(cls, rank: int) -> "ExtendedElement":

@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from . import __version__
 from .errors import (
@@ -63,8 +63,7 @@ HEADER_KEYS = ("name", "ambient", "complex_dim", "plan", "table")
 # Scenario model and parsing
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     rows: tuple[tuple, ...]
     real: bool = False
     conjugate: bool = False
@@ -83,8 +82,7 @@ class GeneratorSpec:
         )
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     ambient: str  # "torus" | "linear"
     complex_dim: int
@@ -452,7 +450,8 @@ def run_command(command: str, args) -> dict:
             }
         )
         if group.dim_real == 8:
-            base["spin7_all"] = all(spin7_check(m) for m in group.elements)
+            # The motions fixing the Cayley form are a group: test the generators.
+            base["spin7_all"] = all(spin7_check(m) for m in motions)
         return base
 
     if command == "euler":

@@ -8,14 +8,13 @@ a fixed input.  The result is re-verified exactly on ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import PreconditionError, VerificationError
 from .matrix import int_product
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ M @ V == D with U, V unimodular and D diagonal, each a tuple of
     int rows.  invariant_factors lists the full diagonal of D (length
     min(m, n)), nonnegative, each nonzero entry dividing the next.

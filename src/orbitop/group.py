@@ -13,17 +13,16 @@ not from n^2 matrix products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .cayley_form import CAYLEY_FORM_TERMS
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import (
     MAX_DIM,
     Cyclotomic,
-    Matrix,
     common_denominator,
     int_apply,
     int_det,
@@ -56,31 +55,28 @@ def _times_i(dim_real: int):
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class Motion:
+class Motion(
+    NamedTuple("Motion", [("rows", tuple[tuple[int, ...], ...]), ("den", int)])
+):
     """An invertible exact linear motion of R^{2n}: the rational matrix
     rows / den.  Construction brings the fraction to lowest terms with
     den > 0, so equality and hashing are those of the rational matrix."""
 
-    rows: tuple[tuple[int, ...], ...]
-    den: int = 1
-
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+    def __new__(cls, rows, den: int = 1):
+        rows = tuple(map(tuple, rows))
         size = len(rows)
         if size > MAX_DIM:
             raise CapExceededError(f"motion size {size}x{size} exceeds cap {MAX_DIM}")
         if not size or size % 2 or any(len(row) != size for row in rows):
             raise PreconditionError("motion matrix must be square of even size")
-        if type(self.den) is not int or self.den == 0 or not all(
+        if type(den) is not int or den == 0 or not all(
             type(x) is int for row in rows for x in row
         ):
             raise PreconditionError("motion needs int rows over a nonzero int denominator")
-        rows, den = _lowest_terms(rows, self.den)
+        rows, den = _lowest_terms(rows, den)
         if int_det(rows) == 0:
             raise PreconditionError("motion matrix must be invertible")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "den", den)
+        return super().__new__(cls, rows, den)
 
     @classmethod
     def identity(cls, dim_real: int) -> "Motion":
@@ -134,33 +130,13 @@ class Motion:
         left, right = int_product(self.rows, j), int_product(j, self.rows)
         return all(x == -y for a, b in zip(left, right) for x, y in zip(a, b))
 
-    def complex_matrix(self) -> Matrix:
-        """The n x n matrix over Q(i) of a complex-linear motion."""
-        if not self.is_complex_linear:
-            raise PreconditionError("motion is not complex-linear")
-        rows, den = self.rows, self.den
-        n = self.dim_real // 2
-        return Matrix(
-            [
-                [
-                    Cyclotomic.gaussian(
-                        Fraction(rows[2 * r][2 * c], den),
-                        Fraction(rows[2 * r + 1][2 * c], den),
-                    )
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
-
 
 def _product(a: Motion, b: Motion):
     """(rows, den) of the product a b in lowest terms."""
     return _lowest_terms(int_product(a.rows, b.rows), a.den * b.den)
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(NamedTuple):
     """A closed finite set of motions with its multiplication table."""
 
     elements: tuple[Motion, ...]
@@ -307,8 +283,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(NamedTuple):
     """G/H for a verified normal subgroup H."""
 
     parent: FiniteMatrixGroup
@@ -403,8 +378,7 @@ def stabilizer(group: FiniteMatrixGroup, point=None, subspace=None) -> tuple[int
     )
 
 
-@dataclass(frozen=True)
-class SuClassification:
+class SuClassification(NamedTuple):
     kind: str  # "su" | "u_not_su" | "anti_linear" | "other"
     determinant: Cyclotomic | None
 
@@ -412,13 +386,46 @@ class SuClassification:
         return self.kind == "su"
 
 
+def _gaussian_det(rows) -> tuple[int, int]:
+    """Determinant over Z[i] of (re, im) int pair entries by Bareiss
+    elimination, as in `int_det`: each division by the previous pivot q
+    is exact, so it is the product with conj(q) floor-divided by |q|^2."""
+    a = [list(row) for row in rows]
+    k = len(a)
+    sign, (qr, qi) = 1, (1, 0)
+    for i in range(k - 1):
+        if a[i][i] == (0, 0):
+            swap = next((r for r in range(i + 1, k) if a[r][i] != (0, 0)), None)
+            if swap is None:
+                return 0, 0
+            a[i], a[swap] = a[swap], a[i]
+            sign = -sign
+        (pr, pi), norm = a[i][i], qr * qr + qi * qi
+        for ar in a[i + 1 :]:
+            fr, fi = ar[i]
+            for c in range(i + 1, k):
+                (xr, xi), (yr, yi) = ar[c], a[i][c]
+                nr = xr * pr - xi * pi - fr * yr + fi * yi  # x p - f y
+                ni = xr * pi + xi * pr - fr * yi - fi * yr
+                ar[c] = ((nr * qr + ni * qi) // norm, (ni * qr - nr * qi) // norm)
+        qr, qi = pr, pi
+    re, im = a[-1][-1]
+    return sign * re, sign * im
+
+
 def su_classify(motion: Motion) -> SuClassification:
-    """Exhaustive, mutually exclusive classification of a motion."""
+    """Exhaustive, mutually exclusive classification of a motion; the
+    complex determinant is taken on Gaussian integer rows over den^n."""
     if motion.is_complex_linear and motion.is_isometry:
-        det = motion.complex_matrix().det()
-        if det == 1:
-            return SuClassification(kind="su", determinant=det)
-        return SuClassification(kind="u_not_su", determinant=det)
+        rows, n = motion.rows, motion.dim_real // 2
+        re, im = _gaussian_det(
+            [[(rows[2 * r][c], rows[2 * r + 1][c]) for c in range(0, 2 * n, 2)]
+             for r in range(n)]
+        )
+        scale = motion.den**n
+        det = Cyclotomic.gaussian(Fraction(re, scale), Fraction(im, scale))
+        kind = "su" if (re, im) == (scale, 0) else "u_not_su"
+        return SuClassification(kind=kind, determinant=det)
     if motion.is_anti_linear:
         return SuClassification(kind="anti_linear", determinant=None)
     return SuClassification(kind="other", determinant=None)

@@ -17,8 +17,8 @@ extrapolating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from ..errors import PreconditionError
 from ..exact import Matrix, int_det, int_rank
@@ -26,8 +26,7 @@ from ..group import FiniteMatrixGroup
 from ..torus import SingularSetReport, TorusLattice, lattice_matrices
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     """b^0..b^top; for 6-manifold use, h11/h21 are read off b2 and b3."""
 
     b: tuple[int, ...]
@@ -92,8 +91,7 @@ def quotient_betti(group: FiniteMatrixGroup, lattice: TorusLattice) -> BettiVect
 # Ledger
 
 
-@dataclass(frozen=True)
-class ContributionTable:
+class ContributionTable(NamedTuple):
     """(component kind, resolution choice) -> (delta h11, delta h21)."""
 
     name: str
@@ -108,8 +106,7 @@ class ContributionTable:
         return self.entries[key]
 
 
-@dataclass(frozen=True)
-class DesingPlan:
+class DesingPlan(NamedTuple):
     """Per-component resolution choices, plus per-point choices where the
     singular set has triple points."""
 

@@ -35,29 +35,34 @@ import itertools
 import sys
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
 from operator import and_, mul
+from typing import NamedTuple
 
 from ..errors import PreconditionError, VerificationError
 
 
-@dataclass(frozen=True)
-class ChiData:
+class ChiData(
+    NamedTuple(
+        "ChiData",
+        [
+            ("chi1", tuple[tuple[int, ...], ...]),
+            ("chi2", tuple[tuple[int, ...], ...]),
+            ("chi3", tuple[tuple[int, ...], ...]),
+        ],
+    )
+):
     """Three n x n matrices with entries +1/-1."""
 
-    chi1: tuple[tuple[int, ...], ...]
-    chi2: tuple[tuple[int, ...], ...]
-    chi3: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.chi1)
-        for m in (self.chi1, self.chi2, self.chi3):
+    def __new__(cls, chi1, chi2, chi3):
+        n = len(chi1)
+        for m in (chi1, chi2, chi3):
             if len(m) != n or any(len(row) != n for row in m):
                 raise PreconditionError("chi matrices must be square of equal size")
             if any(x not in (1, -1) for row in m for x in row):
                 raise PreconditionError("chi entries must be +1 or -1")
+        return super().__new__(cls, chi1, chi2, chi3)
 
     @property
     def n(self) -> int:
@@ -186,8 +191,7 @@ def _check_admissible(codes: Iterable[int], n: int) -> None:
             )
 
 
-@dataclass(frozen=True)
-class ChiCensus:
+class ChiCensus(NamedTuple):
     family1_count: int
     axis_family_count: int
     union_count: int

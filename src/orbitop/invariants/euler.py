@@ -8,15 +8,14 @@ contractible, so each commuting pair contributes 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import PreconditionError
 from ..group import FiniteMatrixGroup, conjugacy_classes
 from ..torus import TorusLattice, common_fixed_set
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     value: int
     commuting_pairs: int
     class_count: int

@@ -18,24 +18,24 @@ on integers, with the classes scaled by one common denominator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from ..errors import PreconditionError, VerificationError
 from ..exact import Matrix, int_apply, integer_coefficients
 
 
-@dataclass(frozen=True)
-class NodeConfiguration:
-    classes: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if not self.classes:
+class NodeConfiguration(
+    NamedTuple("NodeConfiguration", [("classes", tuple[tuple[Fraction, ...], ...])])
+):
+    def __new__(cls, classes):
+        if not classes:
             raise PreconditionError("configuration needs at least one class")
-        d = len(self.classes[0])
-        if any(len(c) != d for c in self.classes):
+        d = len(classes[0])
+        if any(len(c) != d for c in classes):
             raise PreconditionError("classes must share a dimension")
+        return super().__new__(cls, classes)
 
     @classmethod
     def make(cls, classes) -> "NodeConfiguration":
@@ -44,14 +44,12 @@ class NodeConfiguration:
         )
 
 
-@dataclass(frozen=True)
-class SmoothabilityResult:
+class SmoothabilityResult(NamedTuple):
     smoothable: bool
     witness: tuple[Fraction, ...] | None
 
 
-@dataclass(frozen=True)
-class KahlerResult:
+class KahlerResult(NamedTuple):
     """`certificate` is a functional y with y . c >= 1 for every class
     when `positive`, else coefficients lam >= 0 summing to 1 with
     sum(lam_i c_i) = 0."""

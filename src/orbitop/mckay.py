@@ -12,10 +12,10 @@ happens on the A-series local models after dividing by K.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .ade import (
     DynkinDiagram,
@@ -61,8 +61,7 @@ PRODUCT_CACHE_SIZE = 1 << 16
 # ADE classification of SU(2) subgroups
 
 
-@dataclass(frozen=True)
-class KleinianClassification:
+class KleinianClassification(NamedTuple):
     subgroup: FiniteMatrixGroup
     diagram: DynkinDiagram
     classes: tuple[tuple[int, ...], ...]  # nonidentity classes
@@ -163,8 +162,7 @@ def _compatible_vertex_maps(h, classes, diagram):
 # The diagram action of K and its lifts
 
 
-@dataclass(frozen=True)
-class PsiHom:
+class PsiHom(NamedTuple):
     """Homomorphism from K to the diagram automorphisms."""
 
     source: QuotientGroup
@@ -257,8 +255,7 @@ def _is_perm_hom(quotient: QuotientGroup, images) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ChiLift:
+class ChiLift(NamedTuple):
     """Homomorphism from K to the extended Weyl group lifting psi."""
 
     psi: PsiHom
@@ -442,8 +439,7 @@ def _quotient_tree(quotient: QuotientGroup, gens) -> list[tuple[int, int, int]]:
 # Invariant class pairs
 
 
-@dataclass(frozen=True)
-class ALESpaceLabel:
+class ALESpaceLabel(NamedTuple):
     """The pair of classes labelling an asymptotically Euclidean model."""
 
     diagram: DynkinDiagram
@@ -451,8 +447,7 @@ class ALESpaceLabel:
     beta: tuple[Cyclotomic, ...]
 
 
-@dataclass(frozen=True)
-class InvariantPairProblem:
+class InvariantPairProblem(NamedTuple):
     root_system: RootSystem
     chi: ChiLift
     phi: tuple[Cyclotomic, ...]  # coset index -> unit scalar
@@ -460,8 +455,7 @@ class InvariantPairProblem:
     complex_fixed_basis: tuple[tuple[Cyclotomic, ...], ...]
 
 
-@dataclass(frozen=True)
-class InvariantPairDecision:
+class InvariantPairDecision(NamedTuple):
     exists: bool
     label: ALESpaceLabel | None
     blocking_root: tuple[int, ...] | None
@@ -587,8 +581,19 @@ def _verify_pair(problem: InvariantPairProblem, alpha, beta) -> None:
 # Second-stage classification on A-series local models
 
 
-@dataclass(frozen=True)
-class ASeriesModel:
+class ASeriesModel(
+    NamedTuple(
+        "ASeriesModel",
+        [
+            ("n", int),
+            ("side", str),
+            ("line_multiplier", Cyclotomic),
+            ("p", Cyclotomic),
+            ("q", Cyclotomic),
+            ("k_order", int),
+        ],
+    )
+):
     """The local model: transverse coordinate times the hypersurface
     x y = z^n + deformation, carrying a cyclic action.
 
@@ -598,31 +603,23 @@ class ASeriesModel:
     "resolution" (constant term zero, blown up).
     """
 
-    n: int
-    side: str
-    line_multiplier: Cyclotomic
-    p: Cyclotomic
-    q: Cyclotomic
-    k_order: int
-
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n, side, line_multiplier, p, q, k_order):
+        if n < 2:
             raise PreconditionError("A-series model needs n >= 2")
-        if self.side not in ("deformation", "resolution"):
+        if side not in ("deformation", "resolution"):
             raise PreconditionError("side must be deformation or resolution")
-        if self.k_order < 1:
+        if k_order < 1:
             raise PreconditionError("cyclic action order must be positive")
+        return super().__new__(cls, n, side, line_multiplier, p, q, k_order)
 
 
-@dataclass(frozen=True)
-class FixedLocusPiece:
+class FixedLocusPiece(NamedTuple):
     description: str
     dimension: int  # complex dimension
     count: int | None  # None when not a finite set of pieces of this kind
 
 
-@dataclass(frozen=True)
-class SecondStageReport:
+class SecondStageReport(NamedTuple):
     outcome: str  # "free" | "isolated fixed points" | "codimension-two" | "degenerate"
     pieces: tuple[FixedLocusPiece, ...]
     per_element: tuple[tuple[int, tuple[FixedLocusPiece, ...]], ...]
@@ -782,8 +779,7 @@ def _resolution_fixed_pieces(n, sigma, p, q):
     return pieces
 
 
-@dataclass(frozen=True)
-class ResidualSingularity:
+class ResidualSingularity(NamedTuple):
     piece: FixedLocusPiece
     group_order: int
     elements: tuple[int, ...]  # exponents of the cyclic generator
@@ -827,19 +823,23 @@ def iterate_residual(
 # Pipeline assembly
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    group: FiniteMatrixGroup
-    h_indices: tuple[int, ...]
-    classification: KleinianClassification
-    quotient: QuotientGroup
-    psi: PsiHom
-    weyl: WeylGroup
-    lifts: tuple[ChiLift, ...]
-    phi: tuple[Cyclotomic, ...]
-    root_system: RootSystem
-    seed: int
-
+class PipelineResult(
+    NamedTuple(
+        "PipelineResult",
+        [
+            ("group", FiniteMatrixGroup),
+            ("h_indices", tuple[int, ...]),
+            ("classification", KleinianClassification),
+            ("quotient", QuotientGroup),
+            ("psi", PsiHom),
+            ("weyl", WeylGroup),
+            ("lifts", tuple[ChiLift, ...]),
+            ("phi", tuple[Cyclotomic, ...]),
+            ("root_system", RootSystem),
+            ("seed", int),
+        ],
+    )
+):
     @cached_property
     def decisions(self) -> tuple[InvariantPairDecision, ...]:
         """The invariant-pair decision of each lift, in lift order; decided

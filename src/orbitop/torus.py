@@ -17,10 +17,10 @@ for its echelon form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import Matrix, common_denominator, int_apply, int_product, snf
@@ -29,17 +29,15 @@ from .group import FiniteMatrixGroup, Motion
 REPRESENTATIVE_CAP = 65_536
 
 
-@dataclass(frozen=True)
-class TorusLattice:
+class TorusLattice(NamedTuple("TorusLattice", [("basis", Matrix)])):
     """A full-rank lattice in R^{2n}, columns of `basis` generating it."""
 
-    basis: Matrix
-
-    def __post_init__(self):
-        if self.basis.rows != self.basis.cols:
+    def __new__(cls, basis: Matrix):
+        if basis.rows != basis.cols:
             raise PreconditionError("lattice basis must be square")
-        if self.basis.det() == 0:
+        if basis.det() == 0:
             raise PreconditionError("lattice basis must be independent")
+        return super().__new__(cls, basis)
 
     @classmethod
     def standard(cls, dim_real: int) -> "TorusLattice":
@@ -80,8 +78,7 @@ def lattice_matrices(group: FiniteMatrixGroup, lattice: TorusLattice):
     return tuple(lattice_matrix(m, lattice) for m in group.elements)
 
 
-@dataclass(frozen=True)
-class SubtorusFamily:
+class SubtorusFamily(NamedTuple):
     """Solution set of a lattice congruence: finitely many parallel
     translates of one subtorus."""
 
@@ -271,8 +268,7 @@ class _Translate:
         return _Translate(int_apply(m, self.nums), self.den, dirs)
 
 
-@dataclass(frozen=True)
-class SingularComponent:
+class SingularComponent(NamedTuple):
     """One component of the singular set of T/G."""
 
     representative: tuple[Fraction, ...]
@@ -287,8 +283,7 @@ class SingularComponent:
         return len(self.direction)
 
 
-@dataclass(frozen=True)
-class SingularSetReport:
+class SingularSetReport(NamedTuple):
     components: tuple[SingularComponent, ...]
     intersection_points: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
 

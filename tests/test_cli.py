@@ -573,3 +573,67 @@ def test_cli_import_builds_no_invariant_tables():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["none"]
+
+
+STARTUP_SCRIPT = """
+import json, sys
+import orbitop.cli
+
+out = {"loaded": [m for m in ("dataclasses", "inspect") if m in sys.modules]}
+
+from fractions import Fraction
+from orbitop import group
+from orbitop.errors import PreconditionError
+from orbitop.exact import Cyclotomic, Matrix
+from orbitop.invariants import ChiData, NodeConfiguration
+from orbitop.mckay import ASeriesModel
+from orbitop.torus import TorusLattice
+
+one = Cyclotomic.from_rational(1)
+bad = {
+    "Motion": lambda: group.Motion(((1, 0), (0, 0))),
+    "TorusLattice": lambda: TorusLattice(Matrix([[1, 2], [2, 4]])),
+    "NodeConfiguration": lambda: NodeConfiguration(((Fraction(1),), ())),
+    "ChiData": lambda: ChiData(((1,),), ((1,),), ((2,),)),
+    "ASeriesModel": lambda: ASeriesModel(1, "resolution", one, one, one, 2),
+}
+out["accepted"] = []
+for name, build in bad.items():
+    try:
+        build()
+    except PreconditionError:
+        continue
+    out["accepted"].append(name)
+
+calls = []
+product = group.int_product
+group.int_product = lambda *args: calls.append(1) or product(*args)
+m = group.Motion(((0, -1), (1, 0)))
+out["isometry"] = [m.is_isometry, m.is_isometry, group.Motion(m.rows).is_isometry]
+out["isometry_products"] = len(calls)
+out["late"] = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def test_cli_startup_loads_no_dataclasses_and_records_keep_their_checks():
+    """Every CLI job is a fresh process, so its records are NamedTuples:
+    importing the CLI loads neither dataclasses nor inspect.  The
+    validated records still refuse bad input, and a cached property of a
+    motion is computed once per instance."""
+    src = str(Path(orbitop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["loaded"] == [] and out["late"] == []
+    assert out["accepted"] == []
+    assert out["isometry"] == [True, True, True]
+    assert out["isometry_products"] == 2

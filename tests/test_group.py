@@ -1,5 +1,6 @@
 """Finite motion groups: closure, classes, quotients, classification."""
 
+import json
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -8,11 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ_I
+from sympy.polys.matrices import DomainMatrix
 
 from orbitop import group as group_module
-from orbitop.cli import load_scenario
+from orbitop.cli import format_complex_entry, load_scenario, main
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Matrix, int_product
+from orbitop.exact import Cyclotomic, Matrix, int_product
 from orbitop.group import (
     Motion,
     NotASubgroupError,
@@ -215,8 +218,6 @@ def test_su_classification(kappa, octonionic_pair):
     phase = Motion.from_complex([[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
     cls = su_classify(phase)
     assert cls.kind == "u_not_su"
-    from orbitop.exact import Cyclotomic
-
     assert cls.determinant == Cyclotomic.zeta(4)
 
 
@@ -432,3 +433,110 @@ def test_int_products_and_equality_match_fraction_matrices(case):
         assert hash(m1) == hash(m2) and (m1.rows, m1.den) == (m2.rows, m2.den)
     for m in (m1, m2):
         assert m.den > 0 and gcd(m.den, *(x for row in m.rows for x in row)) == 1
+
+
+# --- complex determinants on Gaussian integers ------------------------------
+
+
+def _reference_complex_matrix(motion):
+    """The n x n matrix over Q(i) of a complex-linear motion, entry (r, c)
+    read off the real 2 x 2 block (rows 2r, 2r+1; column 2c)."""
+    rows, den = motion.rows, motion.den
+    n = motion.dim_real // 2
+    return Matrix(
+        [
+            [
+                Cyclotomic.gaussian(
+                    Fraction(rows[2 * r][2 * c], den),
+                    Fraction(rows[2 * r + 1][2 * c], den),
+                )
+                for c in range(n)
+            ]
+            for r in range(n)
+        ]
+    )
+
+
+_gaussian_ints = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def _gaussian_matrices(draw):
+    n = draw(st.integers(1, 5))
+    # Zero entries are drawn often, so that pivots vanish and rows swap.
+    entry = st.one_of(st.just((0, 0)), _gaussian_ints)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gaussian_matrices())
+def test_gaussian_det_matches_fraction_and_sympy_determinants(rows):
+    """Bareiss over Z[i] against the Q(zeta_4) `Matrix.det` and against
+    sympy's determinant over the Gaussian integers."""
+    re, im = group_module._gaussian_det(rows)
+    reference = Matrix([[Cyclotomic.gaussian(a, b) for a, b in row] for row in rows]).det()
+    assert Cyclotomic.gaussian(re, im) == reference
+    n = len(rows)
+    oracle = DomainMatrix(
+        [[ZZ_I(a, b) for a, b in row] for row in rows], (n, n), ZZ_I
+    ).det()
+    assert (re, im) == (oracle.x, oracle.y)
+
+
+@pytest.mark.parametrize("name", ["c3_z4", "r8_q8", "e6_bt", "mono48"])
+def test_su_classify_determinant_matches_reference(name):
+    group = close(_generators(name))
+    seen = set()
+    for m in group.elements:
+        cls = su_classify(m)
+        if not (m.is_complex_linear and m.is_isometry):
+            assert cls.determinant is None
+            continue
+        det = _reference_complex_matrix(m).det()
+        assert cls.determinant == det
+        assert cls.kind == ("su" if det == 1 else "u_not_su")
+        seen.add(cls.kind)
+    assert "su" in seen
+
+
+# --- Spin(7) decided on the generators ---------------------------------------
+
+
+def _scenario_text(generators):
+    """A linear C^4 scenario with the given complex generators."""
+    blocks = [
+        "[generator]\n"
+        + "".join(
+            "row: " + " ".join(format_complex_entry(x) for x in row) + "\n"
+            for row in g
+        )
+        for g in generators
+    ]
+    return "name: spin7_probe\nambient: linear\ncomplex_dim: 4\n\n" + "\n".join(blocks)
+
+
+TIMES_I = [[(0, int(i == j)) for j in range(4)] for i in range(4)]
+LAST_TIMES_I = [[(0, 1) if i == j == 3 else (int(i == j), 0) for j in range(4)]
+                for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "scenario,expected",
+    [
+        ("r8_q8", True),
+        # i on C^4 lies in SU(4), hence in Spin(7); diag(1, 1, 1, i) has
+        # determinant i, so it is in U(4) but not in Spin(7).
+        ((TIMES_I, LAST_TIMES_I), False),
+        ((TIMES_I,), True),
+    ],
+)
+def test_spin7_all_on_generators_equals_all_elements(scenario, expected, tmp_path, capsys):
+    if isinstance(scenario, str):
+        ref = scenario
+    else:
+        ref = str(tmp_path / "probe.scn")
+        Path(ref).write_text(_scenario_text(scenario))
+    assert main(["group", "--scenario", ref, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    elements = close(load_scenario(ref).motions()).elements
+    assert report["spin7_all"] == all(spin7_check(m) for m in elements) == expected

@@ -1,6 +1,5 @@
 """ADE classification, diagram actions, lifts, invariant pairs, second stage."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -27,6 +26,7 @@ from orbitop.group import (
 )
 from orbitop.mckay import (
     ASeriesModel,
+    PipelineResult,
     PsiHom,
     _pairs_to_zero,
     analyze_splitting,
@@ -493,7 +493,7 @@ def test_deciding_d4_q8z4_lifts_takes_one_kernel_per_field(monkeypatch):
     monkeypatch.setattr(Matrix, "kernel_basis", counting("kernel", Matrix.kernel_basis))
     monkeypatch.setattr(Matrix, "__matmul__", counting("matmul", Matrix.__matmul__))
     # A fresh result, so that `decisions` is not already cached.
-    decisions = dataclasses.replace(result).decisions
+    decisions = PipelineResult(*result).decisions
     monkeypatch.undo()
     assert len(decisions) == 80
     # K = Z4 has one generator: a real and a Q(zeta) kernel per lift.
