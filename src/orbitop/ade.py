@@ -7,13 +7,15 @@ conventional numbering with the branch vertex second.
 
 Every matrix here is integral and is a tuple of int rows: the Cartan
 matrix and intersection form, the simple reflections, the Weyl group
-elements and the Weyl part of an extended element (Humphreys,
-*Reflection Groups and Coxeter Groups*, 1990, 5.3).  `weyl_group`
-closes the simple reflections breadth-first (s_i @ m differs from m
-only in row i) and keeps the elements sorted by their rows.
-`ExtendedElement` conjugates by a diagram automorphism b by the
-reindexing W[b[i]][b[j]], and inverts the unimodular lattice matrix by
-integer row operations, re-checked by an integer product.
+elements and the Weyl part of an extended element.  W acts faithfully
+on the root set (Humphreys, *Reflection Groups and Coxeter Groups*,
+1990), so `weyl_group` closes the simple reflections breadth-first as
+permutations of a root tuple that lists the simple roots first: a
+product is a reindexing, and an element's int rows are read off the
+images of the simple roots.  `ExtendedElement` conjugates by a diagram
+automorphism b by the reindexing W[b[i]][b[j]], and inverts the
+unimodular lattice matrix by integer row operations, re-checked by an
+integer product.
 """
 
 from __future__ import annotations
@@ -170,12 +172,28 @@ class WeylGroup(NamedTuple):
     diagram: DynkinDiagram
     generators: tuple[tuple[tuple[int, ...], ...], ...]
     order: int
-    # Sorted by rows; None when kept lazy.
+    # Int rows, in breadth-first order from the identity; None when kept lazy.
     elements: tuple[tuple[tuple[int, ...], ...], ...] | None
+    # The roots with the simple roots first, and each element as the
+    # permutation of their indices it induces, aligned with `elements`.
+    roots: tuple[tuple[int, ...], ...]
+    perms: tuple[tuple[int, ...], ...] | None
 
     @property
     def enumerated(self) -> bool:
         return self.elements is not None
+
+    def aut_perm(self, aut) -> tuple[int, ...]:
+        """The permutation of `roots` that P_aut induces."""
+        index = {v: k for k, v in enumerate(self.roots)}
+        p_a = ExtendedElement(aut, _identity_rows(len(aut))).lattice_rows
+        return tuple(index[int_apply(p_a, v)] for v in self.roots)
+
+    def extended_element(self, aut, perm) -> "ExtendedElement":
+        """(aut, w) from the root permutation of P_aut M_w: row k of the
+        Weyl part is row aut[k] of the lattice rows."""
+        rows = _perm_rows(self.roots, perm)
+        return ExtendedElement(aut, tuple(rows[t] for t in aut))
 
 
 def simple_reflections(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -192,36 +210,36 @@ def simple_reflections(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], ...
 def weyl_group(rs: RootSystem, enumeration_cap: int = WEYL_ENUMERATION_CAP) -> WeylGroup:
     gens = simple_reflections(rs)
     order = weyl_order(rs.diagram)
-    elements = None
+    simple = _identity_rows(rs.rank)
+    roots = simple + tuple(v for v in rs.roots if v not in simple)
+    elements = perms = None
     if order <= enumeration_cap:
-        # s_i = 1 - e_i C_i, with C_i row i of the Cartan matrix, so
-        # s_i @ m differs from m only in row i: m_i - sum_j C_ij m_j.
-        terms = [
-            [(j, c) for j, c in enumerate(c_row) if c]
-            for c_row in rs.cartan
-        ]
-        ident = _identity_rows(rs.rank)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i, t in enumerate(terms):
-                    cols = zip(*(m[j] for j, _ in t))
-                    step = int_apply(cols, [c for _, c in t])
-                    row = tuple(x - y for x, y in zip(m[i], step))
-                    p = m[:i] + (row,) + m[i + 1:]
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        if len(seen) != order:
+        index = {v: k for k, v in enumerate(roots)}
+        reflections = [tuple(index[int_apply(s, v)] for v in roots) for s in gens]
+        # An element is determined by the images of the simple roots,
+        # which come first, so those images alone tell whether s p is new.
+        found = [tuple(range(len(roots)))]
+        seen = {found[0][:rs.rank]}
+        for p in found:
+            for s in reflections:
+                head = tuple(map(s.__getitem__, p[:rs.rank]))
+                if head not in seen:
+                    seen.add(head)
+                    found.append(tuple(map(s.__getitem__, p)))
+        if len(found) != order:
             raise PreconditionError(
-                f"Weyl enumeration for {rs.diagram.name} found {len(seen)} "
+                f"Weyl enumeration for {rs.diagram.name} found {len(found)} "
                 f"elements, expected {order}"
             )
-        elements = tuple(sorted(seen))
-    return WeylGroup(diagram=rs.diagram, generators=gens, order=order, elements=elements)
+        perms = tuple(found)
+        elements = tuple(_perm_rows(roots, p) for p in perms)
+    return WeylGroup(rs.diagram, gens, order, elements, roots, perms)
+
+
+def _perm_rows(roots, perm) -> tuple[tuple[int, ...], ...]:
+    """Int rows of the lattice map sending simple root j to roots[perm[j]]:
+    column j is that root."""
+    return tuple(zip(*(roots[k] for k in perm[: len(roots[0])])))
 
 
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:

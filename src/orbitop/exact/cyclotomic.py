@@ -4,14 +4,16 @@ An element is a coefficient vector of length phi(m) over the rationals,
 reduced modulo the m-th cyclotomic polynomial.  Reduction is canonical:
 two equal field elements always have identical coefficient vectors, so
 equality is coefficient-wise.  Operands of different orders are embedded
-into the field of lcm order first.
+into the field of lcm order first.  The embeddings and the Galois
+automorphisms zeta_m -> zeta_m^k both reindex the coefficients, and an
+inverse is the product of the other conjugates over the norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ..errors import FieldDivisionError, PreconditionError, VerificationError
 
@@ -109,11 +111,17 @@ class Cyclotomic:
             raise PreconditionError(
                 f"cannot embed order {self.order} into order {order}"
             )
-        k = order // self.order
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
+        return self._spread(order, order // self.order)
+
+    def _spread(self, n: int, k: int) -> "Cyclotomic":
+        """The element of Q(zeta_n) with zeta_m^i replaced by zeta_n^(ik):
+        the embedding for n = k m, the Galois automorphism sigma_k for
+        n = m and k a unit mod m.  Either way the exponents i k mod n are
+        distinct, and none exceeds (phi(m) - 1) k."""
+        out = [Fraction(0)] * min(n, (len(self.coeffs) - 1) * k + 1)
         for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Cyclotomic(order, out)
+            out[i * k % n] = c
+        return Cyclotomic(n, out)
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):
@@ -162,37 +170,17 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         if self.is_zero():
             raise FieldDivisionError("division by zero in cyclotomic field")
-        # Extended Euclid in Q[x] against Phi_m (irreducible, so gcd = 1).
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return Cyclotomic(self.order, inv)
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(q) - 1, -1, -1):
-                c = rem[i + len(r1) - 1] / r1[-1]
-                q[i] = c
-                if c:
-                    for j, y in enumerate(r1):
-                        rem[i + j] -= c * y
-            rem = rem[: len(r1) - 1] or [Fraction(0)]
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs1[i + j] += x * y
-            new_s = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(qs1):
-                new_s[i] -= c
-            r0, r1 = r1, rem
-            s0, s1 = s1, new_s
+        if self.is_rational():
+            return Cyclotomic(self.order, [1 / self.coeffs[0]])
+        # x^-1 = c / N(x), c the product of the conjugates sigma_k(x),
+        # k != 1 a unit mod m, and N(x) = x c the norm, a rational.
+        m = self.order
+        conjugates = [self._spread(m, k) for k in range(2, m) if gcd(k, m) == 1]
+        c = prod(conjugates[1:], start=conjugates[0])
+        norm = self * c
+        if not norm.is_rational():
+            raise VerificationError(f"norm {norm!r} of {self!r} is not rational")
+        return c * (1 / norm.coeffs[0])
 
     def __truediv__(self, other):
         a, b = self._pair(other)

@@ -7,13 +7,18 @@ classifies H to an ADE type, computes the induced action of K = G/H on
 the diagram, enumerates the lifts of that action to the extended Weyl
 group, decides existence of invariant class pairs, and classifies what
 happens on the A-series local models after dividing by K.
+
+The lift search carries each element of Aut x| W as its diagram
+automorphism and the permutation of the roots its lattice map induces,
+so products are reindexings; int rows are built only for the images of
+the lifts it finds.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
@@ -31,7 +36,6 @@ from .exact import (
     Cyclotomic,
     Matrix,
     int_apply,
-    int_product,
     integer_coefficients,
 )
 from .group import (
@@ -52,9 +56,6 @@ from .invariants.nodes import generic_combination
 # quotient generators, of the Weyl candidates x with x^ord = 1.  The D4
 # stress scenarios walk 44 and 80; K = Z2 x Z2 over E6 would walk ~8*10^5.
 LIFT_SEARCH_CAP = 100_000
-
-# Weyl products and conjugations kept per lift search, by index pair.
-PRODUCT_CACHE_SIZE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +271,11 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
     """All homomorphisms into Aut x| W projecting to psi; the canonical
     lift (identity Weyl parts) comes first, the rest in image order.
 
-    Elements are (automorphism, index into weyl.elements) pairs.  Each
-    quotient generator g keeps only the candidates x with x^ord(g) = 1,
-    and only the product of those lists is checked for the quotient's
-    relations."""
+    An element (a, w) is carried as (a, the permutation of weyl.roots
+    that P_a M_w induces), so a product is a reindexing.  Each quotient
+    generator g keeps only the candidates x with x^ord(g) = 1, and only
+    the product of those lists is checked for the quotient's relations.
+    Int rows are built only for the images of the lifts found."""
     if not weyl.enumerated:
         raise CapExceededError(
             "lift enumeration needs the Weyl group enumerated under its cap"
@@ -281,19 +283,31 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
     quotient = psi.source
     gens = _quotient_generators(quotient)
     tree = _quotient_tree(quotient, gens)
-    compose, ident = _indexed_semidirect(weyl)
+    unit = ExtendedElement.identity(psi.diagram.rank)
+    simple = tuple(range(psi.diagram.rank))
+    ident = (unit.aut, tuple(range(len(weyl.roots))))
 
-    def power_is_identity(x, k):
-        p = x
-        for _ in range(k - 1):
-            p = compose(p, x)
-        return p == ident
+    def compose(x, y):
+        # (a, p)(b, q): the automorphisms compose as in ExtendedElement,
+        # the root permutations as maps, q first.
+        (a, p), (b, q) = x, y
+        return tuple(a[t] for t in b), tuple(map(p.__getitem__, q))
+
+    def power_is_identity(perm, k):
+        # The simple roots, the first entries of weyl.roots, span the
+        # lattice, so perm^k is the identity iff it fixes them.
+        head = simple
+        for _ in range(k):
+            head = tuple(perm[t] for t in head)
+        return head == simple
 
     candidates = []
     for gen in gens:
         k = _coset_order(quotient, gen)
-        xs = ((psi.images[gen], i) for i in range(len(weyl.elements)))
-        candidates.append([x for x in xs if power_is_identity(x, k)])
+        a = psi.images[gen]
+        p_a = weyl.aut_perm(a)
+        perms = (tuple(map(p_a.__getitem__, w)) for w in weyl.perms)
+        candidates.append([(a, p) for p in perms if power_is_identity(p, k)])
     size = prod(len(c) for c in candidates)
     if size > LIFT_SEARCH_CAP:
         raise CapExceededError(
@@ -321,58 +335,17 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
             for coset in range(quotient.order)
         ):
             found.add(tuple(images))
-    ordered = sorted(
-        found,
-        key=lambda images: (
-            any(i != ident[1] for _, i in images),
-            tuple((aut, weyl.elements[i]) for aut, i in images),
+    elements = {x: weyl.extended_element(*x) for x in set().union(*found)}
+    lifts = sorted(
+        (ChiLift(psi=psi, images=tuple(map(elements.__getitem__, images)))
+         for images in found),
+        key=lambda lift: (
+            any(e.weyl != unit.weyl for e in lift.images), lift.images
         ),
     )
-    elements = {}
-    lifts = []
-    for images in ordered:
-        for x in images:
-            if x not in elements:
-                elements[x] = ExtendedElement(aut=x[0], weyl=weyl.elements[x[1]])
-        lifts.append(ChiLift(psi=psi, images=tuple(elements[x] for x in images)))
     if not lifts or not lifts[0].is_canonical():
         raise PreconditionError("canonical lift missing from enumeration")
     return lifts
-
-
-def _indexed_semidirect(weyl: WeylGroup):
-    """Multiplication on (aut, index) pairs standing for
-    ExtendedElement(aut, weyl.elements[index]), with the Weyl products
-    and conjugations cached by index; returns (compose, identity)."""
-    rows = weyl.elements
-    index = {r: i for i, r in enumerate(rows)}
-    ident = ExtendedElement.identity(weyl.diagram.rank)
-
-    def lookup(r):
-        try:
-            return index[r]
-        except KeyError:
-            raise PreconditionError(
-                "Weyl elements are not closed under products"
-            ) from None
-
-    @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-    def conj(b, i):
-        w = rows[i]
-        return lookup(tuple(tuple(w[x][y] for y in b) for x in b))
-
-    @lru_cache(maxsize=PRODUCT_CACHE_SIZE)
-    def times(i, j):
-        return lookup(int_product(rows[i], rows[j]))
-
-    def compose(x, y):
-        # (a, w)(b, w') = (a b, (b^-1 w b) w'), as in ExtendedElement.
-        (a, i), (b, j) = x, y
-        if b != ident.aut:
-            i = conj(b, i)
-        return tuple(a[t] for t in b), times(i, j)
-
-    return compose, (ident.aut, lookup(ident.weyl))
 
 
 def _coset_order(quotient: QuotientGroup, coset: int) -> int:

@@ -1,7 +1,10 @@
-"""Shared motions, groups, and lattices for the test suite."""
+"""Shared motions, groups, lattices and Weyl groups for the test suite."""
+
+import functools
 
 import pytest
 
+from orbitop.ade import DynkinDiagram, build_root_system, weyl_group
 from orbitop.group import Motion, close
 from orbitop.torus import TorusLattice
 
@@ -90,3 +93,14 @@ def trivial_c3_group():
         ]
     )
     return close([ident])
+
+
+@pytest.fixture(scope="session")
+def weyl():
+    """W of the diagram (family, rank), enumerated once per session."""
+
+    @functools.lru_cache(maxsize=None)
+    def enumerate_weyl(family, rank):
+        return weyl_group(build_root_system(DynkinDiagram.make(family, rank)))
+
+    return enumerate_weyl

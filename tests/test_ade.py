@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from collections import Counter
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from orbitop.ade import (
     weyl_group,
 )
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Matrix, int_apply, int_product
+from orbitop.exact import Matrix, int_apply, int_product, int_rank
 
 
 def _identity(n):
@@ -77,13 +79,14 @@ def test_bad_families_rejected():
 
 @pytest.mark.parametrize(
     "family,rank,order",
-    [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("D", 4, 192)],
+    [("A", 1, 2), ("A", 2, 6), ("A", 3, 24), ("D", 4, 192), ("D", 5, 1920)],
 )
 def test_weyl_orders_against_enumeration(family, rank, order):
     rs = build_root_system(DynkinDiagram.make(family, rank))
     w = weyl_group(rs)
     assert w.order == order
     assert w.enumerated and len(w.elements) == order
+    assert len(set(w.perms)) == len(set(w.elements)) == order
 
 
 def test_a1_weyl_is_negation():
@@ -107,9 +110,11 @@ def test_weyl_elements_preserve_form_and_permute_roots():
         w = weyl_group(rs)
         roots = set(rs.roots)
         form = Matrix(rs.intersection_form)
-        for m in w.elements:
+        assert w.roots[: rs.rank] == _identity(rs.rank)
+        assert set(w.roots) == roots
+        for m, perm in zip(w.elements, w.perms):
             assert Matrix(m).T @ form @ Matrix(m) == form
-            assert {int_apply(m, v) for v in roots} == roots
+            assert [int_apply(m, v) for v in w.roots] == [w.roots[k] for k in perm]
 
 
 @pytest.mark.parametrize(
@@ -188,6 +193,81 @@ def test_semidirect_composition_matches_matrix_action():
         assert (a * b) * c == a * (b * c)
         assert (a * b).lattice_rows == int_product(a.lattice_rows, b.lattice_rows)
         assert (a * a.inverse()).is_identity()
+
+
+def _compose(p, q):
+    """The permutation p after q."""
+    return tuple(p[t] for t in q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("A", 3), ("D", 4), ("D", 5), ("E", 6)]), st.data())
+def test_root_permutation_products_match_int_rows(weyl, diagram, data):
+    w = weyl(*diagram)
+    i, j = (data.draw(st.integers(0, w.order - 1)) for _ in range(2))
+    unit = ExtendedElement.identity(w.diagram.rank).aut
+    pq = _compose(w.perms[i], w.perms[j])
+    product = int_product(w.elements[i], w.elements[j])
+    assert w.extended_element(unit, pq) == ExtendedElement(unit, product)
+    # (a, root permutation of P_a M_w) multiplies as ExtendedElement does.
+    auts = graph_automorphisms(w.diagram)
+    a, b = (data.draw(st.sampled_from(auts)) for _ in range(2))
+    x, y = ExtendedElement(a, w.elements[i]), ExtendedElement(b, w.elements[j])
+    px = _compose(w.aut_perm(a), w.perms[i])
+    py = _compose(w.aut_perm(b), w.perms[j])
+    assert w.extended_element(a, px) == x
+    assert w.extended_element((x * y).aut, _compose(px, py)) == x * y
+
+
+def _perm_order(perm):
+    """The lcm of the cycle lengths."""
+    lengths, seen = [], set()
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        k, t = 0, start
+        while t not in seen:
+            seen.add(t)
+            t, k = perm[t], k + 1
+        lengths.append(k)
+    return lcm(*lengths)
+
+
+def _row_order(rows):
+    """The least k with rows^k = 1, by integer products."""
+    power, k = rows, 1
+    while power != _identity(len(rows)):
+        power, k = int_product(power, rows), k + 1
+    return k
+
+
+@pytest.mark.parametrize("family,rank", [("D", 4), ("D", 5)])
+def test_element_orders_match_int_row_powers(weyl, family, rank):
+    w = weyl(family, rank)
+    by_rows = Counter(map(_row_order, w.elements))
+    assert Counter(map(_perm_order, w.perms)) == by_rows
+    assert sum(by_rows.values()) == w.order
+
+
+def test_e6_involutions_and_fourth_roots_of_one(weyl):
+    w = weyl("E", 6)
+    assert len(w.perms) == 51_840
+    orders = Counter(map(_perm_order, w.perms))
+    # Carter (1972): the involutions of W(E6) are the classes A1, 2A1,
+    # 3A1 and 4A1, kA1 having a -1 eigenspace of dimension k.
+    involutions = [m for m, p in zip(w.elements, w.perms) if _perm_order(p) == 2]
+    assert len(involutions) == orders[2] == 891
+
+    def minus_one_dim(m):
+        plus_one = tuple(
+            tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(m)
+        )
+        return 6 - int_rank(plus_one, 6)
+
+    assert Counter(map(minus_one_dim, involutions)) == {1: 36, 2: 270, 3: 540, 4: 45}
+    # The elements with x^4 = 1: the lift count of e6_bt, where Z4 acts
+    # trivially on the diagram.
+    assert orders[1] + orders[2] + orders[4] == 6832
 
 
 @st.composite

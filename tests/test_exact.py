@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ, ZZ, Poly, Rational, Symbol, cyclotomic_poly
+from sympy import QQ, ZZ, Poly, Rational, Symbol, cyclotomic_poly, invert
 from sympy import Matrix as SympyMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -189,10 +189,44 @@ def test_zeta4_inverse():
     assert z.inverse() == -z
 
 
+# Orders with phi(m) from 1 to 4, m = 2 mod 4 included.
+INVERSE_ORDERS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+
 def test_division_by_zero_distinct_error():
-    zero = Cyclotomic.from_rational(0)
-    with pytest.raises(FieldDivisionError):
-        zero.inverse()
+    for order in INVERSE_ORDERS:
+        zero = Cyclotomic.from_rational(0).embed(order)
+        with pytest.raises(FieldDivisionError):
+            zero.inverse()
+
+
+@st.composite
+def _embedded_cyclotomics(draw):
+    """A nonzero element of Q(zeta_d), d | m, embedded into Q(zeta_m)."""
+    m = draw(st.sampled_from(INVERSE_ORDERS))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=6),
+            min_size=totient(d),
+            max_size=totient(d),
+        ).filter(any)
+    )
+    return Cyclotomic(d, coeffs).embed(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedded_cyclotomics())
+def test_cyclotomic_inverse_matches_sympy(x):
+    z = Symbol("z")
+    p = sum(Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(x.coeffs))
+    q = Poly(invert(p, cyclotomic_poly(x.order, z), z, domain=QQ), z, domain=QQ)
+    expected = q.all_coeffs()[::-1]
+    expected += [0] * (totient(x.order) - len(expected))
+    inv = x.inverse()
+    assert inv.order == x.order
+    assert [Rational(c.numerator, c.denominator) for c in inv.coeffs] == expected
+    assert x * inv == 1
 
 
 def _random_cyclotomic(rng, order):

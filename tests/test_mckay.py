@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitop.ade import DynkinDiagram, build_root_system, weyl_group
+from orbitop.ade import DynkinDiagram, ExtendedElement, build_root_system, weyl_group
 from orbitop import mckay
 from orbitop.cli import load_scenario, main
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Cyclotomic, Matrix, integer_coefficients
+from orbitop.exact import Cyclotomic, Matrix, int_product, integer_coefficients
 from orbitop.invariants.nodes import generic_combination
 from orbitop.group import (
     Motion,
@@ -284,6 +284,108 @@ def test_z2z2_lifts_over_a2_match_involution_oracle():
     lifts = enumerate_chi_lifts(_trivial_psi(_synthetic_z2z2_quotient(), diagram), w)
     # identity with anything (4 + 3) and each reflection with itself (3)
     assert len(lifts) == pairs == 10
+
+
+def _coordinate_permutation(image):
+    """The motion of R^6 sending e_i to e_image[i] (fixed past the tuple)."""
+    image = tuple(image)
+    image += tuple(range(len(image), 6))
+    return Motion(tuple(tuple(int(image[j] == i) for j in range(6)) for i in range(6)))
+
+
+def _cyclic_quotient(k):
+    """Z_k acting on R^6 by a k-cycle of the first k coordinates, modulo
+    the trivial group."""
+    g = close([_coordinate_permutation((i + 1) % k for i in range(k))])
+    return normal_and_quotient(g, {g.identity_index})
+
+
+@pytest.mark.parametrize(
+    "family,rank,k",
+    [("D", 4, 2), ("D", 4, 3), ("D", 4, 4), ("D", 4, 6),
+     ("D", 5, 2), ("D", 5, 3), ("D", 5, 4), ("D", 5, 5), ("D", 5, 6)],
+)
+def test_cyclic_lifts_are_the_roots_of_one_by_int_row_powers(weyl, family, rank, k):
+    # A lift of the trivial action of Z_k is determined by the image x
+    # of its generator, any x in W with x^k = 1.
+    w = weyl(family, rank)
+    quotient = _cyclic_quotient(k)
+    (gen,) = mckay._quotient_generators(quotient)
+    lifts = enumerate_chi_lifts(_trivial_psi(quotient, w.diagram), w)
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+
+    def power(m):
+        p = ident
+        for _ in range(k):
+            p = int_product(p, m)
+        return p
+
+    expected = sorted(m for m in w.elements if power(m) == ident)
+    assert sorted(lift.images[gen].weyl for lift in lifts) == expected
+    assert lifts[0].is_canonical()
+
+
+def test_triality_lifts_over_d4_match_extended_products():
+    # K = S3 permuting three coordinates, acting on D4 by permuting the
+    # tips 0, 2, 3 of the fork: the one non-abelian K in the suite, so
+    # the order of each product matters.  Oracle: pairs (x, y) over the
+    # 3-cycle s and the swap t with x^3 = y^2 = (xy)^2 = 1, multiplied
+    # as ExtendedElements.
+    diagram = DynkinDiagram.make("D", 4)
+    w = weyl_group(build_root_system(diagram))
+    s, t = (1, 2, 0), (1, 0, 2)
+    g = close([_coordinate_permutation(s), _coordinate_permutation(t)])
+    quotient = normal_and_quotient(g, {g.identity_index})
+    tips = (0, 2, 3)
+
+    def vertex_perm(motion):
+        # The motion's permutation of the coordinates, carried to the tips.
+        image = [0, 1, 2, 3]
+        for i in range(3):
+            row = next(r for r, entries in enumerate(motion.rows) if entries[i])
+            image[tips[i]] = tips[row]
+        return tuple(image)
+
+    images = tuple(
+        vertex_perm(g.elements[quotient.coset_rep(c)]) for c in range(quotient.order)
+    )
+    psi = PsiHom(source=quotient, diagram=diagram, images=images)
+    assert mckay._is_perm_hom(quotient, images) and len(set(images)) == 6
+    lifts = enumerate_chi_lifts(psi, w)
+
+    def coset_of(perm):
+        motion = _coordinate_permutation(perm)
+        return next(
+            c for c in range(quotient.order)
+            if g.elements[quotient.coset_rep(c)] == motion
+        )
+
+    cs, ct = coset_of(s), coset_of(t)
+    unit = ExtendedElement.identity(4)
+
+    def power(x, k):
+        p = unit
+        for _ in range(k):
+            p = p * x
+        return p
+
+    xs = [ExtendedElement(images[cs], m) for m in w.elements]
+    ys = [ExtendedElement(images[ct], m) for m in w.elements]
+    xs = [x for x in xs if power(x, 3).is_identity()]
+    ys = [y for y in ys if power(y, 2).is_identity()]
+    expected = {(x, y) for x in xs for y in ys if power(x * y, 2).is_identity()}
+    assert {(lift.images[cs], lift.images[ct]) for lift in lifts} == expected
+    assert len(lifts) == len(expected) == 224
+    assert lifts[0].is_canonical()
+
+
+def test_e6_lifts_of_a_trivial_z4_action(weyl):
+    # 6,832 elements of W(E6) with x^4 = 1: also the lift count of e6_bt,
+    # whose psi is trivial.
+    w = weyl("E", 6)
+    lifts = enumerate_chi_lifts(_trivial_psi(_cyclic_quotient(4), w.diagram), w)
+    assert len(lifts) == 6832
+    assert lifts[0].is_canonical()
 
 
 def test_lift_search_cap(monkeypatch):

@@ -185,6 +185,19 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_inverse_check_catches_a_norm_that_is_not_rational(monkeypatch):
+    # With every Galois conjugate replaced by x itself the norm would
+    # be x^phi(m), and zeta_5^4 is not rational; embeddings stay right.
+    spread = Cyclotomic._spread
+    monkeypatch.setattr(
+        Cyclotomic,
+        "_spread",
+        lambda self, n, k: spread(self, n, 1 if n == self.order else k),
+    )
+    with pytest.raises(VerificationError, match="not rational"):
+        Cyclotomic.zeta(5).inverse()
+
+
 OPTIMIZED_SCRIPT = """
 import sys
 assert False, "asserts are stripped under -O, so this never fires"
@@ -253,6 +266,13 @@ try:
     _verify_pair(problem, (Fraction(0),), (Cyclotomic.from_rational(0),))
 except VerificationError:
     caught.append("pair")
+spread = Cyclotomic._spread
+Cyclotomic._spread = lambda self, n, k: spread(self, n, 1 if n == self.order else k)
+try:
+    Cyclotomic.zeta(5).inverse()
+except VerificationError:
+    caught.append("norm")
+Cyclotomic._spread = spread
 family = chi._product_family
 chi._product_family = lambda n: family(n) | {1 | 1 << (n * n)}
 try:
@@ -282,7 +302,7 @@ def test_verification_survives_python_optimize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         "1", "table", "quotient", "snf", "witness", "kahler", "dual", "pair",
-        "census", "count",
+        "norm", "census", "count",
     ]
 
 
