@@ -21,7 +21,7 @@ integer product.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 from operator import mul
 from typing import NamedTuple
@@ -242,7 +242,9 @@ def _perm_rows(roots, perm) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(roots[k] for k in perm[: len(roots[0])])))
 
 
+@cache
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity as int rows, one tuple per rank."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 

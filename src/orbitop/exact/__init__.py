@@ -2,15 +2,24 @@
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial, integer_coefficients, totient
+from .cyclotomic import (
+    Cyclotomic,
+    cyclotomic_polynomial,
+    from_integer_coefficients,
+    integer_coefficients,
+    scale_coefficients,
+    totient,
+)
 from .matrix import (
     MAX_DIM,
     Matrix,
     common_denominator,
     int_apply,
     int_det,
+    int_kernel,
     int_product,
     int_rank,
+    zero_pairings,
 )
 from .snf import SmithDecomposition, snf
 
@@ -22,11 +31,15 @@ __all__ = [
     "SmithDecomposition",
     "common_denominator",
     "cyclotomic_polynomial",
+    "from_integer_coefficients",
     "int_apply",
     "int_det",
+    "int_kernel",
     "int_product",
     "int_rank",
     "integer_coefficients",
+    "scale_coefficients",
     "snf",
     "totient",
+    "zero_pairings",
 ]

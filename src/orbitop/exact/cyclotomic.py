@@ -7,12 +7,17 @@ equality is coefficient-wise.  Operands of different orders are embedded
 into the field of lcm order first.  The embeddings and the Galois
 automorphisms zeta_m -> zeta_m^k both reindex the coefficients, and an
 inverse is the product of the other conjugates over the norm.
+
+The same arithmetic runs on ints for elements of Z[zeta_m] written as
+phi(m) ints: `scale_coefficients` multiplies a vector in the
+`integer_coefficients` form by one, and `norm_cofactor` gives the
+product of its other conjugates and its norm, for `int_kernel`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 
 from ..errors import FieldDivisionError, PreconditionError, VerificationError
@@ -66,19 +71,33 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(q)
 
 
-def _reduce(coeffs, m):
-    """Reduce a rational polynomial in zeta_m modulo Phi_m."""
-    phi = cyclotomic_polynomial(m)
+def _mod_phi(work, phi, zero=0):
+    """A polynomial in zeta_m, given by its coefficient list (changed in
+    place), reduced modulo the monic Phi_m: its deg Phi_m coefficients,
+    padded with zero."""
     deg = len(phi) - 1
-    work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            for j in range(deg + 1):
+            for j in range(deg):
                 work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+    return tuple(work[:deg]) + (zero,) * (deg - len(work))
+
+
+def _reduce(coeffs, m):
+    """Reduce a rational polynomial in zeta_m modulo Phi_m."""
+    work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    return _mod_phi(work, cyclotomic_polynomial(m), Fraction(0))
+
+
+def _reindexed(coeffs, n: int, k: int) -> list:
+    """zeta^i replaced by zeta_n^(ik) in a coefficient list, unreduced:
+    the exponents i k mod n are distinct when k is a unit mod n or n is
+    a multiple k m of the order m, and none exceeds (len - 1) k."""
+    out = [0] * min(n, (len(coeffs) - 1) * k + 1)
+    for i, c in enumerate(coeffs):
+        out[i * k % n] = c
+    return out
 
 
 class Cyclotomic:
@@ -116,12 +135,8 @@ class Cyclotomic:
     def _spread(self, n: int, k: int) -> "Cyclotomic":
         """The element of Q(zeta_n) with zeta_m^i replaced by zeta_n^(ik):
         the embedding for n = k m, the Galois automorphism sigma_k for
-        n = m and k a unit mod m.  Either way the exponents i k mod n are
-        distinct, and none exceeds (phi(m) - 1) k."""
-        out = [Fraction(0)] * min(n, (len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k % n] = c
-        return Cyclotomic(n, out)
+        n = m and k a unit mod m."""
+        return Cyclotomic(n, _reindexed(self.coeffs, n, k))
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):
@@ -257,10 +272,14 @@ def integer_coefficients(vectors):
     Returns (m, d, parts).  Every entry is embedded into Q(zeta_m), m the
     lcm of the entries' orders (Fractions and ints count as order 1), and
     parts[k][t][i] is d times the zeta_m^t coefficient of vectors[k][i],
-    an int, for one common denominator d.  Reduction mod Phi_m is
-    canonical and linear, so sum_i vectors[k][i] * f[i] is zero for a
+    an int, for one common denominator d, the least.  Reduction mod Phi_m
+    is canonical and linear, so sum_i vectors[k][i] * f[i] is zero for a
     rational form f exactly when every parts[k][t] has integer dot
     product zero with f scaled to ints.
+
+    This (d, parts) form is the one `int_kernel` takes and returns, and
+    `scale_coefficients` multiplies; `from_integer_coefficients` turns a
+    vector back into Cyclotomic entries.
     """
     vectors = [tuple(v) for v in vectors]
     m = lcm(*(x.order for v in vectors for x in v if isinstance(x, Cyclotomic)))
@@ -282,3 +301,66 @@ def integer_coefficients(vectors):
         for v in table
     )
     return m, d, parts
+
+
+def from_integer_coefficients(order: int, d: int, rows) -> tuple[Cyclotomic, ...]:
+    """The vector over Q(zeta_order) whose entry i has zeta^t coefficient
+    rows[t][i] / d: one vector of the integer_coefficients form."""
+    return tuple(
+        Cyclotomic(order, [Fraction(x, d) for x in entry]) for entry in zip(*rows)
+    )
+
+
+def _zeta_multiples(x, phi):
+    """The coefficients of x, x zeta, .., x zeta^(deg - 1) mod the monic
+    Phi, for x given by its deg coefficients: zeta^deg = -sum_j phi[j]
+    zeta^j, so each is the last shifted up by one and reduced."""
+    out = [tuple(x)]
+    for _ in range(len(x) - 1):
+        *low, top = out[-1]
+        out.append(
+            (-top * phi[0],) + tuple(a - top * b for a, b in zip(low, phi[1:]))
+        )
+    return out
+
+
+def scale_coefficients(x, rows, order: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficient rows of x v, for v given by its coefficient rows
+    (rows[t][i] the zeta^t coefficient of entry i, one vector of the
+    integer_coefficients form) and x in Z[zeta_order] by its phi(order)
+    ints.  Coefficient s of x zeta^t is the (s, t) entry of the matrix
+    of multiplication by x, so plane s of x v is sum_t of that entry
+    times plane t."""
+    multiples = _zeta_multiples(x, cyclotomic_polynomial(order))
+    width = len(rows[0])
+    out = []
+    for s in range(len(rows)):
+        acc = [0] * width
+        for xt, plane in zip(multiples, rows):
+            c = xt[s]
+            if c:
+                acc = [a + c * b for a, b in zip(acc, plane)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def norm_cofactor(x, order: int) -> tuple[tuple[int, ...], int]:
+    """(c, n) for a nonzero x in Z[zeta_order], given by its phi(order)
+    ints: c the product of the Galois conjugates sigma_k(x), k != 1 a
+    unit mod order, and n = x c the norm, an int, so that x^-1 = c / n.
+    Each conjugate is a reindexing of the coefficients, reduced."""
+    phi = cyclotomic_polynomial(order)
+
+    def times(a, b):
+        return _mod_phi(_poly_mul_int(a, b), phi)
+
+    conjugates = (
+        _mod_phi(_reindexed(x, order, k), phi)
+        for k in range(2, order)
+        if gcd(k, order) == 1
+    )
+    c = reduce(times, conjugates, (1,) + (0,) * (len(x) - 1))
+    n, *rest = times(x, c)
+    if any(rest) or not n:
+        raise VerificationError(f"norm of {x} in Z[zeta_{order}] is not a nonzero int")
+    return c, n

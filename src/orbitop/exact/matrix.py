@@ -10,16 +10,31 @@ of int rows.  `int_product` and `int_apply` multiply those, `int_det`
 takes a determinant by fraction-free (Bareiss) elimination and
 `int_rank` a rank by fraction-free row reduction, so every division is
 exact and every entry stays an int.
+
+`int_kernel` is the one kernel, over Q(zeta_m) for every m (m = 1 is
+Q): it takes and returns the integer coefficient rows of
+`integer_coefficients`, eliminates over Z[zeta_m] fraction-free, and
+divides once per pivot through the pivot's Galois conjugates.
+`Matrix.kernel_basis` converts onto it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from ..errors import CapExceededError, PreconditionError
-from .cyclotomic import Cyclotomic
+from ..errors import CapExceededError, PreconditionError, VerificationError
+from .cyclotomic import (
+    Cyclotomic,
+    _mod_phi,
+    cyclotomic_polynomial,
+    from_integer_coefficients,
+    integer_coefficients,
+    norm_cofactor,
+    scale_coefficients,
+)
 
 MAX_DIM = 64
 
@@ -111,20 +126,14 @@ class Matrix:
         return Matrix(rows), tuple(pivots)
 
     def kernel_basis(self):
-        """Basis of {x : Mx = 0}, ordered by free column index."""
-        rows, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        zero = self.data[0][0] - self.data[0][0]
-        one = zero + 1
-        basis = []
-        for f in free:
-            vec = [zero] * self.cols
-            vec[f] = one
-            for r, c in enumerate(pivots):
-                vec[c] = -rows[r][f]
-            basis.append(tuple(vec))
-        return basis
+        """Basis of {x : Mx = 0}, ordered by free column index: `int_kernel`
+        of the integer coefficient rows.  Entries are Cyclotomics of the
+        lcm order of the entries when any entry is one, else Fractions."""
+        m, _, parts = integer_coefficients(self.data)
+        d, basis = int_kernel(parts, m)
+        if any(isinstance(x, Cyclotomic) for row in self.data for x in row):
+            return [from_integer_coefficients(m, d, v) for v in basis]
+        return [tuple(Fraction(x, d) for x in row) for (row,) in basis]
 
     def det(self):
         if self.rows != self.cols:
@@ -196,6 +205,23 @@ def int_apply(rows, vector) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, vector)) for row in rows)
 
 
+def zero_pairings(forms, rows) -> list[bool]:
+    """Per int form, whether its dot product with every int row is zero.
+
+    The rows are packed into one, sum_i t^i rows[i], with t above twice
+    every |form . row|: a sum of powers of t with such digits is zero
+    only when every digit is, so one dot product decides each form."""
+    forms = list(forms)
+    if not rows or not forms:
+        return [True] * len(forms)
+    t = 2 * len(rows[0]) * max(map(abs, chain.from_iterable(rows)))
+    t = t * max(map(abs, chain.from_iterable(forms))) + 1
+    packed = rows[-1]
+    for row in reversed(rows[:-1]):
+        packed = [p * t + x for p, x in zip(packed, row)]
+    return [not sum(map(mul, f, packed)) for f in forms]
+
+
 def int_product(left, right) -> tuple[tuple[int, ...], ...]:
     """Product of two matrices given as rows of ints, as int rows."""
     cols = list(zip(*right))
@@ -247,6 +273,107 @@ def int_rank(rows, width: int) -> int:
             if g > 1:
                 row = [x // g for x in row]
     return len(pivots)
+
+
+def int_kernel(rows, order: int = 1):
+    """Kernel of a matrix over Q(zeta_order) with entries in
+    Z[zeta_order], in the integer_coefficients form: rows[i][t][j] is
+    the zeta^t coefficient of entry (i, j), an int (order 1 is Q).
+
+    Returns (d, parts) for the reduced echelon basis of the kernel, the
+    basis `Matrix.kernel_basis` has always returned: one vector per free
+    column, in column order, with a 1 there and 0 at the other free
+    columns; parts[k][t][j] is d times the zeta^t coefficient of entry j
+    of vector k, and d is the least common denominator.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): a
+    row with entry f at the column c of a pivot n becomes n row - f
+    (pivot row), products reduced mod Phi_order, and each row is
+    divided by the gcd of its ints.  A pivot row is first multiplied by
+    the product of the other Galois conjugates of its entry p, so that
+    the pivot is the norm N(p), an int (x^-1 = prod_{sigma != 1} sigma x
+    / N(x); Cohen, *A Course in Computational Algebraic Number Theory*,
+    1993), and the back substitution divides by it once, into one
+    common denominator.  A v = 0 is re-checked on ints."""
+    phi = cyclotomic_polynomial(order)
+    rows = [tuple(map(tuple, row)) for row in rows]
+    if not rows or not rows[0] or not rows[0][0]:
+        raise PreconditionError("kernel of an empty matrix")
+    deg, width = len(phi) - 1, len(rows[0][0])
+    if any(len(row) != deg or any(len(p) != width for p in row) for row in rows):
+        raise PreconditionError(
+            f"coefficient rows must be {deg} planes of width {width}"
+        )
+    pending = [row for row in rows if any(map(any, row))]
+    echelon = []  # (column, row): its entry there an int, later rows 0 there
+    for c in range(width):
+        at = next(
+            (i for i, row in enumerate(pending) if any(p[c] for p in row)), None
+        )
+        if at is None:
+            continue
+        pivot = pending.pop(at)
+        cofactor, norm = norm_cofactor(tuple(plane[c] for plane in pivot), order)
+        pivot = scale_coefficients(cofactor, pivot, order)
+        pending = [
+            row for row in (_clear(row, pivot, c, norm, order) for row in pending)
+            if row
+        ]
+        echelon.append((c, pivot))
+        if not pending:
+            break
+    pivot_cols = {c for c, _ in echelon}
+    solved = []  # (v times den, den) for each free column
+    for f in range(width):
+        if f in pivot_cols:
+            continue
+        vec, den = [[0] * width for _ in range(deg)], 1
+        vec[0][f] = 1
+        # Upward, v[c] = -(row . v) / n: the row is zero left of c, and
+        # v is zero at c until it is set.
+        for c, row in reversed(echelon):
+            n, total = row[0][c], _dot_mod_phi(row, vec, phi)
+            if n != 1:
+                vec = [[n * x for x in plane] for plane in vec]
+                den *= n
+            for plane, x in zip(vec, total):
+                plane[c] = -x
+        solved.append((vec, den))
+    den = lcm(*(abs(d) for _, d in solved))
+    basis = [[[x * (den // d) for x in plane] for plane in vec] for vec, d in solved]
+    g = gcd(den, *chain.from_iterable(chain.from_iterable(basis)))
+    parts = tuple(tuple(tuple(x // g for x in p) for p in vec) for vec in basis)
+    if any(any(_dot_mod_phi(row, vec, phi)) for row in rows for vec in parts):
+        raise VerificationError("kernel vector is not annihilated")
+    return den // g, parts
+
+
+def _dot_mod_phi(row, vec, phi):
+    """sum_j row[j] vec[j] mod Phi, for a row and a vector given by
+    their coefficient planes: the zeta^(t + u) coefficient gathers the
+    dot products of plane t of the row with plane u of the vector."""
+    total = [0] * (len(row) + len(vec) - 1)
+    for t, a in enumerate(row):
+        for u, b in enumerate(vec):
+            total[t + u] += sum(map(mul, a, b))
+    return _mod_phi(total, phi)
+
+
+def _clear(row, pivot, c, n, order):
+    """n row - f pivot, n the int pivot entry and f the entry of row at
+    column c, divided by the gcd of its ints; row itself when f is zero,
+    and None when the result is zero."""
+    f = tuple(plane[c] for plane in row)
+    if not any(f):
+        return row
+    out = [
+        [n * x - y for x, y in zip(a, b)]
+        for a, b in zip(row, scale_coefficients(f, pivot, order))
+    ]
+    g = gcd(*chain.from_iterable(out))
+    if g < 2:
+        return out if g else None
+    return [[x // g for x in plane] for plane in out]
 
 
 def _dot(xs, ys):

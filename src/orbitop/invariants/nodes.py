@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from ..errors import PreconditionError, VerificationError
-from ..exact import Matrix, int_apply, integer_coefficients
+from ..exact import int_apply, int_kernel, integer_coefficients, zero_pairings
 
 
 class NodeConfiguration(
@@ -61,22 +63,23 @@ class KahlerResult(NamedTuple):
 def node_smoothable(cfg: NodeConfiguration, seed: int = 0) -> SmoothabilityResult:
     """A vanishing relation with all coefficients nonzero exists iff the
     relation space avoids every coordinate hyperplane; the witness is a
-    generic element of the relation space, re-verified exactly."""
+    generic element of the relation space, re-verified on integers."""
     k = len(cfg.classes)
-    m = Matrix.from_columns(cfg.classes)
-    kernel = m.kernel_basis()
-    if not kernel:
+    # The classes, scaled by one common denominator, as columns.
+    rows = tuple(zip(*_integer_rows(cfg.classes)))
+    kernel = int_kernel([(row,) for row in rows])
+    parts = kernel[1]
+    if not parts or any(all(vec[0][j] == 0 for vec in parts) for j in range(k)):
         return SmoothabilityResult(smoothable=False, witness=None)
-    for j in range(k):
-        if all(vec[j] == 0 for vec in kernel):
-            return SmoothabilityResult(smoothable=False, witness=None)
     forms = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    witness = generic_combination(kernel, forms, seed=seed)
-    if any(x != 0 for x in m.apply(witness)):
+    d, (witness,) = generic_combination(kernel, forms, seed=seed)
+    if any(int_apply(rows, witness)):
         raise VerificationError("witness is not a relation")
     if any(x == 0 for x in witness):
         raise VerificationError("witness has a zero coefficient")
-    return SmoothabilityResult(smoothable=True, witness=witness)
+    return SmoothabilityResult(
+        smoothable=True, witness=tuple(Fraction(x, d) for x in witness)
+    )
 
 
 def node_kahler(cfg: NodeConfiguration) -> KahlerResult:
@@ -156,37 +159,40 @@ def generic_combination(basis, forms, seed: int = 0, attempts: int = 1000):
     is nonzero.  Seeded random rationals first, then a deterministic
     power-basis fallback that is guaranteed to succeed.
 
-    The forms are int rows.  Candidates are tested on integers: each
-    pairing of a combination is the same combination of the basis
-    vectors' pairings, taken on their integer coefficient rows."""
-    if not all(isinstance(x, int) for f in forms for x in f):
+    The basis is in the integer_coefficients form (d, parts) and the
+    forms are int rows; the element is returned as (d', rows), one
+    vector of that form.  Candidates are combined and tested on those
+    int rows: a form is nonzero on a vector when it is on one of its
+    coefficient rows."""
+    if not set(map(type, chain.from_iterable(forms))) <= {int, bool}:
         raise PreconditionError("generic_combination needs integer forms")
-    parts = integer_coefficients(basis)[2]
-    pairings = [[int_apply(vec, f) for vec in parts] for f in forms]
-    # Per relevant form, the pairings of the basis vectors by coefficient.
-    relevant = [list(zip(*p)) for p in pairings if any(map(any, p))]
-
-    def generic(coeffs):
-        return all(any(int_apply(cols, coeffs)) for cols in relevant)
+    d, parts = basis
+    if not parts:
+        raise PreconditionError("generic_combination needs a nonempty basis")
+    # Only the forms some basis vector pairs with nonzero constrain.
+    rows = [row for vec in parts for row in vec]
+    relevant = [f for f, dead in zip(forms, zero_pairings(forms, rows)) if not dead]
 
     rng = random.Random(seed)
-    k = len(basis)
+    k = len(parts)
     for _ in range(attempts):
         draws = [(rng.randint(-97, 97), rng.randint(1, 97)) for _ in range(k)]
         den = lcm(*(q for _, q in draws))
-        if generic([p * (den // q) for p, q in draws]):
-            return _combine(basis, [Fraction(p, q) for p, q in draws])
+        combined = _combine(parts, [p * (den // q) for p, q in draws])
+        if not any(zero_pairings(relevant, combined)):
+            return d * den, combined
     # Sum of t^i basis_i: each pairing is a nonzero polynomial in t of
     # degree < k, so some t among k*len(relevant)+1 integers works.
     for t in range(1, k * len(relevant) + 2):
-        if generic([t**i for i in range(k)]):
-            return _combine(basis, [Fraction(t) ** i for i in range(k)])
+        combined = _combine(parts, [t**i for i in range(k)])
+        if not any(zero_pairings(relevant, combined)):
+            return d, combined
     raise PreconditionError("no generic combination exists")
 
 
-def _combine(basis, coeffs):
-    out = None
-    for c, vec in zip(coeffs, basis):
-        term = [c * x for x in vec]
-        out = term if out is None else [a + b for a, b in zip(out, term)]
-    return tuple(out)
+def _combine(parts, coeffs):
+    """sum_k coeffs[k] parts[k], plane by plane, on ints."""
+    return tuple(
+        tuple(sum(map(mul, coeffs, column)) for column in zip(*planes))
+        for planes in zip(*parts)
+    )

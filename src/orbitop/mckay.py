@@ -12,6 +12,11 @@ The lift search carries each element of Aut x| W as its diagram
 automorphism and the permutation of the roots its lattice map induces,
 so products are reindexings; int rows are built only for the images of
 the lifts it finds.
+
+A lift's two fixed spaces are `int_kernel`s of int coefficient rows,
+over Z and over Z[zeta_m], and the pair is found and re-checked on those
+rows; Fractions and Cyclotomics are built only for the label a report
+prints.
 """
 
 from __future__ import annotations
@@ -34,9 +39,12 @@ from .ade import (
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import (
     Cyclotomic,
-    Matrix,
+    cyclotomic_polynomial,
+    from_integer_coefficients,
     int_apply,
-    integer_coefficients,
+    int_kernel,
+    scale_coefficients,
+    zero_pairings,
 )
 from .group import (
     FiniteMatrixGroup,
@@ -263,6 +271,7 @@ class ChiLift(NamedTuple):
     images: tuple[ExtendedElement, ...]  # coset index -> element
 
     def is_canonical(self) -> bool:
+        """Whether every Weyl part is the identity (built once per rank)."""
         ident = ExtendedElement.identity(self.psi.diagram.rank).weyl
         return all(e.weyl == ident for e in self.images)
 
@@ -421,11 +430,28 @@ class ALESpaceLabel(NamedTuple):
 
 
 class InvariantPairProblem(NamedTuple):
+    """The two fixed spaces of a lift, each as its reduced echelon basis
+    in the integer_coefficients form (d, parts): real_fixed_rows over Q,
+    complex_fixed_rows over Q(zeta_field_order)."""
+
     root_system: RootSystem
     chi: ChiLift
     phi: tuple[Cyclotomic, ...]  # coset index -> unit scalar
-    real_fixed_basis: tuple[tuple[Fraction, ...], ...]
-    complex_fixed_basis: tuple[tuple[Cyclotomic, ...], ...]
+    field_order: int
+    real_fixed_rows: tuple
+    complex_fixed_rows: tuple
+
+    @property
+    def real_fixed_basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, parts = self.real_fixed_rows
+        return tuple(tuple(Fraction(x, d) for x in row) for (row,) in parts)
+
+    @property
+    def complex_fixed_basis(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        d, parts = self.complex_fixed_rows
+        return tuple(
+            from_integer_coefficients(self.field_order, d, rows) for rows in parts
+        )
 
 
 class InvariantPairDecision(NamedTuple):
@@ -444,8 +470,10 @@ def build_invariant_pair_problem(
     is fixed by every coset.  A kernel basis has a 1 at each free column
     and 0 at the others: it is the reduced echelon basis of the space
     read from the last coordinate, so it depends on the space alone and
-    equals the basis an intersection over all cosets gives.  field_order
-    (see `_phi_field_order`) is computed here when not given."""
+    equals the basis an intersection over all cosets gives.  Every value
+    of phi is a root of unity, so the blocks are int coefficient rows
+    over Z[zeta_m], m = field_order (see `_phi_field_order`, computed
+    here when not given)."""
     quotient = chi.psi.source
     if field_order is None:
         field_order = _phi_field_order(phi)
@@ -453,24 +481,19 @@ def build_invariant_pair_problem(
     gens = _quotient_generators(quotient) or (quotient.identity_coset,)
     real_rows, complex_rows = [], []
     for coset in gens:
-        dual = chi.images[coset].dual_rows
-        scalar = phi[coset].embed(field_order)
-        entries = {}  # (d, on the diagonal) -> scalar * d - [i == j]
-        for i, row in enumerate(dual):
-            real_rows.append([d - (i == j) for j, d in enumerate(row)])
-            out = []
-            for j, d in enumerate(row):
-                key = d, i == j
-                if key not in entries:
-                    entries[key] = scalar * d - int(i == j)
-                out.append(entries[key])
-            complex_rows.append(out)
+        unit = _unit_coefficients(phi[coset], field_order)
+        for i, row in enumerate(chi.images[coset].dual_rows):
+            real_rows.append(([d - (i == j) for j, d in enumerate(row)],))
+            planes = [[u * d for d in row] for u in unit]
+            planes[0][i] -= 1
+            complex_rows.append(planes)
     return InvariantPairProblem(
         root_system=rs,
         chi=chi,
         phi=tuple(phi),
-        real_fixed_basis=tuple(Matrix(real_rows).kernel_basis()),
-        complex_fixed_basis=tuple(Matrix(complex_rows).kernel_basis()),
+        field_order=field_order,
+        real_fixed_rows=int_kernel(real_rows),
+        complex_fixed_rows=int_kernel(complex_rows, field_order),
     )
 
 
@@ -484,70 +507,74 @@ def _phi_field_order(phi) -> int:
     return lcm(*orders, *(s.order for s in phi))
 
 
+def _unit_coefficients(scalar: Cyclotomic, order: int) -> tuple[int, ...]:
+    """The ints of a value of phi in Z[zeta_order]."""
+    coeffs = scalar.embed(order).coeffs
+    if any(c.denominator != 1 for c in coeffs):
+        raise PreconditionError(f"splitting multiplier {scalar!r} is not integral")
+    return tuple(c.numerator for c in coeffs)
+
+
 def invariant_pair_decide(
     problem: InvariantPairProblem, seed: int = 0
 ) -> InvariantPairDecision:
     """Existence of a fixed pair hitting the genericity condition: for
     every root, some member of the pair must pair nontrivially with it.
-    Impossible exactly when some root annihilates both fixed spaces."""
+    Impossible exactly when some root annihilates both fixed spaces.
+    The pair is found and re-checked on int coefficient rows; Fractions
+    and Cyclotomics are built only for the label."""
     rs = problem.root_system
-    a_basis = problem.real_fixed_basis
-    b_basis = problem.complex_fixed_basis
-    a_parts = integer_coefficients(a_basis)[2]
-    b_parts = integer_coefficients(b_basis)[2]
-    for delta in rs.roots:
-        a_dead = all(_pairs_to_zero(parts, delta) for parts in a_parts)
-        b_dead = all(_pairs_to_zero(parts, delta) for parts in b_parts)
-        if a_dead and b_dead:
+    m = problem.field_order
+    a_parts = problem.real_fixed_rows[1]
+    b_parts = problem.complex_fixed_rows[1]
+    rows = [row for parts in (a_parts, b_parts) for vec in parts for row in vec]
+    for delta, dead in zip(rs.roots, zero_pairings(rs.roots, rows)):
+        if dead:
             return InvariantPairDecision(
                 exists=False, label=None, blocking_root=delta
             )
-    rank = rs.rank
-    if a_basis:
-        alpha = generic_combination(a_basis, rs.roots, seed=seed)
+    zero = (0,) * rs.rank
+    if a_parts:
+        alpha = generic_combination(problem.real_fixed_rows, rs.roots, seed=seed)
     else:
-        alpha = tuple(Fraction(0) for _ in range(rank))
-    if b_basis:
-        beta = tuple(generic_combination(b_basis, rs.roots, seed=seed))
+        alpha = 1, (zero,)
+    if b_parts:
+        beta = generic_combination(problem.complex_fixed_rows, rs.roots, seed=seed)
     else:
-        zero = Cyclotomic.from_rational(0)
-        beta = tuple(zero for _ in range(rank))
+        beta = 1, (zero,) * (len(cyclotomic_polynomial(m)) - 1)
     _verify_pair(problem, alpha, beta)
-    return InvariantPairDecision(
-        exists=True,
-        label=ALESpaceLabel(diagram=rs.diagram, alpha=tuple(alpha), beta=beta),
-        blocking_root=None,
+    (a_den, (a_row,)), (b_den, b_rows) = alpha, beta
+    label = ALESpaceLabel(
+        diagram=rs.diagram,
+        alpha=tuple(Fraction(x, a_den) for x in a_row),
+        beta=from_integer_coefficients(m, b_den, b_rows),
     )
-
-
-def _pairs_to_zero(parts, delta) -> bool:
-    """Whether the vector with integer coefficient rows `parts` (see
-    integer_coefficients) pairs to zero with the integer vector delta."""
-    return not any(int_apply(parts, delta))
+    return InvariantPairDecision(exists=True, label=label, blocking_root=None)
 
 
 def _verify_pair(problem: InvariantPairProblem, alpha, beta) -> None:
     """Re-check, on integer coefficient rows, that alpha is fixed by every
     dual, beta by every phi-twisted dual, and that no root pairs to zero
-    with both."""
+    with both.  alpha is (d, (row,)) over Q and beta (d, rows) over
+    Q(zeta_field_order): one vector each of the integer_coefficients form."""
+    m = problem.field_order
+    a_rows, b_rows = (tuple(map(tuple, rows)) for _, rows in (alpha, beta))
+    if len(a_rows) != 1 or len(b_rows) != len(cyclotomic_polynomial(m)) - 1:
+        raise PreconditionError("pair is not written over Q and Q(zeta_m)")
     quotient = problem.chi.psi.source
-    m, d, (a_parts, b_parts) = integer_coefficients([alpha, beta])
     for coset in range(quotient.order):
         dual = problem.chi.images[coset].dual_rows
-        if any(int_apply(dual, row) != row for row in a_parts):
+        if int_apply(dual, a_rows[0]) != a_rows[0]:
             raise VerificationError("alpha is not invariant")
-        # Entry i of dual . beta has zeta_m^t coefficient
-        # (dual row i) . b_parts[t] / d.
-        image = [
-            Cyclotomic(m, [Fraction(x, d) for x in col])
-            for col in zip(*(int_apply(dual, row) for row in b_parts))
-        ]
-        scalar = problem.phi[coset]
-        if any(scalar * x != y for x, y in zip(image, beta)):
+        # The dual acts on each plane of beta; phi, a root of unity
+        # zeta_m^s, then mixes the planes.
+        image = [int_apply(dual, row) for row in b_rows]
+        unit = _unit_coefficients(problem.phi[coset], m)
+        if scale_coefficients(unit, image, m) != b_rows:
             raise VerificationError("beta is not invariant")
-    for delta in problem.root_system.roots:
-        if _pairs_to_zero(a_parts, delta) and _pairs_to_zero(b_parts, delta):
-            raise VerificationError("pair misses the genericity condition")
+    # A root pairs to zero with a vector when it does with every row.
+    if any(zero_pairings(problem.root_system.roots, (*a_rows, *b_rows))):
+        raise VerificationError("pair misses the genericity condition")
 
 
 # ---------------------------------------------------------------------------

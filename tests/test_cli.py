@@ -541,26 +541,32 @@ def test_seed_changes_witness_but_not_decision(capsys):
 # --- import cost -------------------------------------------------------------
 
 IMPORT_SCRIPT = """
+import sys
 import orbitop.cli
-from orbitop.invariants import betti, chi
+from orbitop.exact import cyclotomic_polynomial
 
 built = []
-for module in (chi, betti):
+if cyclotomic_polynomial.cache_info().currsize:
+    built.append("cyclotomic_polynomial")
+modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "orbitop"]
+for module in modules:
     for name, value in vars(module).items():
         if name.startswith("__"):
             continue
         if hasattr(value, "cache_info"):
             if value.cache_info().currsize:
-                built.append(name)
+                built.append(f"{module.__name__}.{name}")
         elif isinstance(value, (list, tuple, dict, set, frozenset)) and len(value) > 16:
-            built.append(name)
-print(" ".join(built) or "none")
+            built.append(f"{module.__name__}.{name}")
+print(" ".join(sorted(set(built))) or "none")
 """
 
 
 def test_cli_import_builds_no_invariant_tables():
-    """Every CLI job pays for the import, so the chi and Betti tables are
-    built on first use, never at import time."""
+    """Every CLI job pays for the import, so no module of the package
+    builds a table at import time: the chi and Betti tables, the
+    cyclotomic polynomials, the identity rows and the kernel's field
+    data are all built on first use."""
     src = str(Path(orbitop.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

@@ -11,7 +11,16 @@ from sympy import Matrix as SympyMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from orbitop.errors import CapExceededError, FieldDivisionError, PreconditionError
-from orbitop.exact import Cyclotomic, Matrix, int_product, int_rank, snf, totient
+from orbitop.exact import (
+    Cyclotomic,
+    Matrix,
+    int_kernel,
+    int_product,
+    int_rank,
+    integer_coefficients,
+    snf,
+    totient,
+)
 
 
 # --- Smith normal form -----------------------------------------------------
@@ -164,6 +173,70 @@ def test_kernel_vectors_annihilated():
         m = _random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         for v in m.kernel_basis():
             assert all(x == 0 for x in m.apply(v))
+
+
+def _reference_kernel(m):
+    """`Matrix.kernel_basis` as it was written on `_echelon`: boxed
+    Fraction or Cyclotomic elimination, then a 1 at each free column."""
+    rows, pivots = m._echelon()
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    zero = m.data[0][0] - m.data[0][0]
+    one = zero + 1
+    basis = []
+    for f in free:
+        vec = [zero] * m.cols
+        vec[f] = one
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _spelled(basis):
+    return [[repr(x) for x in vec] for vec in basis]
+
+
+@st.composite
+def _field_matrices(draw):
+    """A matrix over Q or Q(zeta_order), every entry of that one order:
+    square, wide or tall, some rows forced to zero and some the sum of
+    two others, so that kernels of every dimension turn up."""
+    order = draw(st.sampled_from([1, 3, 4, 8, 12]))
+    shape = draw(st.sampled_from(["square", "wide", "tall"]))
+    small, large = st.integers(1, 4), st.integers(5, 8)
+    rows = draw(small if shape == "wide" else large if shape == "tall" else small)
+    cols = draw(large if shape == "wide" else small if shape == "tall" else small)
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+    def entry():
+        if draw(st.integers(0, 3)) == 0:
+            coeffs = [Fraction(0)]
+        else:
+            coeffs = draw(st.lists(coeff, min_size=1, max_size=totient(order)))
+        return coeffs[0] if order == 1 else Cyclotomic(order, coeffs)
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        if draw(st.booleans()) or rows < 3:
+            data[i] = [data[i][0] * 0] * cols
+        else:
+            a, b = (data[(i + k) % rows] for k in (1, 2))
+            data[i] = [x + y for x, y in zip(a, b)]
+    return order, Matrix(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_matrices())
+def test_kernels_match_echelon_reference(case):
+    """int_kernel and Matrix.kernel_basis give the basis the boxed
+    elimination gives, entry for entry and repr for repr, and int_kernel
+    gives it in the integer_coefficients form, least denominator too."""
+    order, m = case
+    expected = _reference_kernel(m)
+    assert _spelled(m.kernel_basis()) == _spelled(expected)
+    d, basis = int_kernel(integer_coefficients(m.data)[2], order)
+    assert (d, basis) == (integer_coefficients(expected)[1:] if expected else (1, ()))
 
 
 def test_matrix_size_cap():
@@ -377,6 +450,8 @@ def test_rational_kernel_matches_sympy_nullspace(pairs):
     for m in (a, b, a @ b):
         expected = [_from_sympy(v) for v in _to_sympy(m).nullspace()]
         assert m.kernel_basis() == expected
+        d, basis = int_kernel(integer_coefficients(m.data)[2])
+        assert [tuple(Fraction(x, d) for x in row) for (row,) in basis] == expected
 
 
 @settings(max_examples=100, deadline=None)

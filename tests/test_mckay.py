@@ -15,7 +15,14 @@ from orbitop.ade import DynkinDiagram, ExtendedElement, build_root_system, weyl_
 from orbitop import mckay
 from orbitop.cli import load_scenario, main
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Cyclotomic, Matrix, int_product, integer_coefficients
+from orbitop.exact import (
+    Cyclotomic,
+    Matrix,
+    int_product,
+    integer_coefficients,
+    zero_pairings,
+)
+from orbitop.exact import matrix as exact_matrix
 from orbitop.invariants.nodes import generic_combination
 from orbitop.group import (
     Motion,
@@ -28,7 +35,6 @@ from orbitop.mckay import (
     ASeriesModel,
     PipelineResult,
     PsiHom,
-    _pairs_to_zero,
     analyze_splitting,
     build_invariant_pair_problem,
     classify_kleinian,
@@ -37,6 +43,7 @@ from orbitop.mckay import (
     iterate_residual,
     second_stage_classify,
 )
+from test_exact import _reference_kernel
 
 
 def su2_motion(rows):
@@ -510,18 +517,19 @@ def _lift_problems(name):
 
 
 def _reference_fixed_bases(rs, chi, phi):
-    """The fixed spaces as they were computed before: one kernel per
-    coset of K, intersected in coset order through a matrix product."""
+    """The fixed spaces as they were computed before: one boxed kernel
+    per coset of K (`_reference_kernel`, not the code under test),
+    intersected in coset order through a matrix product."""
     quotient = chi.psi.source
     field_order = lcm(*(s.root_of_unity_order() for s in phi))
 
     def intersect(basis, block):
         if basis is None:
-            return block.kernel_basis()
+            return _reference_kernel(block)
         if not basis:
             return []
         bm = Matrix.from_columns(basis)
-        return [bm.apply(c) for c in (block @ bm).kernel_basis()]
+        return [bm.apply(c) for c in _reference_kernel(block @ bm)]
 
     real = complex_ = None
     for coset in range(quotient.order):
@@ -583,7 +591,7 @@ def test_trivial_quotient_fixes_the_whole_space(trivial_c3_group):
 def test_deciding_d4_q8z4_lifts_takes_one_kernel_per_field(monkeypatch):
     result = _pipeline("d4_q8z4")
     assert len(result.lifts) == 80
-    calls = {"kernel": 0, "matmul": 0}
+    calls = {"int_kernel": [], "kernel_basis": 0, "matmul": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -592,14 +600,23 @@ def test_deciding_d4_q8z4_lifts_takes_one_kernel_per_field(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(Matrix, "kernel_basis", counting("kernel", Matrix.kernel_basis))
+    def int_kernel(rows, order=1):
+        calls["int_kernel"].append(order)
+        return exact_matrix.int_kernel(rows, order)
+
+    monkeypatch.setattr(mckay, "int_kernel", int_kernel)
+    monkeypatch.setattr(
+        Matrix, "kernel_basis", counting("kernel_basis", Matrix.kernel_basis)
+    )
     monkeypatch.setattr(Matrix, "__matmul__", counting("matmul", Matrix.__matmul__))
     # A fresh result, so that `decisions` is not already cached.
     decisions = PipelineResult(*result).decisions
     monkeypatch.undo()
     assert len(decisions) == 80
-    # K = Z4 has one generator: a real and a Q(zeta) kernel per lift.
-    assert calls["kernel"] <= 2 * 80
+    # K = Z4 has one generator: a kernel over Q and one over Q(zeta_4)
+    # per lift, both on int rows.
+    assert calls["int_kernel"] == [1, 4] * 80
+    assert calls["kernel_basis"] == 0
     assert calls["matmul"] == 0
 
 
@@ -700,7 +717,11 @@ def test_integer_pairing_zero_test_matches_reference(case):
             value = sum(Fraction(row[i], d) * zeta**t for t, row in enumerate(rows))
             assert value == x
         reference = sum(a * b for a, b in zip(vec, form)) == 0
-        assert _pairs_to_zero(rows, form) == reference
+        assert zero_pairings([form], rows) == [reference]
+    # Over a whole basis: zero exactly when zero on every vector.
+    assert zero_pairings([form], [row for rows in parts for row in rows]) == [
+        all(sum(a * b for a, b in zip(vec, form)) == 0 for vec in vectors)
+    ]
 
 
 def _reference_generic_combination(basis, forms, seed=0, attempts=1000):
@@ -738,7 +759,19 @@ def _outcome(fn, *args, **kwargs):
         value = fn(*args, **kwargs)
     except PreconditionError:
         return "no generic combination"
-    return value, [(type(x), getattr(x, "order", None)) for x in value]
+    return value
+
+
+def _int_generic_combination(basis, forms, seed=0, attempts=1000):
+    """generic_combination on the integer coefficient rows of the basis,
+    its answer read back as Cyclotomics of the basis field."""
+    m, d, parts = integer_coefficients(basis)
+    den, rows = generic_combination((d, parts), forms, seed=seed, attempts=attempts)
+    assert len(rows) == len(parts[0])
+    return tuple(
+        sum(Fraction(x, den) * Cyclotomic.zeta(m) ** t for t, x in enumerate(entry))
+        for entry in zip(*rows)
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -759,18 +792,20 @@ def test_generic_combination_matches_boxed_reference(case, raw_forms, seed, atte
         basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     forms = [tuple(f[:n]) for f in raw_forms]
     assert _outcome(
-        generic_combination, basis, forms, seed=seed, attempts=attempts
+        _int_generic_combination, basis, forms, seed=seed, attempts=attempts
     ) == _outcome(_reference_generic_combination, basis, forms, seed, attempts)
 
 
 def test_generic_combination_refuses_non_integer_forms():
-    basis = [(Fraction(1), Fraction(0))]
+    basis = 1, (((1, 0),),)
     for form in ((Fraction(1), 0), (Cyclotomic.zeta(4), 0), (0.5, 1)):
         with pytest.raises(PreconditionError, match="integer forms"):
             generic_combination(basis, [form])
+    with pytest.raises(PreconditionError, match="nonempty basis"):
+        generic_combination((1, ()), [(1, 0)])
     # (0, 1) vanishes on the whole span, so only (1, 0) constrains.
-    x, y = generic_combination(basis, [(1, 0), (0, 1)])
-    assert x != 0 and y == 0
+    d, ((x, y),) = generic_combination(basis, [(1, 0), (0, 1)])
+    assert d > 0 and x != 0 and y == 0
 
 
 def test_witnesses_reverify_exactly(z4_group):

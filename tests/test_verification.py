@@ -11,22 +11,27 @@ import pytest
 
 import orbitop
 import orbitop.cli
-from orbitop.cli import main
+from orbitop.cli import load_scenario, main
 from orbitop import ade
 from orbitop.ade import ExtendedElement, build_root_system
-from orbitop.errors import VerificationError
-from orbitop.exact import Cyclotomic, int_product, snf
+from orbitop.errors import PreconditionError, VerificationError
+from orbitop.exact import Cyclotomic, int_kernel, int_product, integer_coefficients, snf
+from orbitop.exact import matrix as exact_matrix
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import (
     FiniteMatrixGroup,
     _spot_check_associativity,
     _verify_table_sample,
+    close,
     normal_and_quotient,
 )
 from orbitop.invariants import NodeConfiguration, chi, node_kahler, node_smoothable, nodes
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 from orbitop import torus
 from orbitop.torus import common_fixed_set, fixed_set
+
+
+STRESS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
 
 def corrupted(group, a, b, value):
@@ -95,6 +100,14 @@ def test_snf_verification_catches_broken_divisibility_chain():
         _verify(m, SmithDecomposition(ident, m, ident, (2, 3)))
 
 
+def _int_rows(vector, order):
+    """(d, rows): a vector over Q(zeta_order) in integer_coefficients form."""
+    zero = Cyclotomic.from_rational(0, order)
+    m, d, (rows,) = integer_coefficients([[x + zero for x in vector]])
+    assert m == order
+    return d, rows
+
+
 def test_pair_check_catches_corrupted_witness(z4_group):
     # Over A1 the canonical lift fixes the root and the other lift negates
     # it; the Z4 generator multiplies the distinguished line by -1.
@@ -103,15 +116,78 @@ def test_pair_check_catches_corrupted_witness(z4_group):
     canonical, flip = (
         build_invariant_pair_problem(rs, lift, result.phi) for lift in result.lifts
     )
+    m = canonical.field_order
     label = result.decisions[0].label
-    _verify_pair(canonical, label.alpha, label.beta)
-    zero, one = Cyclotomic.from_rational(0), Cyclotomic.from_rational(1)
+    alpha, beta = _int_rows(label.alpha, 1), _int_rows(label.beta, m)
+    _verify_pair(canonical, alpha, beta)
+    zero, one = (1, ((0,),)), _int_rows((1,), m)
     with pytest.raises(VerificationError, match="alpha"):
-        _verify_pair(flip, (Fraction(1),), (zero,))
+        _verify_pair(flip, (1, ((1,),)), _int_rows((0,), m))
     with pytest.raises(VerificationError, match="beta"):
-        _verify_pair(canonical, label.alpha, (one,))
+        _verify_pair(canonical, alpha, one)
     with pytest.raises(VerificationError, match="genericity"):
-        _verify_pair(canonical, (Fraction(0),), (zero,))
+        _verify_pair(canonical, zero, _int_rows((0,), m))
+    with pytest.raises(PreconditionError, match="Q\\(zeta_m\\)"):
+        _verify_pair(canonical, alpha, (1, ((0,),)))
+
+
+def test_pair_check_twists_beta_by_a_fourth_root_of_unity():
+    """On d4_q8z4 phi takes the values +-i: the check multiplies beta by
+    zeta_4^s on its int rows, which moves coefficients between the rows.
+    A fixed beta that is not real passes; its complex conjugate, fixed
+    under the conjugate twist instead, does not."""
+    scenario = load_scenario(str(STRESS / "d4_q8z4.scn"))
+    group = close(scenario.motions())
+    result = analyze_splitting(group, axis=scenario.splitting_axis - 1)
+    assert sorted(map(str, result.phi)) == ["Cyc(-1)", "Cyc(-1*z4)", "Cyc(1)", "Cyc(1*z4)"]
+    checked = 0
+    for lift, decision in zip(result.lifts, result.decisions):
+        if not decision.exists or all(x.coeffs[1] == 0 for x in decision.label.beta):
+            continue
+        problem = build_invariant_pair_problem(result.root_system, lift, result.phi)
+        alpha = _int_rows(decision.label.alpha, 1)
+        d, (re, im) = _int_rows(decision.label.beta, 4)
+        _verify_pair(problem, alpha, (d, (re, im)))
+        with pytest.raises(VerificationError, match="beta"):
+            _verify_pair(problem, alpha, (d, (re, tuple(-x for x in im))))
+        checked += 1
+    assert checked
+
+
+KERNEL_CASES = [
+    ([((1, 2, 3),), ((2, 3, 4),)], 1),
+    ([((1, 0, 1), (0, 1, 1)), ((0, 1, 0), (1, 0, 0))], 4),
+]
+
+
+def _off_by_one(clear):
+    """An elimination step that adds 1 to the last entry of each row it
+    changes."""
+
+    def step(row, *args):
+        out = clear(row, *args)
+        if out is None or out is row:
+            return out
+        out = [list(plane) for plane in out]
+        out[0][-1] += 1
+        return out
+
+    return step
+
+
+def test_kernel_check_catches_a_corrupted_vector(monkeypatch):
+    """A wrong elimination step leaves kernel vectors that are not in
+    the kernel; only the re-check A v = 0 on ints can see it."""
+    for rows, order in KERNEL_CASES:
+        assert int_kernel(rows, order)[1]
+    cfg = NodeConfiguration.make([[1, 2], [2, 3], [3, 4]])
+    assert node_smoothable(cfg).smoothable
+    monkeypatch.setattr(exact_matrix, "_clear", _off_by_one(exact_matrix._clear))
+    for rows, order in KERNEL_CASES:
+        with pytest.raises(VerificationError, match="not annihilated"):
+            int_kernel(rows, order)
+    with pytest.raises(VerificationError, match="not annihilated"):
+        node_smoothable(cfg)
 
 
 def test_dual_check_catches_corrupted_integer_inverse(monkeypatch):
@@ -140,9 +216,7 @@ def test_dual_check_catches_corrupted_integer_inverse(monkeypatch):
 def test_smoothability_check_catches_corrupted_witness(monkeypatch, witness, message):
     cfg = NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]])
     assert node_smoothable(cfg).witness is not None
-    monkeypatch.setattr(
-        nodes, "generic_combination", lambda *a, **k: tuple(map(Fraction, witness))
-    )
+    monkeypatch.setattr(nodes, "generic_combination", lambda *a, **k: (1, (witness,)))
     with pytest.raises(VerificationError, match=message):
         node_smoothable(cfg)
 
@@ -229,7 +303,7 @@ try:
     _verify(m, SmithDecomposition(ident, m, ident, (2, 3)))
 except VerificationError:
     caught.append("snf")
-nodes.generic_combination = lambda *args, **kwargs: (1, 1, 0)
+nodes.generic_combination = lambda *args, **kwargs: (1, ((1, 1, 0),))
 try:
     node_smoothable(NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]]))
 except VerificationError:
@@ -263,9 +337,28 @@ kappa3 = Motion.from_complex(
 result = analyze_splitting(close([kappa3]))
 problem = build_invariant_pair_problem(result.root_system, result.lifts[0], result.phi)
 try:
-    _verify_pair(problem, (Fraction(0),), (Cyclotomic.from_rational(0),))
+    _verify_pair(problem, (1, ((0,),)), (1, ((0,), (0,))))
 except VerificationError:
     caught.append("pair")
+try:
+    _verify_pair(problem, (1, ((0,),)), (1, ((0,), (1,))))
+except VerificationError:
+    caught.append("beta")
+from orbitop.exact import int_kernel, matrix
+clear = matrix._clear
+
+def off_by_one(row, *args):
+    out = clear(row, *args)
+    if out is None or out is row:
+        return out
+    return [[*out[0][:-1], out[0][-1] + 1], *out[1:]]
+
+matrix._clear = off_by_one
+try:
+    int_kernel([((1, 0, 1), (0, 1, 1)), ((0, 1, 0), (1, 0, 0))], 4)
+except VerificationError:
+    caught.append("kernel")
+matrix._clear = clear
 spread = Cyclotomic._spread
 Cyclotomic._spread = lambda self, n, k: spread(self, n, 1 if n == self.order else k)
 try:
@@ -302,7 +395,7 @@ def test_verification_survives_python_optimize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         "1", "table", "quotient", "snf", "witness", "kahler", "dual", "pair",
-        "norm", "census", "count",
+        "beta", "kernel", "norm", "census", "count",
     ]
 
 
