@@ -22,6 +22,10 @@ signs, so a lane is inadmissible iff it is nonzero there.  No step
 carries across a lane boundary, so the census packs 4096 members into
 one Python int (`array('Q')` bytes) and checks them all at once with a
 few dozen big-int operations; `code_admissible` is the one-lane case.
+The census never holds its union: axis family b is the codes supported
+on block b (mask grid << b n^2), so the union streams as ranges and then
+the product-family members outside every mask, and inclusion-exclusion
+recounts it from the ANDs of the masks.
 
 The total count runs two independent algorithms.  The chi1 sweep sums
 N(chi1)^n over all 2^(n^2) chi1 and carries the products behind N down
@@ -70,20 +74,13 @@ class ChiData(
 
     def encode(self) -> int:
         n = self.n
-        code = 0
-        for j in range(n):
-            for k in range(n):
-                if self.chi1[j][k] == -1:
-                    code |= 1 << (n * j + k)
-        for i in range(n):
-            for k in range(n):
-                if self.chi2[i][k] == -1:
-                    code |= 1 << (n * n + n * i + k)
-        for i in range(n):
-            for j in range(n):
-                if self.chi3[i][j] == -1:
-                    code |= 1 << (2 * n * n + n * i + j)
-        return code
+        return sum(
+            1 << (b * n * n + n * row + col)  # entry [row][col] of block b
+            for b, m in enumerate(self)
+            for row, signs in enumerate(m)
+            for col, x in enumerate(signs)
+            if x == -1
+        )
 
     @classmethod
     def decode(cls, code: int, n: int) -> "ChiData":
@@ -101,18 +98,10 @@ class ChiData(
 
 def chi_admissible(data: ChiData) -> bool:
     """The per-point rule: 0, 1, or 3 of the three signs are -1, never 2."""
-    n = data.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                minus = (
-                    (data.chi1[j][k] == -1)
-                    + (data.chi2[i][k] == -1)
-                    + (data.chi3[i][j] == -1)
-                )
-                if minus == 2:
-                    return False
-    return True
+    return all(
+        (data.chi1[j][k], data.chi2[i][k], data.chi3[i][j]).count(-1) != 2
+        for i, j, k in itertools.product(range(data.n), repeat=3)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -121,13 +110,9 @@ def _spread_table(n: int):
     filled wherever bit j of v is set, and repeat * u copies the n-bit
     row u into every row."""
     row = (1 << n) - 1
-    spread = []
-    for v in range(1 << n):
-        m = 0
-        for j in range(n):
-            if v >> j & 1:
-                m |= row << (n * j)
-        spread.append(m)
+    spread = (
+        sum(row << (n * j) for j in range(n) if v >> j & 1) for v in range(1 << n)
+    )
     return tuple(spread), sum(1 << (n * j) for j in range(n))
 
 
@@ -170,15 +155,15 @@ MAX_GRID_N = 4
 
 
 def _check_grid(n: int) -> None:
-    """The census and the count hold 2^(n^2)-element sets and sweeps, so
-    the grid size is capped before anything is allocated."""
+    """The census streams 3 * 2^(n^2) codes and the count sweeps 2^(n^2)
+    chi1, so the grid size is capped before anything runs."""
     if not 1 <= n <= MAX_GRID_N:
         raise PreconditionError(f"grid size n must be in 1..{MAX_GRID_N}, got {n}")
 
 
 def _check_admissible(codes: Iterable[int], n: int) -> None:
-    """Check every code by the lane rule, 4096 codes per packed int; the
-    packed chunk stays small, so the check adds no memory peak."""
+    """Check every code of a stream by the lane rule, 4096 codes per
+    packed int; only one chunk is held at a time, never the stream."""
     it = iter(codes)
     while chunk := array("Q", list(itertools.islice(it, 4096))):
         packed = int.from_bytes(chunk.tobytes(), sys.byteorder)
@@ -195,8 +180,13 @@ class ChiCensus(NamedTuple):
     family1_count: int
     axis_family_count: int
     union_count: int
-    members: frozenset[int]
+    spanning: tuple[int, ...]  # product-family members outside every axis family
     n: int
+
+    @property
+    def members(self) -> frozenset[int]:
+        """The union, built on access."""
+        return frozenset(itertools.chain(*_axis_ranges(self.n), self.spanning))
 
 
 def _product_family(n: int) -> set[int]:
@@ -217,37 +207,47 @@ def _product_family(n: int) -> set[int]:
     }
 
 
-def _inclusion_exclusion(sets) -> int:
-    """The size of the union of `sets` from the sizes of their intersections."""
-    return sum(
-        (-1) ** (r + 1) * len(reduce(and_, combo))
-        for r in range(1, len(sets) + 1)
-        for combo in itertools.combinations(sets, r)
-    )
+def _axis_ranges(n: int) -> list[range]:
+    """The union of the axis families: 0 once, then the nonzero codes
+    supported on each block."""
+    nn = n * n
+    return [range(1)] + [range(1 << b, 1 << b + nn, 1 << b) for b in (0, nn, 2 * nn)]
+
+
+def _inclusion_exclusion(families) -> int:
+    """The size of the union of `families` from the sizes of their
+    intersections.  A family (mask, members) is the codes supported on
+    mask, only those in members unless members is None."""
+    total = 0
+    for r in range(1, len(families) + 1):
+        for combo in itertools.combinations(families, r):
+            mask = reduce(and_, (m for m, _ in combo))
+            listed = [s for _, s in combo if s is not None]
+            if listed:
+                size = sum(not x & ~mask for x in reduce(and_, listed))
+            else:
+                size = 1 << mask.bit_count()
+            total += (-1) ** (r + 1) * size
+    return total
 
 
 def chi_family_census(n: int = 4) -> ChiCensus:
-    """Enumerate the product family and the three axis families, dedupe,
-    cross-check the union by inclusion-exclusion, and check every member
-    by the lane rule."""
+    """Count the union of the product family and the three axis families,
+    cross-check it by inclusion-exclusion over the block masks, and check
+    every member by the lane rule in one stream, never holding the union:
+    the axis ranges, then the product-family members outside every mask."""
     _check_grid(n)
     nn = n * n
     family1 = _product_family(n)
-    axis1 = set(range(1 << nn))
-    axis2 = set(range(0, 1 << (2 * nn), 1 << nn))
-    axis3 = set(range(0, 1 << (3 * nn), 1 << (2 * nn)))
-    sets = [family1, axis1, axis2, axis3]
-    union = frozenset().union(*sets)
-    if _inclusion_exclusion(sets) != len(union):
+    masks = [((1 << nn) - 1) << b for b in (0, nn, 2 * nn)]
+    spanning = tuple(x for x in family1 if all(x & ~m for m in masks))
+    stream = [*_axis_ranges(n), spanning]
+    union_count = sum(map(len, stream))
+    families = [((1 << 3 * nn) - 1, family1)] + [(m, None) for m in masks]
+    if _inclusion_exclusion(families) != union_count:
         raise VerificationError("inclusion-exclusion does not match the union")
-    _check_admissible(union, n)
-    return ChiCensus(
-        family1_count=len(family1),
-        axis_family_count=len(axis1),
-        union_count=len(union),
-        members=union,
-        n=n,
-    )
+    _check_admissible(itertools.chain(*stream), n)
+    return ChiCensus(len(family1), 1 << nn, union_count, spanning, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Sign-data combinatorics: admissibility, census, exact counting."""
 
+import itertools
 import random
+import tracemalloc
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +181,75 @@ def test_census_rejects_inclusion_exclusion_mismatch(monkeypatch):
     monkeypatch.setattr(chi, "_inclusion_exclusion", lambda sets: -1)
     with pytest.raises(VerificationError, match="inclusion-exclusion"):
         chi_family_census(2)
+
+
+# --- The streamed census against the set-based one ---------------------------
+
+
+def _reference_census(n):
+    """The census as first written: the axis families as sets, the union as
+    a frozenset, inclusion-exclusion over set intersections."""
+    nn = n * n
+    family1 = chi._product_family(n)
+    axis = [set(range(0, 1 << (b + nn), 1 << b)) for b in (0, nn, 2 * nn)]
+    sets = [family1, *axis]
+    union = frozenset().union(*sets)
+    assert len(union) == sum(
+        (-1) ** (r + 1) * len(reduce(and_, combo))
+        for r in range(1, len(sets) + 1)
+        for combo in itertools.combinations(sets, r)
+    )
+    return len(family1), len(axis[0]), union
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_matches_set_based_reference(n):
+    census = chi_family_census(n)
+    family1_count, axis_count, union = _reference_census(n)
+    assert census.members == union
+    assert census.family1_count == family1_count
+    assert census.axis_family_count == axis_count
+    assert census.union_count == len(union)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_lane_check_sees_every_member(n, monkeypatch):
+    seen = []
+    check = chi._check_admissible
+
+    def counting(codes, n):
+        check((seen.append(code) or code for code in codes), n)
+
+    monkeypatch.setattr(chi, "_check_admissible", counting)
+    census = chi_family_census(n)
+    assert len(seen) == census.union_count
+    assert set(seen) == census.members
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_ignores_product_members_inside_an_axis_family(n, monkeypatch):
+    plain = chi_family_census(n)
+    family = chi._product_family
+    monkeypatch.setattr(
+        chi, "_product_family", lambda n: family(n) | {0, 1, 1 << (n * n)}
+    )
+    census = chi_family_census(n)  # inclusion-exclusion still agrees
+    assert census.union_count == plain.union_count
+    assert census.members == plain.members
+
+
+def test_census_never_holds_the_union():
+    """The set-based census peaked at 24 MB for n = 4; the stream holds one
+    4096-code chunk at a time."""
+    chi._spread_table.cache_clear()  # a cold start, caches included
+    chi._lane_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        chi_family_census(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_count_rejects_disagreeing_algorithms(monkeypatch):
