@@ -29,8 +29,8 @@ recounts it from the ANDs of the masks.
 
 The total count runs two independent algorithms.  The chi1 sweep sums
 N(chi1)^n over all 2^(n^2) chi1 and carries the products behind N down
-the n rows of chi1 as prefix vectors, so each chi1 costs one dot
-product; the column transfer groups the chi2 side by column multisets.
+the n rows of chi1 as prefix vectors counted by multiplicity; the column
+transfer walks the chi2 column multisets depth-first, carrying products.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
+from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache, reduce
-from math import factorial
 from operator import and_, mul
 from typing import NamedTuple
 
@@ -278,14 +278,18 @@ def _count_by_chi1_sweep(n: int) -> int:
     row, chi3 row) pairs compatible with chi1; rows enter independently,
     so the per-row count is row-index free.  N is the sum over u of the
     product over the chi1 rows r of c[r][u]; those products are carried
-    down the rows as one prefix vector per chi1 prefix, so each chi1
-    costs one dot product of its last row's vector with its prefix."""
+    down the rows as a {prefix vector: number of prefixes} Counter, so
+    equal prefix vectors are extended and dotted once."""
     size = 1 << n
     c = [[(0 if r & u else 1) + (r == u) for u in range(size)] for r in range(size)]
-    prefixes = [[1] * size]
+    prefixes = Counter({(1,) * size: 1})
     for _ in range(n - 1):
-        prefixes = [list(map(mul, p, cr)) for p in prefixes for cr in c]
-    return sum(sum(map(mul, p, cr)) ** n for p in prefixes for cr in c)
+        grown = Counter()
+        for p, weight in prefixes.items():
+            for cr in c:
+                grown[tuple(map(mul, p, cr))] += weight
+        prefixes = grown
+    return sum(w * sum(map(mul, p, cr)) ** n for p, w in prefixes.items() for cr in c)
 
 
 def _cell_choices(u: int, v: int) -> int:
@@ -303,26 +307,24 @@ def _cell_choices(u: int, v: int) -> int:
 
 def _count_by_column_transfer(n: int) -> int:
     """Sum over the chi2 side of (sum over one chi3 column of the product
-    of per-cell chi1 choices)^n, memoized on the multiset of chi2 columns."""
+    of per-cell chi1 choices)^n, per multiset of chi2 columns times its
+    arrangements.  The multisets are walked depth-first as nondecreasing
+    sequences carrying the product vector; a zero vector ends its branch."""
     size = 1 << n
     f = [[_cell_choices(u, v) for v in range(size)] for u in range(size)]
     total = 0
-    for multiset in itertools.combinations_with_replacement(range(size), n):
-        counts: dict[int, int] = {}
-        for u in multiset:
-            counts[u] = counts.get(u, 0) + 1
-        arrangements = factorial(n)
-        for c in counts.values():
-            arrangements //= factorial(c)
-        inner = 0
-        for v in range(size):
-            prod = 1
-            for u in multiset:
-                prod *= f[u][v]
-                if prod == 0:
-                    break
-            inner += prod
-        total += arrangements * inner**n
+    # (columns placed, last column, its multiplicity, arrangements, products)
+    stack = [(0, 0, 0, 1, [1] * size)]
+    while stack:
+        depth, last, run, ways, vec = stack.pop()
+        if depth == n:
+            total += ways * sum(vec) ** n
+            continue
+        for u in range(last, size):
+            k = run + 1 if u == last and depth else 1
+            grown = list(map(mul, vec, f[u]))
+            if any(grown):
+                stack.append((depth + 1, u, k, ways * (depth + 1) // k, grown))
     return total
 
 

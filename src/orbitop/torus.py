@@ -237,7 +237,7 @@ class _Translate:
         self.nums, self.den = _canon(nums, den)
         self.dirs = tuple(dirs)
         self.span = _span_key(self.dirs)
-        self.key = (self.span, self.values(self.nums, self.den))
+        self.key = self.parallel_key(self.nums, self.den)
 
     @property
     def dimension(self):
@@ -247,21 +247,10 @@ class _Translate:
     def annihilator(self):
         return _annihilator(self.span, len(self.nums))
 
-    def values(self, nums, den):
-        """Where the point nums/den sits across this translate's parallels."""
-        return _canon(int_apply(self.annihilator, nums), den)
-
-    def contains(self, nums, den) -> bool:
-        """Whether the point nums/den lies on this translate."""
-        return self.values(nums, den) == self.key[1]
-
-    def contained_in(self, bigger: "_Translate") -> bool:
-        if self.dimension > bigger.dimension:
-            return False
-        ann = bigger.annihilator
-        if any(any(int_apply(ann, d)) for d in self.dirs):
-            return False
-        return bigger.contains(self.nums, self.den)
+    def parallel_key(self, nums, den):
+        """The key of the translate parallel to this one through the point
+        nums/den: the span and where the point sits across its parallels."""
+        return self.span, _canon(int_apply(self.annihilator, nums), den)
 
     def image(self, m) -> "_Translate":
         dirs = [int_apply(m, d) for d in self.dirs]
@@ -345,55 +334,55 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
             translates.setdefault(cand.key, cand)
 
     # Keep only maximal translates; lower strata reappear as special points.
-    found = list(translates.values())
+    # t lies in a wider translate of span S exactly when S holds t's
+    # directions and the parallel of S through t's point was found.
+    spans = {t.span: t for t in translates.values()}.values()
     maximal = [
         t
-        for t in found
+        for t in translates.values()
         if not any(
-            t is not other and t.contained_in(other) and not other.contained_in(t)
-            for other in found
+            s.dimension > t.dimension
+            and not any(any(int_apply(s.annihilator, d)) for d in t.dirs)
+            and s.parallel_key(t.nums, t.den) in translates
+            for s in spans
         )
     ]
     index = {t.key: k for k, t in enumerate(maximal)}
 
-    # Group the maximal translates into G-orbits.
-    orbit_of = {}
-    orbits: list[list[int]] = []
-    for idx in range(len(maximal)):
-        if idx in orbit_of:
-            continue
-        orbit = {idx}
-        frontier = [idx]
-        while frontier:
-            cur = frontier.pop()
-            for m in mats:
-                jdx = index.get(maximal[cur].image(m).key)
-                if jdx is not None and jdx not in orbit:
-                    orbit.add(jdx)
-                    frontier.append(jdx)
-        for jdx in orbit:
-            orbit_of[jdx] = len(orbits)
-        orbits.append(sorted(orbit))
-
+    # G permutes the maximal translates, so the images of the first
+    # unplaced one under every element are its whole orbit, and the
+    # elements that fix its key are its normalizer.
+    placed = set()
     components = []
-    comp_translate = []
-    for orbit in orbits:
-        comp = maximal[orbit[0]]
-        stab = []
-        normalizer = []
+    orbits = []
+    for idx, comp in enumerate(maximal):
+        if idx in placed:
+            continue
+        orbit, normalizer, stab = set(), [], []
         for i, m in enumerate(mats):
-            if comp.image(m).key != comp.key:
-                continue
-            normalizer.append(i)
-            if all(int_apply(m, d) == d for d in comp.dirs) and all(
-                (x - y) % comp.den == 0
-                for x, y in zip(int_apply(m, comp.nums), comp.nums)
-            ):
-                stab.append(i)
+            image = comp.image(m)
+            jdx = index.get(image.key)
+            if jdx is None:
+                raise VerificationError(
+                    f"element {i} maps a maximal translate off the list"
+                )
+            orbit.add(jdx)
+            if jdx == idx:
+                normalizer.append(i)
+                # Fixed pointwise: the point mod Z^n (m is unimodular, so
+                # the denominator stays) and every direction.
+                if image.nums == comp.nums and image.dirs == comp.dirs:
+                    stab.append(i)
+        placed |= orbit
         if comp.dirs:
-            actions = {}
+            # The pointwise stabilizer is the kernel of the action on the
+            # component, so one element per coset gives every action.
+            actions = set()
+            covered = set()
             for i in normalizer:
-                actions.setdefault(_affine_action(mats[i], comp), []).append(i)
+                if i not in covered:
+                    covered.update(group.table[i][j] for j in stab)
+                    actions.add(_affine_action(mats[i], comp))
             label = _quotient_label(comp.dimension, actions)
             special = _special_points(comp, actions)
         else:
@@ -409,7 +398,7 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
                 special_points=special,
             )
         )
-        comp_translate.append(comp)
+        orbits.append(orbit)
 
     order = sorted(
         range(len(components)),
@@ -420,9 +409,9 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
         ),
     )
     components = [components[k] for k in order]
-    comp_translate = [comp_translate[k] for k in order]
+    comp_of = {jdx: rank for rank, k in enumerate(order) for jdx in orbits[k]}
 
-    points = _intersection_points(maximal, mats, comp_translate)
+    points = _intersection_points(maximal, mats, comp_of)
     return SingularSetReport(
         components=tuple(components), intersection_points=points
     )
@@ -453,7 +442,7 @@ def _affine_order(action, cap: int = 64):
         if cur == ident:
             return k
         cur = _compose_affine(action, cur)
-    raise PreconditionError("affine action order exceeds cap")
+    raise CapExceededError(f"affine action order exceeds cap {cap}")
 
 
 def _special_points(comp: _Translate, actions):
@@ -476,52 +465,60 @@ def _special_points(comp: _Translate, actions):
     return tuple(sorted(points))
 
 
-def _intersection_points(maximal, mats, comp_translate):
-    """Isolated points where two distinct quotient components meet."""
-    raw_points = set()
-    for i in range(len(maximal)):
-        for j in range(i + 1, len(maximal)):
-            t1, t2 = maximal[i], maximal[j]
-            if t1.span == t2.span:
-                continue  # distinct parallel translates (or points) are disjoint
-            cols = t1.dirs + tuple(tuple(-x for x in d) for d in t2.dirs)
-            q = lcm(t1.den, t2.den)
-            rhs = tuple(
-                y * (q // t2.den) - x * (q // t1.den)
-                for x, y in zip(t1.nums, t2.nums)
-            )
-            solved = _solve_congruence(tuple(zip(*cols)), (rhs, q))
-            if solved is None:
-                continue
-            sdim, _, s_den, reps, _ = solved
-            if sdim > 0:
-                raise PreconditionError(
-                    "positive-dimensional component intersection not supported"
-                )
-            for s in reps:
-                offset = _along(t1.dirs, s, len(t1.nums))
-                ambient = [x * s_den + t1.den * y for x, y in zip(t1.nums, offset)]
-                raw_points.add(_canon(ambient, t1.den * s_den))
+def _intersection_points(maximal, mats, comp_of):
+    """Isolated points where two distinct quotient components meet.
 
-    # Components by key, looked up once per distinct span.
-    by_key = {t.key: k for k, t in enumerate(comp_translate)}
-    spans = {t.span: t for t in comp_translate}
+    Only translates of distinct spans S1, S2 meet, and one matrix
+    A = [D1 | -D2] serves all their pairs: A s = p2 - p1 is solvable exactly
+    when the trailing rows of U in A's Smith form agree at p1 and p2 mod Z,
+    so the pairs are joined on those values and only joined pairs solved."""
+    by_span: dict = {}
+    for t in maximal:
+        by_span.setdefault(t.span, []).append(t)
+    raw_points = set()
+    for first, second in itertools.combinations(by_span.values(), 2):
+        d1, d2 = first[0].dirs, second[0].dirs
+        a = tuple(zip(*(d1 + tuple(tuple(-x for x in d) for d in d2))))
+        dec = _snf_cached(a)
+        tail = dec.U[dec.rank:]
+        joined: dict = {}  # values at p2 -> translates of S2
+        for t2 in second:
+            joined.setdefault(_canon(int_apply(tail, t2.nums), t2.den), []).append(t2)
+        for t1 in first:
+            for t2 in joined.get(_canon(int_apply(tail, t1.nums), t1.den), ()):
+                q = lcm(t1.den, t2.den)
+                rhs = tuple(
+                    y * (q // t2.den) - x * (q // t1.den)
+                    for x, y in zip(t1.nums, t2.nums)
+                )
+                solved = _solve_congruence(a, (rhs, q))
+                if solved is None:
+                    raise VerificationError("joined translates do not meet")
+                sdim, _, s_den, reps, _ = solved
+                if sdim > 0:
+                    raise PreconditionError(
+                        "positive-dimensional component intersection not supported"
+                    )
+                for s in reps:
+                    offset = _along(d1, s, len(t1.nums))
+                    ambient = [x * s_den + t1.den * y for x, y in zip(t1.nums, offset)]
+                    raw_points.add(_canon(ambient, t1.den * s_den))
+
+    # A point lies on at most one translate of each span, and the
+    # components through it are those of the maximal translates through it.
+    comp_by_key = {t.key: comp_of[k] for k, t in enumerate(maximal)}
+    spans = {t.span: t for t in maximal}.values()
     out = []
     seen = set()
     for nums, den in raw_points:
-        # Motions are unimodular, so every image keeps the denominator.
-        images = sorted({tuple(x % den for x in int_apply(m, nums)) for m in mats})
-        canonical = images[0]
-        if canonical in seen:
+        if (nums, den) in seen:
             continue
-        seen.add(canonical)
-        incident = set()
-        for span, t in spans.items():
-            for img in images:
-                k = by_key.get((span, t.values(img, den)))
-                if k is not None:
-                    incident.add(k)
+        # Motions are unimodular, so every image keeps the denominator.
+        images = {tuple(x % den for x in int_apply(m, nums)) for m in mats}
+        seen.update((img, den) for img in images)
+        incident = {comp_by_key.get(t.parallel_key(nums, den)) for t in spans}
+        incident.discard(None)
         if len(incident) >= 2:
-            out.append((_fractions(canonical, den), tuple(sorted(incident))))
+            out.append((_fractions(min(images), den), tuple(sorted(incident))))
     out.sort()
     return tuple(out)

@@ -1,10 +1,12 @@
 """Shared motions, groups, lattices and Weyl groups for the test suite."""
 
 import functools
+import random
 
 import pytest
 
 from orbitop.ade import DynkinDiagram, build_root_system, weyl_group
+from orbitop.exact import Matrix
 from orbitop.group import Motion, close
 from orbitop.torus import TorusLattice
 
@@ -53,6 +55,39 @@ def flip_generators():
 @pytest.fixture(scope="session")
 def z2z2_group(flip_generators):
     return close(list(flip_generators))
+
+
+@pytest.fixture(scope="session")
+def z4z4_group():
+    """diag(i, i, -1) and diag(1, i, -i) on C^3: the t6_z4z4 action."""
+    return close(
+        [
+            motion_c3([[(0, 1), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)],
+                       [(0, 0), (0, 0), (-1, 0)]]),
+            motion_c3([[(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)],
+                       [(0, 0), (0, 0), (0, -1)]]),
+        ]
+    )
+
+
+@pytest.fixture(scope="session")
+def shear_lattice():
+    """seed -> a unimodular lattice of Z^6 drawn like the benchmark's
+    seeded t6_z4z4 basis: three row shears of the identity, rows
+    shuffled, signs flipped."""
+
+    def draw(seed):
+        rng = random.Random(seed)
+        rows = [[int(i == j) for j in range(6)] for i in range(6)]
+        for _ in range(3):
+            i, j = rng.sample(range(6), 2)
+            sign = rng.choice((-1, 1))
+            rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+        rows = [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
+        return TorusLattice(basis=Matrix(rows))
+
+    return draw
 
 
 @pytest.fixture(scope="session")

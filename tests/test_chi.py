@@ -4,7 +4,8 @@ import itertools
 import random
 import tracemalloc
 from functools import reduce
-from operator import and_
+from math import factorial
+from operator import and_, mul
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,45 @@ def test_census_never_holds_the_union():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
+
+
+# --- The two counts against their first loops ---------------------------------
+
+
+def _reference_chi1_sweep(n):
+    """The chi1 sweep as first written: one prefix vector per chi1 prefix."""
+    size = 1 << n
+    c = [[(0 if r & u else 1) + (r == u) for u in range(size)] for r in range(size)]
+    prefixes = [[1] * size]
+    for _ in range(n - 1):
+        prefixes = [list(map(mul, p, cr)) for p in prefixes for cr in c]
+    return sum(sum(map(mul, p, cr)) ** n for p in prefixes for cr in c)
+
+
+def _reference_column_transfer(n):
+    """The column transfer as first written: every column product of every
+    multiset recomputed from scratch."""
+    size = 1 << n
+    f = [[chi._cell_choices(u, v) for v in range(size)] for u in range(size)]
+    total = 0
+    for multiset in itertools.combinations_with_replacement(range(size), n):
+        arrangements = factorial(n)
+        for u in set(multiset):
+            arrangements //= factorial(multiset.count(u))
+        inner = 0
+        for v in range(size):
+            product = 1
+            for u in multiset:
+                product *= f[u][v]
+            inner += product
+        total += arrangements * inner**n
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_counts_match_their_reference_loops(n):
+    assert chi._count_by_chi1_sweep(n) == _reference_chi1_sweep(n)
+    assert chi._count_by_column_transfer(n) == _reference_column_transfer(n)
 
 
 def test_count_rejects_disagreeing_algorithms(monkeypatch):

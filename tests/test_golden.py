@@ -102,6 +102,61 @@ def test_stress_report_digest(command, scenario, tmp_path):
     assert digest == STRESS_DIGESTS[command, scenario]
 
 
+# t6_z4z4 on three more bases drawn like the benchmark's (seeds 1-3):
+# the singular set depends on the basis, the Euler report does not.
+T6_Z4Z4_LATTICES = {
+    1: """
+[lattice]
+row: -1 0 -1 0 0 0
+row: 0 0 0 0 0 1
+row: 0 0 0 0 -1 0
+row: 0 0 0 -1 0 -1
+row: 1 0 0 0 0 0
+row: 0 -1 0 0 1 0
+""",
+    2: """
+[lattice]
+row: 0 0 0 0 0 1
+row: 0 1 1 0 -1 0
+row: 0 0 0 1 0 0
+row: 0 -1 0 0 0 0
+row: 1 0 0 0 0 -1
+row: 0 0 0 0 1 0
+""",
+    3: """
+[lattice]
+row: 0 0 -1 0 -1 0
+row: 0 0 0 0 -1 1
+row: 0 1 0 0 -1 0
+row: 0 0 0 1 0 0
+row: -1 0 0 0 0 0
+row: 0 0 0 0 1 0
+""",
+}
+T6_Z4Z4_SEEDED_DIGESTS = {
+    ("singular-set", 1):
+        "c4244a18f229ed1ebc922aa384ff6fa1f5b55af27ffc1f978e1e85ccb725b25e",
+    ("singular-set", 2):
+        "9342f212d75f84c0e1d2bf53e5ebbcb2150224348662ebe2e3c72b65e2523ef1",
+    ("singular-set", 3):
+        "aed5bfc850263caa23f47cdc10497c962e8d12304a8da1e0fbc2988587a9f691",
+    ("euler", 1): STRESS_DIGESTS["euler", "t6_z4z4"],
+    ("euler", 2): STRESS_DIGESTS["euler", "t6_z4z4"],
+    ("euler", 3): STRESS_DIGESTS["euler", "t6_z4z4"],
+}
+
+
+@pytest.mark.parametrize("command,seed", sorted(T6_Z4Z4_SEEDED_DIGESTS))
+def test_seeded_t6_z4z4_report_digest(command, seed, tmp_path):
+    path = tmp_path / f"t6_z4z4_seed{seed}.scn"
+    path.write_text((STRESS / "t6_z4z4.scn").read_text() + T6_Z4Z4_LATTICES[seed])
+    out = tmp_path / "report.json"
+    argv = [command, "--scenario", str(path), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == T6_Z4Z4_SEEDED_DIGESTS[command, seed]
+
+
 # d4_q8z4 with z1 and z3 swapped and the splitting on axis 3: the
 # pipeline moves that axis first, after which nothing may change.
 D4_Q8Z4_ON_AXIS_3 = """\

@@ -30,7 +30,13 @@ from orbitop.invariants import (
     plan_from_choices,
     quotient_betti,
 )
-from orbitop.torus import TorusLattice, lattice_matrices, singular_set
+from orbitop.invariants import euler
+from orbitop.torus import (
+    TorusLattice,
+    common_fixed_set,
+    lattice_matrices,
+    singular_set,
+)
 
 Z4_TABLE = ContributionTable(
     name="t6_z4",
@@ -127,6 +133,74 @@ def test_euler_presum_divisible(z4_group, z2z2_group, gaussian_lattice):
         assert presum == report.value * group.order
         linear = orbifold_euler(group)
         assert linear.value * group.order == linear.commuting_pairs
+
+
+def _per_pair_euler(group, lattice):
+    """The torus Euler sum as first written: one common_fixed_set solve
+    per ordered commuting pair."""
+    total = pairs = 0
+    for g in range(group.order):
+        for h in range(group.order):
+            if group.mul(g, h) != group.mul(h, g):
+                continue
+            pairs += 1
+            fam = common_fixed_set([group.elements[g], group.elements[h]], lattice)
+            total += fam.euler_characteristic()
+    return total // group.order, pairs
+
+
+def _counting_common_fixed_set(monkeypatch):
+    calls = []
+
+    def counting(motions, lattice):
+        calls.append(motions)
+        return common_fixed_set(motions, lattice)
+
+    monkeypatch.setattr(euler, "common_fixed_set", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,seed,solves",
+    [("z4", None, 3), ("z2z2", None, 5), ("z4z4", 1, 15), ("z4z4", 2, 15),
+     ("z4z4", 3, 15)],
+)
+def test_euler_solves_once_per_subgroup(name, seed, solves, request, monkeypatch):
+    """T^g & T^h = T^<g,h>: one solve per subgroup generated by a commuting
+    pair (3, 5 and 15 of them), the same value as one solve per pair."""
+    group = request.getfixturevalue(f"{name}_group")
+    if seed is None:
+        lattice = TorusLattice.standard(6)
+    else:
+        lattice = request.getfixturevalue("shear_lattice")(seed)
+    value, pairs = _per_pair_euler(group, lattice)
+    calls = _counting_common_fixed_set(monkeypatch)
+    report = orbifold_euler(group, lattice)
+    assert (report.value, report.commuting_pairs) == (value, pairs)
+    assert len(calls) == solves
+
+
+def _dense_lattice(seed):
+    """Unit lower times unit upper triangular, entries in {-1, 0, 1}."""
+    rng = random.Random(seed)
+    lower = [
+        [int(i == j) or (rng.choice((-1, 0, 1)) if i > j else 0) for j in range(6)]
+        for i in range(6)
+    ]
+    upper = [
+        [int(i == j) or (rng.choice((-1, 0, 1)) if i < j else 0) for j in range(6)]
+        for i in range(6)
+    ]
+    return TorusLattice(basis=Matrix(lower) @ Matrix(upper))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_euler_on_dense_bases(seed, z4z4_group):
+    """With one solve per pair, two of these bases did not finish within
+    120 s: the Smith forms of the stacked pair congruences grow on dense
+    bases.  The 15 per-subgroup solves finish in well under a second; that
+    comes from fewer solves, and the growth itself is not fixed."""
+    assert orbifold_euler(z4z4_group, _dense_lattice(seed)).value == 180
 
 
 # --- Quotient Betti numbers -------------------------------------------------

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbitop.errors import PreconditionError
+from orbitop import torus
+from orbitop.errors import CapExceededError, PreconditionError, VerificationError
 from orbitop.exact import Matrix, int_apply
 from orbitop.group import Motion, close
 from orbitop.torus import (
@@ -183,6 +184,29 @@ def test_singular_set_trivial_group(trivial_c3_group, gaussian_lattice):
     assert report.intersection_points == ()
 
 
+def test_singular_set_rejects_an_image_off_the_list(
+    z4_group, gaussian_lattice, monkeypatch
+):
+    """Every element maps a maximal translate to a maximal translate.  A
+    matrix list whose kappa swaps z1 and z2 maps the T2 lines along z1
+    to lines along z2, which no element fixes."""
+    mats = list(torus.lattice_matrices(z4_group, gaussian_lattice))
+    order = [2, 3, 0, 1, 4, 5]
+    kappa = next(i for i in range(4) if z4_group.element_order(i) == 4)
+    mats[kappa] = tuple(tuple(int(j == order[i]) for j in range(6)) for i in range(6))
+    monkeypatch.setattr(torus, "lattice_matrices", lambda group, lattice: tuple(mats))
+    with pytest.raises(VerificationError, match="off the list"):
+        singular_set(z4_group, gaussian_lattice)
+
+
+def test_affine_order_cap_is_a_cap_error():
+    """-1 on T2 has order 2: cap 2 finds it, cap 1 runs out."""
+    action = (((-1, 0), (0, -1)), (0, 0), 1)
+    assert torus._affine_order(action, cap=2) == 2
+    with pytest.raises(CapExceededError, match="cap 1"):
+        torus._affine_order(action, cap=1)
+
+
 def test_representatives_satisfy_congruence(z2z2_group, gaussian_lattice):
     for i, motion in enumerate(z2z2_group.elements):
         if i == z2z2_group.identity_index:
@@ -193,34 +217,10 @@ def test_representatives_satisfy_congruence(z2z2_group, gaussian_lattice):
             assert tuple(x % 1 for x in int_apply(m, p)) == p
 
 
-def _shear_basis(rng):
-    """A unimodular basis of Z^6 drawn like the benchmark's seeded
-    t6_z4z4 lattice: three row shears of the identity, rows shuffled,
-    signs flipped."""
-    rows = [[int(i == j) for j in range(6)] for i in range(6)]
-    for _ in range(3):
-        i, j = rng.sample(range(6), 2)
-        sign = rng.choice((-1, 1))
-        rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
-    rng.shuffle(rows)
-    return [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
-
-
-@pytest.fixture(scope="module")
-def z4z4_group():
-    """diag(i, i, -1) and diag(1, i, -i) on C^3."""
-    return close(
-        [
-            Motion.from_complex([[(0, 1), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)],
-                                 [(0, 0), (0, 0), (-1, 0)]]),
-            Motion.from_complex([[(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)],
-                                 [(0, 0), (0, 0), (0, -1)]]),
-        ]
-    )
-
-
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
-def test_isolated_fixed_points_match_lefschetz(seed, z4_group, z2z2_group, z4z4_group):
+def test_isolated_fixed_points_match_lefschetz(
+    seed, z4_group, z2z2_group, z4z4_group, shear_lattice
+):
     """An automorphism M of a torus with isolated fixed points has
     |det(M - 1)| of them; the determinant is taken on the motion itself,
     as a Fraction matrix built from its rows / den, so it depends neither
@@ -228,7 +228,7 @@ def test_isolated_fixed_points_match_lefschetz(seed, z4_group, z2z2_group, z4z4_
     if seed is None:
         lattice = TorusLattice.standard(6)
     else:
-        lattice = TorusLattice(basis=Matrix(_shear_basis(random.Random(seed))))
+        lattice = shear_lattice(seed)
     isolated = 0
     for group in (z4_group, z2z2_group, z4z4_group):
         for motion in group.elements:

@@ -26,6 +26,7 @@ from orbitop.group import (
     normal_and_quotient,
 )
 from orbitop.invariants import NodeConfiguration, chi, node_kahler, node_smoothable, nodes
+from orbitop.invariants import euler
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 from orbitop import torus
 from orbitop.torus import common_fixed_set, fixed_set
@@ -414,6 +415,25 @@ def test_cli_maps_verification_error_to_exit_5(monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def _one_more_point(common_fixed_set):
+    """common_fixed_set with one extra component on every isolated set."""
+
+    def counted(motions, lattice):
+        fam = common_fixed_set(motions, lattice)
+        if fam.dimension:
+            return fam
+        return fam._replace(component_count=fam.component_count + 1)
+
+    return counted
+
+
+def test_cli_maps_indivisible_euler_sum_to_exit_5(monkeypatch, capsys):
+    # On t6_z2z2 the 6 pairs generating the whole group each add one more.
+    monkeypatch.setattr(euler, "common_fixed_set", _one_more_point(common_fixed_set))
+    assert main(["euler", "--scenario", "t6_z2z2"]) == 5
+    assert "not divisible by group order 4" in capsys.readouterr().err
+
+
 def _doubled_factors(rows):
     """The Smith form of rows with every invariant factor doubled: a
     corrupted decomposition whose extra half-steps solve nothing."""
@@ -434,6 +454,7 @@ def test_torus_congruence_check_catches_corrupted_snf(
 
 
 TORUS_OPTIMIZED_SCRIPT = """
+import os
 import sys
 assert False, "asserts are stripped under -O, so this never fires"
 from orbitop import torus
@@ -447,12 +468,29 @@ def doubled(rows):
     factors = tuple(2 * f for f in dec.invariant_factors)
     return SmithDecomposition(dec.U, dec.D, dec.V, factors)
 
+caught = []
+smith = torus._snf_cached
 torus._snf_cached = doubled
 kappa = Motion.from_complex([[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
 try:
     torus.fixed_set(kappa, torus.TorusLattice.standard(4))
 except VerificationError:
-    print(sys.flags.optimize, "torus")
+    caught.append("torus")
+torus._snf_cached = smith
+
+from orbitop.cli import main
+from orbitop.invariants import euler
+
+solve = euler.common_fixed_set
+
+def off_by_one(motions, lattice):
+    fam = solve(motions, lattice)
+    return fam._replace(component_count=fam.component_count + (fam.dimension == 0))
+
+euler.common_fixed_set = off_by_one
+if main(["euler", "--scenario", "t6_z2z2", "--out", os.devnull]) == 5:
+    caught.append("euler")
+print(sys.flags.optimize, " ".join(caught))
 """
 
 
@@ -468,4 +506,4 @@ def test_torus_verification_survives_python_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "torus"]
+    assert done.stdout.split() == ["1", "torus", "euler"]
