@@ -13,9 +13,9 @@ on the root set (Humphreys, *Reflection Groups and Coxeter Groups*,
 permutations of a root tuple that lists the simple roots first: a
 product is a reindexing, and an element's int rows are read off the
 images of the simple roots.  `ExtendedElement` conjugates by a diagram
-automorphism b by the reindexing W[b[i]][b[j]], and inverts the
-unimodular lattice matrix by integer row operations, re-checked by an
-integer product.
+automorphism b by the reindexing W[b[i]][b[j]].  Nothing here inverts a
+lattice matrix: a lift into Aut x| W is a homomorphism, so its images
+hold their own inverses (`mckay.ChiLift.dual_rows`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple
 
-from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import int_apply, int_product, snf
+from .errors import CapExceededError, PreconditionError
+from .exact import int_apply, int_product
 
 RANK_CAP = 8
 WEYL_ENUMERATION_CAP = 100_000
@@ -290,35 +290,6 @@ class ExtendedElement(
             rows[k] = row
         return tuple(rows)
 
-    @cached_property
-    def dual_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The inverse transpose of the lattice matrix, as int rows."""
-        return tuple(zip(*_unimodular_inverse(self.lattice_rows)))
-
     def is_identity(self) -> bool:
         n = len(self.aut)
         return self.aut == tuple(range(n)) and self.weyl == _identity_rows(n)
-
-    def inverse(self) -> "ExtendedElement":
-        inv_aut = [0] * len(self.aut)
-        for i, v in enumerate(self.aut):
-            inv_aut[v] = i
-        # P_a M_w^-1 P_a^-1 has entry (i, j) = M_w^-1[a^-1 i][a^-1 j].
-        w_inv = _unimodular_inverse(self.weyl)
-        conj = tuple(tuple(w_inv[i][j] for j in inv_aut) for i in inv_aut)
-        return ExtendedElement(aut=tuple(inv_aut), weyl=conj)
-
-
-def _unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
-    """Inverse of a square integer matrix of determinant +-1, as int
-    rows: with U L V = 1 from the Smith form, L^-1 = V U.  The result is
-    re-checked by an integer product."""
-    dec = snf(rows)
-    if 0 in dec.invariant_factors:
-        raise PreconditionError("matrix is singular")
-    if any(f != 1 for f in dec.invariant_factors):
-        raise PreconditionError("matrix is not invertible over the integers")
-    inv = int_product(dec.V, dec.U)
-    if int_product(inv, rows) != _identity_rows(len(rows)):
-        raise VerificationError("integer inverse check failed")
-    return inv

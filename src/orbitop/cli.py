@@ -25,7 +25,7 @@ from .errors import (
     ScenarioParseError,
     VerificationError,
 )
-from .exact import Matrix, int_rank
+from .exact import Matrix, int_kernel
 from .group import CLOSURE_CAP, Motion, close, conjugacy_classes, spin7_check, su_classify
 from .invariants import (
     ContributionTable,
@@ -171,6 +171,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError(f"line {lineno}: expected key: value")
         key, value = (part.strip() for part in line.split(":", 1))
         if current is None:
+            if key in header:
+                raise ScenarioParseError(f"line {lineno}: repeated header key {key!r}")
             header[key] = value
         else:
             current.append((key, value))
@@ -193,7 +195,11 @@ def parse_scenario(text: str) -> Scenario:
     lattice_rows = None
     splitting_axis = 1
     node_classes = None
+    seen = set()
     for title, entries in sections:
+        if title in seen and title != "generator":
+            raise ScenarioParseError(f"second [{title}] section")
+        seen.add(title)
         if title == "generator":
             flags = {"real": False, "conjugate": False}
             for k, v in entries:
@@ -231,12 +237,17 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioParseError(
                         f"splitting axis must be an integer, got {v!r}"
                     ) from exc
+            if len(entries) > 1:
+                raise ScenarioParseError("[splitting] sets its axis more than once")
         elif title == "node_classes":
             node_classes = _rational_rows(title, entries)
         else:
             raise ScenarioParseError(f"unknown section [{title}]")
     if not generators:
         raise ScenarioParseError("scenario defines no generators")
+    n = 2 * complex_dim
+    if lattice_rows is not None and {len(lattice_rows), *map(len, lattice_rows)} != {n}:
+        raise ScenarioParseError(f"lattice needs {n} rows of {n} entries")
     if not 1 <= splitting_axis <= complex_dim:
         raise ScenarioParseError(
             f"splitting axis {splitting_axis} is not in 1..{complex_dim}"
@@ -492,19 +503,18 @@ def run_command(command: str, args) -> dict:
                     }
                 )
         else:
-            dim = group.dim_real
             for i, motion in enumerate(group.elements):
                 if i == group.identity_index:
                     continue
                 # the kernel of rows / den - 1 is that of rows - den * 1
-                shifted = (
-                    [x - motion.den * (r == c) for c, x in enumerate(row)]
+                shifted = [
+                    ([x - motion.den * (r == c) for c, x in enumerate(row)],)
                     for r, row in enumerate(motion.rows)
-                )
+                ]
                 out.append(
                     {
                         "element": i,
-                        "fixed_subspace_dimension": dim - int_rank(shifted, dim),
+                        "fixed_subspace_dimension": len(int_kernel(shifted)[1]),
                     }
                 )
         base["fixed_sets"] = out
@@ -584,7 +594,7 @@ def run_command(command: str, args) -> dict:
     if command == "ledger":
         lattice = scenario.lattice()
         if scenario.complex_dim != 3:
-            # Checked first: the exterior powers alone grow as 4^dim.
+            # Checked before the singular set: ledger_apply needs a 6-manifold.
             raise PreconditionError(
                 "the ledger needs a torus of complex dimension 3, "
                 f"not {scenario.complex_dim}"

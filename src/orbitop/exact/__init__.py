@@ -18,7 +18,6 @@ from .matrix import (
     int_det,
     int_kernel,
     int_product,
-    int_rank,
     zero_pairings,
 )
 from .snf import SmithDecomposition, snf
@@ -36,7 +35,6 @@ __all__ = [
     "int_det",
     "int_kernel",
     "int_product",
-    "int_rank",
     "integer_coefficients",
     "scale_coefficients",
     "snf",

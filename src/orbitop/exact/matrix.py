@@ -6,16 +6,16 @@ are capped (default 64) so bad input fails loudly instead of crawling.
 
 An integer matrix (a motion over its denominator, a lattice action, a
 Weyl group element, a Smith transform) is not a `Matrix`: it is a tuple
-of int rows.  `int_product` and `int_apply` multiply those, `int_det`
-takes a determinant by fraction-free (Bareiss) elimination and
-`int_rank` a rank by fraction-free row reduction, so every division is
-exact and every entry stays an int.
+of int rows.  `int_product` and `int_apply` multiply those, and
+`int_det` takes a determinant by fraction-free (Bareiss) elimination,
+so every division is exact and every entry stays an int.
 
 `int_kernel` is the one kernel, over Q(zeta_m) for every m (m = 1 is
 Q): it takes and returns the integer coefficient rows of
 `integer_coefficients`, eliminates over Z[zeta_m] fraction-free, and
 divides once per pivot through the pivot's Galois conjugates.
-`Matrix.kernel_basis` converts onto it.
+`Matrix.kernel_basis` converts onto it, and a dimension is the number
+of its vectors: there is no separate rank elimination.
 """
 
 from __future__ import annotations
@@ -250,29 +250,6 @@ def int_det(rows) -> int:
                 ar[c] = (ar[c] * p - f * a[i][c]) // prev
         prev = p
     return sign * a[-1][-1]
-
-
-def int_rank(rows, width: int) -> int:
-    """Rank of integer rows of the given width by fraction-free
-    elimination against one primitive pivot row per leading column;
-    stops at full rank."""
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        while any(row):
-            lead = next(c for c, x in enumerate(row) if x)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                g = gcd(*row)
-                pivots[lead] = [x // g for x in row]
-                if len(pivots) == width:
-                    return width
-                break
-            p, f = pivot[lead], row[lead]
-            row = [x * p - f * y for x, y in zip(row, pivot)]
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-    return len(pivots)
 
 
 def int_kernel(rows, order: int = 1):

@@ -1,12 +1,12 @@
 """Betti numbers of torus quotients and the desingularization ledger.
 
-Quotient Betti numbers come from invariant exterior forms: b^k is the
-dimension of the common fixed space of the induced group action on the
-k-th exterior power, computed as an exact kernel (no averaging).  It
-runs on the integer lattice matrices of the group: Lambda^k g is built
-from k x k minors (Bareiss determinants on ints), and b^k is C(2n, k)
-minus the rank of the rows of Lambda^k g - I stacked over g, found by
-fraction-free integer elimination that stops at full rank.
+Quotient Betti numbers come from Molien's formula: b^k is the average
+over G of e_k(g), the trace of Lambda^k g on the lattice (Molien 1897;
+Humphreys, *Reflection Groups and Coxeter Groups*, 3.7).  Each element
+gives one int trace, the traces of its powers are read off the Cayley
+table, and Newton's identities turn them into the e_k(g).  Every
+division is re-checked to be exact, as are b^0 = 1, b^k >= 0 and, when
+G keeps the orientation, Poincare duality.
 
 The ledger adds per-component contributions to a base Betti vector.
 Contribution tables are calibrated data for the bundled quotients; the
@@ -17,11 +17,10 @@ extrapolating.
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import NamedTuple
 
-from ..errors import PreconditionError
-from ..exact import Matrix, int_det, int_rank
+from ..errors import PreconditionError, VerificationError
+from ..exact import Matrix
 from ..group import FiniteMatrixGroup
 from ..torus import SingularSetReport, TorusLattice, lattice_matrices
 
@@ -59,32 +58,32 @@ def exterior_power_matrix(m: Matrix, k: int) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def _exterior_rows(rows, k: int):
-    """Rows of the k-th exterior power of an integer matrix: entry (s, t)
-    is the minor on rows s and columns t, over sorted k-subsets."""
-    subsets = list(itertools.combinations(range(len(rows)), k))
-    for s in subsets:
-        picked = [rows[i] for i in s]
-        yield [int_det([[r[j] for j in t] for r in picked]) for t in subsets]
-
-
 def quotient_betti(group: FiniteMatrixGroup, lattice: TorusLattice) -> BettiVector:
-    """Betti numbers of T/G via invariant exterior forms: b^k is C(2n, k)
-    minus the rank of the rows of Lambda^k g - I stacked over g in G."""
+    """Betti numbers of T/G by Molien's formula, b^k = sum_g e_k(g) / |G|,
+    with e_k(g) from the power traces p_i = tr(g^i) by Newton's
+    identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i."""
     dim = lattice.rank
     # integer rows in lattice coordinates; raises if the lattice is not preserved
     mats = lattice_matrices(group, lattice)
-    others = [m for i, m in enumerate(mats) if i != group.identity_index]
-    out = []
-    for k in range(dim + 1):
-        width = comb(dim, k)
-        rows = (
-            [x - (i == j) for j, x in enumerate(row)]
-            for m in others
-            for i, row in enumerate(_exterior_rows(m, k))
-        )
-        out.append(width - int_rank(rows, width))
-    return BettiVector(b=tuple(out))
+    traces = [sum(m[i][i] for i in range(dim)) for m in mats]
+    sums = [0] * (dim + 1)
+    for g in range(group.order):
+        p, power = [], g
+        for _ in range(dim):
+            p.append(traces[power])
+            power = group.mul(power, g)
+        e = [1]
+        for k in range(1, dim + 1):
+            newton = sum((-1) ** i * e[k - 1 - i] * p[i] for i in range(k))
+            if newton % k:
+                raise VerificationError(f"element {g}: Newton sum not divisible by {k}")
+            e.append(newton // k)
+        sums = [s + x for s, x in zip(sums, e)]
+    b, rest = zip(*(divmod(s, group.order) for s in sums))
+    # b^top is the average of det g: 1 when G keeps the orientation, else 0.
+    if any(rest) or b[0] != 1 or min(b) < 0 or b[-1] and b != b[::-1]:
+        raise VerificationError(f"Molien sums {sums} give no Betti vector")
+    return BettiVector(b=b)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .exact import (
     from_integer_coefficients,
     int_apply,
     int_kernel,
+    int_product,
     scale_coefficients,
     zero_pairings,
 )
@@ -275,6 +276,20 @@ class ChiLift(NamedTuple):
         ident = ExtendedElement.identity(self.psi.diagram.rank).weyl
         return all(e.weyl == ident for e in self.images)
 
+    def dual_rows(self, coset: int) -> tuple[tuple[int, ...], ...]:
+        """The inverse transpose of the lattice matrix of images[coset], as
+        int rows.  A lift is a homomorphism, so that inverse is the image
+        of the inverse coset; one int product re-checks it."""
+        quotient = self.psi.source
+        inverse = quotient.table[coset].index(quotient.identity_coset)
+        rows = self.images[inverse].lattice_rows
+        product = int_product(rows, self.images[coset].lattice_rows)
+        if product != ExtendedElement.identity(len(rows)).weyl:
+            raise VerificationError(
+                f"the image of coset {inverse} does not invert that of {coset}"
+            )
+        return tuple(zip(*rows))
+
 
 def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
     """All homomorphisms into Aut x| W projecting to psi; the canonical
@@ -482,7 +497,7 @@ def build_invariant_pair_problem(
     real_rows, complex_rows = [], []
     for coset in gens:
         unit = _unit_coefficients(phi[coset], field_order)
-        for i, row in enumerate(chi.images[coset].dual_rows):
+        for i, row in enumerate(chi.dual_rows(coset)):
             real_rows.append(([d - (i == j) for j, d in enumerate(row)],))
             planes = [[u * d for d in row] for u in unit]
             planes[0][i] -= 1
@@ -563,7 +578,7 @@ def _verify_pair(problem: InvariantPairProblem, alpha, beta) -> None:
         raise PreconditionError("pair is not written over Q and Q(zeta_m)")
     quotient = problem.chi.psi.source
     for coset in range(quotient.order):
-        dual = problem.chi.images[coset].dual_rows
+        dual = problem.chi.dual_rows(coset)
         if int_apply(dual, a_rows[0]) != a_rows[0]:
             raise VerificationError("alpha is not invariant")
         # The dual acts on each plane of beta; phi, a root of unity

@@ -8,17 +8,17 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix as SympyMatrix
 
 from orbitop.ade import (
     DynkinDiagram,
     ExtendedElement,
-    _unimodular_inverse,
     build_root_system,
     graph_automorphisms,
     weyl_group,
 )
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Matrix, int_apply, int_product, int_rank
+from orbitop.exact import Matrix, int_apply, int_product
 
 
 def _identity(n):
@@ -147,7 +147,6 @@ def test_extended_identity_action():
     e = ExtendedElement.identity(2)
     v = (1, 2)
     assert int_apply(e.lattice_rows, v) == v
-    assert int_apply(e.dual_rows, v) == v
 
 
 def test_a1_weyl_generator_negates_simple_root():
@@ -192,7 +191,6 @@ def test_semidirect_composition_matches_matrix_action():
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert (a * b).lattice_rows == int_product(a.lattice_rows, b.lattice_rows)
-        assert (a * a.inverse()).is_identity()
 
 
 def _compose(p, q):
@@ -262,36 +260,9 @@ def test_e6_involutions_and_fourth_roots_of_one(weyl):
         plus_one = tuple(
             tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(m)
         )
-        return 6 - int_rank(plus_one, 6)
+        return 6 - SympyMatrix(plus_one).rank()
 
     assert Counter(map(minus_one_dim, involutions)) == {1: 36, 2: 270, 3: 540, 4: 45}
     # The elements with x^4 = 1: the lift count of e6_bt, where Z4 acts
     # trivially on the diagram.
     assert orders[1] + orders[2] + orders[4] == 6832
-
-
-@st.composite
-def _unimodular(draw):
-    """Products of integer row operations and sign flips, rank 1..8."""
-    n = draw(st.integers(1, 8))
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(0, 12))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        if i == j:
-            rows[i] = [-x for x in rows[i]]
-        else:
-            q = draw(st.integers(-3, 3))
-            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-    return tuple(map(tuple, rows))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_unimodular())
-def test_unimodular_inverse_matches_rational_inverse(rows):
-    assert Matrix(_unimodular_inverse(rows)) == Matrix(rows).inverse()
-
-
-@pytest.mark.parametrize("rows", [((2, 0), (0, 1)), ((1, 2), (2, 4)), ((0,),)])
-def test_unimodular_inverse_rejects_other_matrices(rows):
-    with pytest.raises(PreconditionError):
-        _unimodular_inverse(rows)

@@ -168,6 +168,15 @@ DIAGONAL = "[generator]\nrow: -1 0 0\nrow: 0 i 0\nrow: 0 0 i\n"
 REAL_IDENTITY = "".join(
     "row: " + " ".join(str(int(i == j)) for j in range(6)) + "\n" for i in range(6)
 )
+# T^2/(+-1), whose lattice must be 2 x 2; a body starting with this
+# header is written as it is, any other after C3_HEADER.
+T2_HEADER = "name: bad\nambient: torus\ncomplex_dim: 1\n\n[generator]\nrow: -1\n"
+
+
+def _square_lattice(n):
+    return "[lattice]\n" + "".join(
+        "row: " + " ".join(str(int(i == j)) for j in range(n)) + "\n" for i in range(n)
+    )
 
 
 @pytest.mark.parametrize(
@@ -195,6 +204,18 @@ REAL_IDENTITY = "".join(
         ("nodes", DIAGONAL + "[node_classes]\nrow: 1 0\nclass: 0 1\n",
          "unknown node_classes key 'class'"),
         ("group", "seed: 3\n" + DIAGONAL, "unknown header key 'seed'"),
+        # A lattice of the wrong size ran, truncated by int products.
+        ("fixed-sets", T2_HEADER + _square_lattice(3), "lattice needs 2 rows of 2"),
+        ("euler", T2_HEADER + _square_lattice(4), "lattice needs 2 rows of 2"),
+        # Repeats kept the last value without a word.
+        ("group", "name: again\n" + DIAGONAL, "repeated header key 'name'"),
+        ("group", DIAGONAL + (_square_lattice(6) * 2), "second [lattice] section"),
+        ("lifts", DIAGONAL + "[splitting]\naxis: 2\n[splitting]\naxis: 3\n",
+         "second [splitting] section"),
+        ("lifts", DIAGONAL + "[splitting]\naxis: 2\naxis: 3\n",
+         "[splitting] sets its axis more than once"),
+        ("nodes", DIAGONAL + "[node_classes]\nrow: 1 0\n[node_classes]\nrow: 0 1\n",
+         "second [node_classes] section"),
     ],
     ids=[
         "non-integer-axis",
@@ -212,17 +233,49 @@ REAL_IDENTITY = "".join(
         "unknown-lattice-key",
         "unknown-node-classes-key",
         "unknown-header-key",
+        "lattice-3x3-on-t2",
+        "lattice-4x4-on-t2",
+        "repeated-header-key",
+        "second-lattice",
+        "second-splitting",
+        "repeated-splitting-axis",
+        "second-node-classes",
     ],
 )
 def test_bad_scenario_is_parse_error(tmp_path, capsys, command, body, message):
     scn = tmp_path / "bad.scn"
-    scn.write_text(C3_HEADER + body)
+    scn.write_text(body if body.startswith(T2_HEADER) else C3_HEADER + body)
     code, _, err = run_cli(capsys, command, "--scenario", str(scn))
     assert code == 2
     assert message in err
 
 
 # --- commands ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["e6_bt", "mono48", "r8_q8"])
+def test_linear_fixed_dimensions_match_sympy_nullspace(capsys, name):
+    from sympy import Matrix as SympyMatrix
+    from sympy import eye
+
+    from orbitop.group import close
+
+    path = ROOT / "perfbench" / "scenarios" / f"{name}.scn"
+    target = str(path) if path.exists() else name
+    code, out, _ = run_cli(capsys, "fixed-sets", "--scenario", target, "--format", "json")
+    assert code == 0
+    group = close(load_scenario(target).motions())
+    expected = [
+        {
+            "element": i,
+            "fixed_subspace_dimension": len(
+                (SympyMatrix(m.rows) - m.den * eye(m.dim_real)).nullspace()
+            ),
+        }
+        for i, m in enumerate(group.elements)
+        if i != group.identity_index
+    ]
+    assert json.loads(out)["fixed_sets"] == expected
 
 
 def test_euler_t6_z4_reports_48(capsys):

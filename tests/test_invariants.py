@@ -10,18 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix as SympyMatrix
-from sympy import symbols
+from sympy import QQ, symbols
+from sympy.polys.matrices import DomainMatrix
 from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
 from orbitop.cli import load_scenario
 from orbitop.errors import PreconditionError
-from orbitop.exact import Matrix, int_rank
-from orbitop.group import close, conjugacy_classes
+from orbitop.exact import Matrix
+from orbitop.group import Motion, close, conjugacy_classes
 from orbitop.invariants import (
     BettiVector,
     ContributionTable,
     NodeConfiguration,
-    betti,
     exterior_power_matrix,
     ledger_apply,
     node_kahler,
@@ -289,42 +289,38 @@ def character_betti_oracle(group, lattice):
     return tuple(s // group.order for s in sums)
 
 
+def _rank_betti_oracle(group, lattice):
+    """b^k as the nullity of Lambda^k g - I stacked over every g: the
+    invariant k-forms, each exterior power built from k x k minors by
+    `exterior_power_matrix`, the nullity found by sympy over Q."""
+    mats = lattice_matrices(group, lattice)
+    out = [1]
+    for k in range(1, lattice.rank + 1):
+        rows = [
+            [QQ(x - (i == j)) for j, x in enumerate(row)]
+            for m in mats
+            for i, row in enumerate(exterior_power_matrix(Matrix(m), k).data)
+        ]
+        width = comb(lattice.rank, k)
+        out.append(width - DomainMatrix(rows, (len(rows), width), QQ).rank())
+    return tuple(out)
+
+
 @pytest.mark.parametrize("name", sorted(BETTI_CASES))
 def test_betti_matches_character_oracle(name):
     group, lattice = _scenario_group(name)
     bv = quotient_betti(group, lattice)
     assert bv.b == BETTI_CASES[name] == character_betti_oracle(group, lattice)
+    assert bv.b == _rank_betti_oracle(group, lattice)
     assert bv.b == tuple(reversed(bv.b))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_integer_exterior_power_matches_generic(data):
-    dim = data.draw(st.integers(1, 5))
-    k = data.draw(st.integers(0, dim))
-    rows = data.draw(
-        st.lists(
-            st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
-            min_size=dim,
-            max_size=dim,
-        )
-    )
-    expected = exterior_power_matrix(Matrix(rows), k) if k else Matrix([[1]])
-    assert Matrix(list(betti._exterior_rows(rows, k))) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_integer_rank_matches_sympy(data):
-    width = data.draw(st.integers(1, 6))
-    rows = data.draw(
-        st.lists(
-            st.lists(st.integers(-4, 4), min_size=width, max_size=width),
-            max_size=8,
-        )
-    )
-    expected = SympyMatrix(rows).rank() if rows else 0
-    assert int_rank(iter(rows), width) == expected
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_betti_on_dense_bases_matches_both_oracles(seed, z4z4_group):
+    lattice = _dense_lattice(seed)
+    bv = quotient_betti(z4z4_group, lattice)
+    assert bv.b == BETTI_CASES["t6_z4z4"] == character_betti_oracle(z4z4_group, lattice)
+    assert bv.b == _rank_betti_oracle(z4z4_group, lattice)
 
 
 @st.composite
@@ -339,6 +335,26 @@ def _shear_basis(draw):
     rows = draw(st.permutations(rows))
     signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=6, max_size=6))
     return [[s * x for x in row] for s, row in zip(signs, rows)]
+
+
+def test_betti_of_orientation_reversing_groups_matches_rank_oracle():
+    """T/G is not orientable here: b^top = 0 and Poincare duality fails,
+    which the Molien re-check must not mistake for a fault."""
+    conj = Motion.from_complex(
+        [[(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)]],
+        conjugate=True,
+    )
+    z4 = Motion.from_complex(
+        [[(0, 1), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (-1, 0)]]
+    )
+    cases = [
+        (close([Motion.from_rational([[1, 0], [0, -1]])]), 2, (1, 1, 0)),
+        (close([conj, z4]), 6, (1, 0, 1, 2, 4, 0, 0)),
+    ]
+    for group, rank, expected in cases:
+        lattice = TorusLattice.standard(rank)
+        assert quotient_betti(group, lattice).b == expected
+        assert _rank_betti_oracle(group, lattice) == expected
 
 
 @settings(max_examples=15, deadline=None)

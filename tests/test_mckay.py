@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix as SympyMatrix
 
 from orbitop.ade import DynkinDiagram, ExtendedElement, build_root_system, weyl_group
 from orbitop import mckay
@@ -533,7 +534,7 @@ def _reference_fixed_bases(rs, chi, phi):
 
     real = complex_ = None
     for coset in range(quotient.order):
-        dual = chi.images[coset].dual_rows
+        dual = chi.dual_rows(coset)
         scalar = phi[coset].embed(lcm(field_order, phi[coset].order))
         real = intersect(real, Matrix(
             [[d - (i == j) for j, d in enumerate(row)] for i, row in enumerate(dual)]
@@ -572,6 +573,16 @@ def test_generator_fixed_spaces_equal_all_coset_reference(name, reverse, monkeyp
         monkeypatch.setattr(mckay, "_quotient_generators", lambda q: gens[::-1])
     for lift in lifts:
         _assert_reference_bases(rs, lift, phi)
+
+
+@pytest.mark.parametrize("name", ["d4_q8z2", "d4_q8z4"])
+def test_lift_dual_rows_are_sympy_inverse_transposes(name):
+    _, lifts, _, quotient = _lift_problems(name)
+    assert quotient.order > 1
+    for lift in lifts:
+        for coset, image in enumerate(lift.images):
+            expected = SympyMatrix(image.lattice_rows).inv().T
+            assert SympyMatrix(lift.dual_rows(coset)) == expected
 
 
 def test_trivial_quotient_fixes_the_whole_space(trivial_c3_group):

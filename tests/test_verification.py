@@ -25,8 +25,17 @@ from orbitop.group import (
     close,
     normal_and_quotient,
 )
-from orbitop.invariants import NodeConfiguration, chi, node_kahler, node_smoothable, nodes
+from orbitop.invariants import (
+    NodeConfiguration,
+    betti,
+    chi,
+    node_kahler,
+    node_smoothable,
+    nodes,
+    quotient_betti,
+)
 from orbitop.invariants import euler
+from orbitop import mckay
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 from orbitop import torus
 from orbitop.torus import common_fixed_set, fixed_set
@@ -191,24 +200,81 @@ def test_kernel_check_catches_a_corrupted_vector(monkeypatch):
         node_smoothable(cfg)
 
 
-def test_dual_check_catches_corrupted_integer_inverse(monkeypatch):
-    # s_1 of A2 in the simple-root basis, an involution of determinant -1
-    element = ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1)))
-    assert element.dual_rows == ((1, 1), (0, -1))
+def _wrong_inverse_image(lift):
+    """lift with the image of its first generator's inverse coset times a
+    simple reflection, so that it no longer inverts the generator's image."""
+    quotient = lift.psi.source
+    gen = mckay._quotient_generators(quotient)[0]
+    inverse = quotient.table[gen].index(quotient.identity_coset)
+    rs = build_root_system(lift.psi.diagram)
+    reflection = ExtendedElement(tuple(range(rs.rank)), ade.simple_reflections(rs)[0])
+    images = list(lift.images)
+    images[inverse] = images[inverse] * reflection
+    return lift._replace(images=tuple(images))
 
-    def negated_u(rows):
-        # With U negated, V U is minus the inverse: only the integer
-        # re-check of the inverse can catch it.
-        dec = snf(rows)
-        negated = tuple(tuple(-x for x in row) for row in dec.U)
-        return SmithDecomposition(negated, dec.D, dec.V, dec.invariant_factors)
 
-    monkeypatch.setattr(ade, "snf", negated_u)
-    fresh = ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1)))
-    with pytest.raises(VerificationError, match="integer inverse"):
-        fresh.dual_rows
-    with pytest.raises(VerificationError, match="integer inverse"):
-        fresh.inverse()
+def test_dual_check_catches_a_wrong_inverse_image():
+    # K = Z4 here, so a generator's inverse coset is another coset.
+    scenario = load_scenario(str(STRESS / "d4_q8z4.scn"))
+    result = analyze_splitting(close(scenario.motions()))
+    for lift in result.lifts[:3]:
+        build_invariant_pair_problem(result.root_system, lift, result.phi)
+        with pytest.raises(VerificationError, match="does not invert"):
+            build_invariant_pair_problem(
+                result.root_system, _wrong_inverse_image(lift), result.phi
+            )
+
+
+def test_cli_maps_wrong_inverse_image_to_exit_5(monkeypatch, capsys):
+    lifts = mckay.enumerate_chi_lifts
+    monkeypatch.setattr(
+        mckay,
+        "enumerate_chi_lifts",
+        lambda psi, weyl: [_wrong_inverse_image(lift) for lift in lifts(psi, weyl)],
+    )
+    assert main(["invariant-pair", "--scenario", str(STRESS / "d4_q8z4.scn")]) == 5
+    assert "does not invert" in capsys.readouterr().err
+
+
+def _bumped_trace(lattice_matrices, by=1):
+    """lattice_matrices with `by` added to the first diagonal entry of
+    the matrix of element 1."""
+
+    def bumped(group, lattice):
+        mats = list(lattice_matrices(group, lattice))
+        first, *rest = mats[1]
+        mats[1] = ((first[0] + by, *first[1:]), *rest)
+        return tuple(mats)
+
+    return bumped
+
+
+@pytest.mark.parametrize(
+    "fixture,by,message",
+    [
+        ("z4_group", 1, "element 1: Newton sum not divisible by 2"),
+        # Every element of Z2 x Z2 has trace -2 and squares to 1: trace 0
+        # is the trace of an involution too, so the Newton sums stay
+        # exact and only the Molien sum over G can see it.
+        ("z2z2_group", 2, "Molien sums .* give no Betti vector"),
+    ],
+)
+def test_betti_check_catches_a_wrong_trace(
+    monkeypatch, request, gaussian_lattice, fixture, by, message
+):
+    group = request.getfixturevalue(fixture)
+    assert group.identity_index == 0
+    quotient_betti(group, gaussian_lattice)
+    bumped = _bumped_trace(torus.lattice_matrices, by)
+    monkeypatch.setattr(betti, "lattice_matrices", bumped)
+    with pytest.raises(VerificationError, match=message):
+        quotient_betti(group, gaussian_lattice)
+
+
+def test_cli_maps_betti_verification_error_to_exit_5(monkeypatch, capsys):
+    monkeypatch.setattr(betti, "lattice_matrices", _bumped_trace(torus.lattice_matrices))
+    assert main(["ledger", "--scenario", "t6_z4"]) == 5
+    assert "Newton sum not divisible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -315,23 +381,47 @@ try:
 except VerificationError:
     caught.append("kahler")
 
-from orbitop import ade
+import os
+from pathlib import Path
+import orbitop
+from orbitop import ade, mckay
+from orbitop.cli import main
 from orbitop.exact import Cyclotomic
+from orbitop.invariants import betti
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
 
-smith = ade.snf
+lifts = mckay.enumerate_chi_lifts
 
-def negated_u(rows):
-    dec = smith(rows)
-    negated = tuple(tuple(-x for x in r) for r in dec.U)
-    return SmithDecomposition(negated, dec.D, dec.V, dec.invariant_factors)
+def wrong_inverse_images(psi, weyl):
+    # The image of the inverse of the generator (coset 1 of Z4) times s_1.
+    reflection = ade.ExtendedElement((0, 1, 2, 3), weyl.generators[0])
+    out = []
+    for lift in lifts(psi, weyl):
+        quotient = lift.psi.source
+        inverse = quotient.table[1].index(quotient.identity_coset)
+        images = list(lift.images)
+        images[inverse] = images[inverse] * reflection
+        out.append(lift._replace(images=tuple(images)))
+    return out
 
-ade.snf = negated_u
-try:
-    ade.ExtendedElement(aut=(0, 1), weyl=((1, 0), (1, -1))).dual_rows
-except VerificationError:
+mckay.enumerate_chi_lifts = wrong_inverse_images
+d4_q8z4 = Path(orbitop.__file__).resolve().parents[2] / "perfbench/scenarios/d4_q8z4.scn"
+argv = ["invariant-pair", "--scenario", str(d4_q8z4), "--out", os.devnull]
+if main(argv) == 5:
     caught.append("dual")
-ade.snf = smith
+mckay.enumerate_chi_lifts = lifts
+matrices = betti.lattice_matrices
+
+def bumped(group, lattice):
+    mats = list(matrices(group, lattice))
+    first, *rest = mats[1]
+    mats[1] = ((first[0] + 1, *first[1:]), *rest)
+    return tuple(mats)
+
+betti.lattice_matrices = bumped
+if main(["ledger", "--scenario", "t6_z4", "--out", os.devnull]) == 5:
+    caught.append("betti")
+betti.lattice_matrices = matrices
 kappa3 = Motion.from_complex(
     [[(-1, 0), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (0, 1)]]
 )
@@ -395,7 +485,7 @@ def test_verification_survives_python_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "1", "table", "quotient", "snf", "witness", "kahler", "dual", "pair",
+        "1", "table", "quotient", "snf", "witness", "kahler", "dual", "betti", "pair",
         "beta", "kernel", "norm", "census", "count",
     ]
 
