@@ -665,6 +665,10 @@ def _resolve_plans(plan_arg, scenario, report):
         ) from exc
     if any(type(v) is not int for v in signs.values()):
         raise ScenarioParseError("bad plan: signs must be integers")
+    if any(type(v) is not str for v in (*comp.values(), *pts.values())):
+        raise ScenarioParseError(
+            "bad plan: component and point choices must be strings"
+        )
     return [(plan_arg, plan_from_choices(report, comp, pts, signs or None))]
 
 

@@ -4,7 +4,8 @@ An element is a coefficient vector of length phi(m) over the rationals,
 reduced modulo the m-th cyclotomic polynomial.  Reduction is canonical:
 two equal field elements always have identical coefficient vectors, so
 equality is coefficient-wise.  Operands of different orders are embedded
-into the field of lcm order first.  The embeddings and the Galois
+into the field of lcm order first, and the hash is the normalized trace
+Tr(x) / phi(m), which embedding keeps.  The embeddings and the Galois
 automorphisms zeta_m -> zeta_m^k both reindex the coefficients, and an
 inverse is the product of the other conjugates over the norm.
 
@@ -88,6 +89,18 @@ def _reduce(coeffs, m):
     """Reduce a rational polynomial in zeta_m modulo Phi_m."""
     work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     return _mod_phi(work, cyclotomic_polynomial(m), Fraction(0))
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(m: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_m^i) / phi(m) for i < phi(m).  zeta_m^i is a primitive d-th
+    root of unity, d = m / gcd(i, m); the primitive d-th roots sum to
+    mu(d), which is minus the next-to-leading coefficient of Phi_d, and
+    the trace counts that sum phi(m) / phi(d) times."""
+    return tuple(
+        Fraction(-cyclotomic_polynomial(d)[-2], totient(d))
+        for d in (m // gcd(i, m) for i in range(totient(m)))
+    )
 
 
 def _reindexed(coeffs, n: int, k: int) -> list:
@@ -227,9 +240,9 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.rational_value())
-        return hash((self.order, self.coeffs))
+        # The normalized trace Tr(x) / phi(m) does not change under embed,
+        # and it is x itself when x is rational.
+        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.order))))
 
     def __bool__(self):
         return not self.is_zero()

@@ -168,11 +168,18 @@ class FiniteMatrixGroup(NamedTuple):
         )
 
     def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity_index:
-            cur = self.mul(cur, i)
-            k += 1
-        return k
+        return order_modulo(self.table, i, (self.identity_index,))
+
+
+def order_modulo(table, i: int, subgroup) -> int:
+    """The least k >= 1 with i^k in the subgroup, by right products in
+    the Cayley table: the order of the coset of i in N/S when S is normal
+    in a group N holding i, bounded by the group's order."""
+    k, cur = 1, i
+    while cur not in subgroup:
+        cur = table[cur][i]
+        k += 1
+    return k
 
 
 def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:

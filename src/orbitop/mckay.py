@@ -54,6 +54,7 @@ from .group import (
     close,
     conjugacy_classes,
     normal_and_quotient,
+    order_modulo,
     splitting_multiplier,
     stabilizer,
     su_classify,
@@ -327,7 +328,7 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
 
     candidates = []
     for gen in gens:
-        k = _coset_order(quotient, gen)
+        k = order_modulo(quotient.table, gen, (quotient.identity_coset,))
         a = psi.images[gen]
         p_a = weyl.aut_perm(a)
         perms = (tuple(map(p_a.__getitem__, w)) for w in weyl.perms)
@@ -372,22 +373,15 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
     return lifts
 
 
-def _coset_order(quotient: QuotientGroup, coset: int) -> int:
-    k, cur = 1, coset
-    while cur != quotient.identity_coset:
-        cur = quotient.mul(cur, coset)
-        k += 1
-    return k
-
-
 def _quotient_generators(quotient: QuotientGroup) -> tuple[int, ...]:
     """The first coset of order |K| alone when K is cyclic and
     nontrivial, else cosets taken greedily in index order.  Each extra
     generator multiplies the lift search by its candidate count."""
+    unit = (quotient.identity_coset,)
     for coset in range(quotient.order):
         if (
-            coset != quotient.identity_coset
-            and _coset_order(quotient, coset) == quotient.order
+            coset not in unit
+            and order_modulo(quotient.table, coset, unit) == quotient.order
         ):
             return (coset,)
     gens: list[int] = []

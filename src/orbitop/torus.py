@@ -12,6 +12,12 @@ integer functionals vanishing on that span take at its point, so equal
 translates meet in a dict instead of being compared pairwise.  Fractions
 are formed only for the reported points and, once per distinct span,
 for its echelon form.
+
+A component's label and special points are read off the group.  Its
+pointwise stabilizer S is the kernel of its normalizer N acting on it,
+so the label comes from the orders of the cosets of S in N, found in
+the Cayley table, and each special point solves (g - 1)(p + D t) = 0
+(mod Z^n) in the ambient lattice, one congruence per coset g S != S.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import Matrix, common_denominator, int_apply, int_product, snf
-from .group import FiniteMatrixGroup, Motion
+from .group import FiniteMatrixGroup, Motion, order_modulo
 
 REPRESENTATIVE_CAP = 65_536
 
@@ -283,54 +289,18 @@ class SingularSetReport(NamedTuple):
         return out
 
 
-def _affine_action(m, comp: _Translate):
-    """The map induced on the component torus: t -> A t + b (mod Z^d),
-    as (A, numerators of b, their denominator).  The denominator is the
-    same for every motion acting on one component."""
-    dec = _snf_cached(tuple(zip(*comp.dirs)))  # directions as columns
-    rank = comp.dimension
-    factors = dec.invariant_factors
-    cols = []
-    for d in comp.dirs:
-        w = int_apply(dec.U, int_apply(m, d))
-        if any(w[rank:]):
-            raise PreconditionError("vector not in component span")
-        if any(x % f for x, f in zip(w, factors)):
-            raise VerificationError("direction action not integral")
-        cols.append(int_apply(dec.V, [x // f for x, f in zip(w, factors)]))
-    a = tuple(zip(*cols))
-    shift = [x - y for x, y in zip(int_apply(m, comp.nums), comp.nums)]
-    w = int_apply(dec.U, shift)
-    if any(x % comp.den for x in w[rank:]):
-        raise VerificationError("shift leaves the component")
-    ell = lcm(*factors)
-    den = comp.den * ell
-    b = int_apply(dec.V, [x * (ell // f) for x, f in zip(w, factors)])
-    return a, tuple(x % den for x in b), den
-
-
-def _compose_affine(f, g):
-    a1, b1, den = f
-    a2, b2, _ = g
-    a = tuple(tuple(int_apply(a1, col)) for col in zip(*a2))
-    b = tuple((x + y) % den for x, y in zip(int_apply(a1, b2), b1))
-    return tuple(zip(*a)), b, den
-
-
 def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSetReport:
     """Decompose the singular set of T/G into labeled components with
     stabilizers, special points, and intersection points."""
     mats = lattice_matrices(group, lattice)
 
     translates: dict = {}  # key -> translate, in first-found order
-    for i, motion in enumerate(group.elements):
+    for i, m in enumerate(mats):
         if i == group.identity_index:
             continue
-        fam = fixed_set(motion, lattice)
-        for rep in fam.representatives:
-            den = lcm(*(x.denominator for x in rep))
-            nums = [x.numerator * (den // x.denominator) for x in rep]
-            cand = _Translate(nums, den, fam.direction)
+        _, _, den, reps, dirs = _solve_congruence(_minus_identity(m))
+        for nums in reps:
+            cand = _Translate(nums, den, dirs)
             translates.setdefault(cand.key, cand)
 
     # Keep only maximal translates; lower strata reappear as special points.
@@ -375,16 +345,23 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
                     stab.append(i)
         placed |= orbit
         if comp.dirs:
-            # The pointwise stabilizer is the kernel of the action on the
-            # component, so one element per coset gives every action.
-            actions = set()
+            # The pointwise stabilizer S is the kernel of the action on
+            # the component, so N/S acts faithfully: one element per coset
+            # gives every action, and its order is the coset's order.
+            cosets = []
             covered = set()
             for i in normalizer:
                 if i not in covered:
                     covered.update(group.table[i][j] for j in stab)
-                    actions.add(_affine_action(mats[i], comp))
-            label = _quotient_label(comp.dimension, actions)
-            special = _special_points(comp, actions)
+                    cosets.append(i)
+            kernel = frozenset(stab)
+            label = _quotient_label(
+                comp.dimension,
+                [order_modulo(group.table, i, kernel) for i in cosets],
+            )
+            special = _special_points(
+                comp, [mats[i] for i in cosets if i not in kernel]
+            )
         else:
             label = "point"
             special = ()
@@ -417,11 +394,12 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
     )
 
 
-def _quotient_label(dim, actions):
-    q = len(actions)
+def _quotient_label(dim, orders):
+    """The label of T^dim / K from the orders of K's elements."""
+    q = len(orders)
     if q == 1:
         return f"T{dim}"
-    orders = sorted(_affine_order(a) for a in actions)
+    orders = sorted(orders)
     if max(orders) == q:
         return f"T{dim}/Z{q}"
     if q == 4 and orders == [1, 2, 2, 2]:
@@ -429,30 +407,17 @@ def _quotient_label(dim, actions):
     return "unclassified"
 
 
-def _affine_order(action, cap: int = 64):
-    a, b, den = action
-    n = len(b)
-    ident = (
-        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-        (0,) * n,
-        den,
-    )
-    cur = action
-    for k in range(1, cap + 1):
-        if cur == ident:
-            return k
-        cur = _compose_affine(action, cur)
-    raise CapExceededError(f"affine action order exceeds cap {cap}")
-
-
-def _special_points(comp: _Translate, actions):
-    d = comp.dimension
-    ident_a = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+def _special_points(comp: _Translate, moving):
+    """Isolated fixed points on the component of the matrices that move
+    it: the solutions t of (m - 1)(p + D t) = 0 (mod Z^n), one congruence
+    in the ambient lattice per matrix m."""
     points = set()
-    for (a, b, den) in actions:
-        if a == ident_a and not any(b):
-            continue
-        solved = _solve_congruence(_minus_identity(a), (tuple(-x for x in b), den))
+    for m in moving:
+        shift = _minus_identity(m)
+        solved = _solve_congruence(
+            int_product(shift, tuple(zip(*comp.dirs))),
+            (tuple(-x for x in int_apply(shift, comp.nums)), comp.den),
+        )
         if solved is None:
             continue
         sdim, _, t_den, reps, _ = solved

@@ -483,14 +483,39 @@ def test_unknown_z4_plan_name_is_parse_error(capsys, plan):
         [{"components": {}}],
         {"components": {"0": "crepant"}, "signs": {"crepant": "plus"}},
         {"components": {"0": "crepant"}, "signs": {"crepant": 0.5}},
+        {"components": {"0": ["a"]}},
+        {"components": {str(i): ["x"] for i in range(10)}},
     ],
-    ids=["non-integer-id", "not-an-object", "string-sign", "fractional-sign"],
+    ids=[
+        "non-integer-id",
+        "not-an-object",
+        "string-sign",
+        "fractional-sign",
+        "list-choice",
+        "list-choice-everywhere",
+    ],
 )
 def test_malformed_plan_is_parse_error(tmp_path, capsys, plan):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
     code, out, err = run_cli(
         capsys, "ledger", "--scenario", "t6_z4", "--plan", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "bad plan" in err
+
+
+def test_list_point_choice_is_parse_error(tmp_path, capsys):
+    # A complete t6_z2z2 plan whose triple-point choices are lists.
+    plan = {
+        "components": {str(i): "crepant" for i in range(48)},
+        "points": {str(i): ["i"] for i in range(64)},
+        "signs": {"crepant": 1},
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code, out, err = run_cli(
+        capsys, "ledger", "--scenario", "t6_z2z2", "--plan", str(path)
     )
     assert (code, out) == (2, "")
     assert "bad plan" in err

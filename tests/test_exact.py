@@ -341,6 +341,21 @@ def test_mixed_order_arithmetic_embeds():
     assert prod == Cyclotomic.zeta(12) ** 7  # zeta12^4 = zeta3, zeta12^3 = zeta4
 
 
+def test_equal_values_of_different_orders_hash_equal():
+    a, b = Cyclotomic.zeta(4), Cyclotomic.zeta(8) ** 2
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(Cyclotomic(1, [2])) == hash(2)
+    assert hash(Cyclotomic(6, [Fraction(1, 3)])) == hash(Fraction(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_embedded_cyclotomics(), st.integers(min_value=1, max_value=4))
+def test_hash_is_unchanged_by_embedding(x, k):
+    y = x.embed(k * x.order)
+    assert y == x and hash(y) == hash(x)
+
+
 def test_canonical_reduction_equality():
     # zeta8^2 and the order-4 generator embed to the same vector.
     z8 = Cyclotomic.zeta(8)

@@ -29,6 +29,7 @@ from orbitop.group import (
     Motion,
     close,
     normal_and_quotient,
+    order_modulo,
     splitting_multiplier,
     stabilizer,
 )
@@ -416,7 +417,7 @@ def test_cyclic_quotient_gets_one_generator():
     quotient = normal_and_quotient(group, stabilizer(group, subspace=z1_plane))
     assert quotient.order == 4
     (gen,) = mckay._quotient_generators(quotient)
-    assert mckay._coset_order(quotient, gen) == 4
+    assert order_modulo(quotient.table, gen, (quotient.identity_coset,)) == 4
 
 
 def test_lifts_command_does_not_decide_pairs(monkeypatch, tmp_path):

@@ -1,13 +1,15 @@
 """Torus fixed sets and singular-set decomposition."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from orbitop import torus
-from orbitop.errors import CapExceededError, PreconditionError, VerificationError
-from orbitop.exact import Matrix, int_apply
+from orbitop.errors import PreconditionError, VerificationError
+from orbitop.exact import Matrix, int_apply, int_det
 from orbitop.group import Motion, close
 from orbitop.torus import (
     TorusLattice,
@@ -178,6 +180,92 @@ def test_singular_set_z2z2(z2z2_group, gaussian_lattice):
     assert sorted(by_comp.values()) == [4] * 48
 
 
+def _order(perm):
+    """The order of a permutation, the lcm of its cycle lengths."""
+    seen, out = set(), 1
+    for start in range(len(perm)):
+        size, cur = 0, start
+        while cur not in seen:
+            seen.add(cur)
+            cur = perm[cur]
+            size += 1
+        out = lcm(out, size or 1)
+    return out
+
+
+def _in_span(v, d1, d2):
+    """v lies in the rational span of d1 and d2: every 3 x 3 minor of the
+    columns d1, d2, v vanishes."""
+    return all(
+        int_det([[d1[i], d2[i], v[i]] for i in rows]) == 0
+        for rows in itertools.combinations(range(len(v)), 3)
+    )
+
+
+def _grid(p, d1, d2, n):
+    """Numerators mod n of p + a d1 + b d2 for a, b in range(n)."""
+    return [
+        tuple((x + a * u + b * v) % n for x, u, v in zip(p, d1, d2))
+        for a, b in itertools.product(range(n), repeat=2)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["z4_group", "z2z2_group", "z4z4_group"])
+def test_labels_and_special_points_match_grid_scan(
+    request, shear_lattice, name, seed
+):
+    """Each 2-dimensional component p + D t meets (1/N)Z^6 in the grid
+    t in (1/N)Z^2/Z^2, N = 12 den.  A finite-order affine map of T^2 has
+    |det(A - 1)| in {1, 2, 3, 4}, so its isolated fixed points lie on
+    that grid, and a positive-dimensional fixed set holds at least N of
+    its points.  The elements mapping the component to itself permute
+    the grid; that permutation group is the acting quotient, and its
+    order and largest element order give the label."""
+    group = request.getfixturevalue(name)
+    lattice = shear_lattice(seed)
+    report = singular_set(group, lattice)
+    mats = [lattice_matrix(m, lattice) for m in group.elements]
+    checked = 0
+    for comp in report.components:
+        if comp.dimension != 2:
+            continue
+        den = lcm(*(x.denominator for x in comp.representative))
+        n = 12 * den
+        p = [int(x * n) for x in comp.representative]
+        d1, d2 = comp.direction
+        points = _grid(p, d1, d2, n)
+        grid = {x: k for k, x in enumerate(points)}
+        assert len(grid) == n * n
+        perms, special = set(), set()
+        for m in mats:
+            # m maps the component to itself when it keeps the direction
+            # span and takes p back onto the component.
+            image = tuple(x % n for x in int_apply(m, p))
+            u, v = int_apply(m, d1), int_apply(m, d2)
+            if image not in grid or not (_in_span(u, d1, d2) and _in_span(v, d1, d2)):
+                continue
+            perm = tuple(grid[x] for x in _grid(image, u, v, n))
+            perms.add(perm)
+            fixed = [x for k, x in enumerate(points) if perm[k] == k]
+            if len(fixed) <= 4:
+                special.update(tuple(Fraction(y, n) for y in x) for x in fixed)
+            else:
+                assert len(fixed) >= n
+        assert sorted(special) == list(comp.special_points)
+        q = len(perms)
+        top = max(map(_order, perms))
+        expected = (
+            "T2" if q == 1
+            else f"T2/Z{q}" if top == q
+            else "T2/Z2xZ2" if (q, top) == (4, 2)
+            else "unclassified"
+        )
+        assert comp.quotient_label == expected
+        checked += 1
+    assert checked
+
+
 def test_singular_set_trivial_group(trivial_c3_group, gaussian_lattice):
     report = singular_set(trivial_c3_group, gaussian_lattice)
     assert report.components == ()
@@ -197,14 +285,6 @@ def test_singular_set_rejects_an_image_off_the_list(
     monkeypatch.setattr(torus, "lattice_matrices", lambda group, lattice: tuple(mats))
     with pytest.raises(VerificationError, match="off the list"):
         singular_set(z4_group, gaussian_lattice)
-
-
-def test_affine_order_cap_is_a_cap_error():
-    """-1 on T2 has order 2: cap 2 finds it, cap 1 runs out."""
-    action = (((-1, 0), (0, -1)), (0, 0), 1)
-    assert torus._affine_order(action, cap=2) == 2
-    with pytest.raises(CapExceededError, match="cap 1"):
-        torus._affine_order(action, cap=1)
 
 
 def test_representatives_satisfy_congruence(z2z2_group, gaussian_lattice):
