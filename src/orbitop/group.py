@@ -182,6 +182,16 @@ def order_modulo(table, i: int, subgroup) -> int:
     return k
 
 
+def generated(table, gens) -> frozenset[int]:
+    """<gens>: the generators closed under right products by them, in
+    the Cayley table (G is finite, so this reaches the identity)."""
+    out, new = set(), set(gens)
+    while new:
+        out |= new
+        new = {table[x][y] for x in new for y in gens} - out
+    return frozenset(out)
+
+
 def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     """Smallest closed group of motions containing the generators.
 

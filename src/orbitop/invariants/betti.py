@@ -193,7 +193,7 @@ def plan_from_choices(
             pattern = POINT_CASE_PATTERNS[case]
             by_family = {}
             for c in incident:
-                fam = _line_family(report.components[c])
+                fam = _line_family(report.components[c], report.lattice)
                 choice = component_choices[c]
                 if choice not in chi_of_choice:
                     raise PreconditionError(
@@ -221,11 +221,11 @@ def plan_from_choices(
     )
 
 
-def _line_family(component) -> int:
-    """Which complex coordinate plane a singular line runs along."""
-    coords = {
-        i for d in component.direction for i, x in enumerate(d) if x != 0
-    }
+def _line_family(component, lattice: TorusLattice) -> int:
+    """Which complex coordinate plane a singular line runs along, read off
+    its ambient directions B d (the direction is in lattice coordinates)."""
+    ambient = [lattice.ambient(d) for d in component.direction]
+    coords = {i for d in ambient for i, x in enumerate(d) if x != 0}
     for f in range(len(component.representative) // 2):
         if coords == {2 * f, 2 * f + 1}:
             return f

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..errors import VerificationError
-from ..group import FiniteMatrixGroup, conjugacy_classes
+from ..group import FiniteMatrixGroup, conjugacy_classes, generated
 from ..torus import TorusLattice, common_fixed_set
 
 
@@ -21,15 +21,6 @@ class EulerReport(NamedTuple):
     commuting_pairs: int
     class_count: int
     nonidentity_class_count: int
-
-
-def _generated(table, g: int, h: int) -> frozenset[int]:
-    """<g, h>: {g, h} closed under right products by g and h (G is finite)."""
-    out, new = set(), {g, h}
-    while new:
-        out |= new
-        new = {table[x][y] for x in new for y in (g, h)} - out
-    return frozenset(out)
 
 
 def orbifold_euler(
@@ -51,7 +42,7 @@ def orbifold_euler(
         total = 0
         chi_of: dict[frozenset[int], int] = {}
         for g, h in pairs:
-            key = _generated(table, g, h)
+            key = generated(table, (g, h))
             if key not in chi_of:
                 pair = [group.elements[g], group.elements[h]]
                 chi_of[key] = common_fixed_set(pair, lattice).euler_characteristic()

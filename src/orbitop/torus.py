@@ -13,11 +13,14 @@ translates meet in a dict instead of being compared pairwise.  Fractions
 are formed only for the reported points and, once per distinct span,
 for its echelon form.
 
-A component's label and special points are read off the group.  Its
-pointwise stabilizer S is the kernel of its normalizer N acting on it,
-so the label comes from the orders of the cosets of S in N, found in
-the Cayley table, and each special point solves (g - 1)(p + D t) = 0
-(mod Z^n) in the ambient lattice, one congruence per coset g S != S.
+The singular set is read off the fixed sets of subgroups, each solved
+once (T^g & T^h = T^<g,h>).  A maximal translate inside Fix(g) is a
+component of Fix(g), so a component's pointwise stabilizer S is the
+identity plus the elements whose fixed sets have it as a component.  Its
+label comes from the orders of the cosets of S in its normalizer, found
+in the Cayley table; its special points are those of each finite
+Fix(<S, g>) on it, gS != S; and the points of each finite Fix(<S1, S2>),
+S1 != S2, are the candidates where two components meet.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .exact import Matrix, common_denominator, int_apply, int_product, snf
-from .group import FiniteMatrixGroup, Motion, order_modulo
+from .group import FiniteMatrixGroup, Motion, generated, order_modulo
 
 REPRESENTATIVE_CAP = 65_536
 
@@ -60,6 +63,10 @@ class TorusLattice(NamedTuple("TorusLattice", [("basis", Matrix)])):
         inverse, d_inv = common_denominator(self.basis.inverse().data)
         basis, d_basis = common_denominator(self.basis.data)
         return inverse, basis, d_inv * d_basis
+
+    def ambient(self, vector) -> tuple[int, ...]:
+        """B v times a positive int, for v in lattice coordinates."""
+        return int_apply(self._integer_change[1], vector)
 
 
 @lru_cache(maxsize=4096)
@@ -100,14 +107,6 @@ class SubtorusFamily(NamedTuple):
 @lru_cache(maxsize=4096)
 def _snf_cached(rows):
     return snf(rows)
-
-
-def _along(dirs, coeffs, n):
-    """The integer vector sum of coeffs[k] * dirs[k] in Z^n."""
-    out = [0] * n
-    for c, d in zip(coeffs, dirs):
-        out = [x + c * y for x, y in zip(out, d)]
-    return out
 
 
 def _canon(nums, den):
@@ -155,9 +154,9 @@ def _solve_congruence(a, rhs=None):
         [(w[i] + s * q) * (big_n // (q * d)) for s in range(d)]
         for i, d in enumerate(factors[:rank])
     ]
-    v_cols = list(zip(*dec.V))[:rank]
+    v_left = [row[:rank] for row in dec.V]
     reps = sorted(
-        tuple(x % big_n for x in _along(v_cols, combo, n))
+        tuple(x % big_n for x in int_apply(v_left, combo))
         for combo in itertools.product(*choices)
     )
     scale = big_n // q
@@ -181,27 +180,27 @@ def _family(solved) -> SubtorusFamily:
     )
 
 
-def _minus_identity(rows):
+def _shifts(mats):
+    """The rows of m - 1 for every int matrix m, stacked: the congruence
+    whose solutions are the common fixed points."""
     return tuple(
-        tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(rows)
+        tuple(x - (i == j) for j, x in enumerate(row))
+        for m in mats
+        for i, row in enumerate(m)
     )
 
 
 def fixed_set(motion: Motion, lattice: TorusLattice) -> SubtorusFamily:
     """Solutions of (g - 1) x = 0 (mod lattice), as translates of a subtorus."""
-    return _family(_solve_congruence(_minus_identity(lattice_matrix(motion, lattice))))
+    return _family(_solve_congruence(_shifts([lattice_matrix(motion, lattice)])))
 
 
 def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
     """Simultaneous fixed set of several motions (stacked congruence)."""
     if not motions:
         raise PreconditionError("need at least one motion")
-    stacked = tuple(
-        row
-        for m in motions
-        for row in _minus_identity(lattice_matrix(m, lattice))
-    )
-    return _family(_solve_congruence(stacked))
+    mats = [lattice_matrix(m, lattice) for m in motions]
+    return _family(_solve_congruence(_shifts(mats)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +280,7 @@ class SingularComponent(NamedTuple):
 class SingularSetReport(NamedTuple):
     components: tuple[SingularComponent, ...]
     intersection_points: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
+    lattice: TorusLattice
 
     def count_by_label(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -293,15 +293,25 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
     """Decompose the singular set of T/G into labeled components with
     stabilizers, special points, and intersection points."""
     mats = lattice_matrices(group, lattice)
+    solved: dict = {}  # subgroup -> its fixed set
+
+    def fix(gens):
+        """(H, Fix(H)) for H = <gens>, solved once per subgroup from the
+        stacked (h - 1) rows of the generators."""
+        key = generated(group.table, gens)
+        if key not in solved:
+            solved[key] = _solve_congruence(_shifts(mats[i] for i in gens))
+        return key, solved[key]
 
     translates: dict = {}  # key -> translate, in first-found order
-    for i, m in enumerate(mats):
-        if i == group.identity_index:
-            continue
-        _, _, den, reps, dirs = _solve_congruence(_minus_identity(m))
-        for nums in reps:
-            cand = _Translate(nums, den, dirs)
-            translates.setdefault(cand.key, cand)
+    fixing: dict = {}  # key -> identity and elements with it as a fixed component
+    for i in range(group.order):
+        if i != group.identity_index:
+            _, (_, _, den, reps, dirs) = fix((i,))
+            for nums in reps:
+                cand = _Translate(nums, den, dirs)
+                translates.setdefault(cand.key, cand)
+                fixing.setdefault(cand.key, {group.identity_index}).add(i)
 
     # Keep only maximal translates; lower strata reappear as special points.
     # t lies in a wider translate of span S exactly when S holds t's
@@ -318,6 +328,20 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
         )
     ]
     index = {t.key: k for k, t in enumerate(maximal)}
+
+    on: dict = {}  # (subgroup, span) -> {translate key: points of Fix(subgroup)}
+
+    def points_on(t, fixed):
+        """The points of a finite Fix(H) on the translate t."""
+        key, (dim, _, den, reps, _) = fixed
+        if dim:
+            return ()
+        if (key, t.span) not in on:
+            by_key = on[key, t.span] = {}
+            for x in reps:
+                p = _canon(x, den)
+                by_key.setdefault(t.parallel_key(*p), []).append(p)
+        return on[key, t.span].get(t.key, ())
 
     # G permutes the maximal translates, so the images of the first
     # unplaced one under every element are its whole orbit, and the
@@ -344,6 +368,12 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
                 if image.nums == comp.nums and image.dirs == comp.dirs:
                     stab.append(i)
         placed |= orbit
+        # A maximal translate inside Fix(g) is a component of Fix(g), as a
+        # wider one would contain it, so the elements that found it are
+        # its pointwise stabilizer.
+        kernel = frozenset(stab)
+        if kernel != fixing[comp.key]:
+            raise VerificationError("pointwise stabilizer disagrees with fixed sets")
         if comp.dirs:
             # The pointwise stabilizer S is the kernel of the action on
             # the component, so N/S acts faithfully: one element per coset
@@ -354,14 +384,18 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
                 if i not in covered:
                     covered.update(group.table[i][j] for j in stab)
                     cosets.append(i)
-            kernel = frozenset(stab)
             label = _quotient_label(
                 comp.dimension,
                 [order_modulo(group.table, i, kernel) for i in cosets],
             )
-            special = _special_points(
-                comp, [mats[i] for i in cosets if i not in kernel]
-            )
+            # Near the component Fix(S) is the component, so g's fixed
+            # locus on it is the part of Fix(<S, g>) on it.
+            special = tuple(sorted({
+                _fractions(*p)
+                for g in cosets
+                if g not in kernel
+                for p in points_on(comp, fix((*kernel, g)))
+            }))
         else:
             label = "point"
             special = ()
@@ -388,9 +422,9 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
     components = [components[k] for k in order]
     comp_of = {jdx: rank for rank, k in enumerate(order) for jdx in orbits[k]}
 
-    points = _intersection_points(maximal, mats, comp_of)
+    points = _intersection_points(maximal, fixing, fix, mats, comp_of)
     return SingularSetReport(
-        components=tuple(components), intersection_points=points
+        components=tuple(components), intersection_points=points, lattice=lattice
     )
 
 
@@ -407,72 +441,34 @@ def _quotient_label(dim, orders):
     return "unclassified"
 
 
-def _special_points(comp: _Translate, moving):
-    """Isolated fixed points on the component of the matrices that move
-    it: the solutions t of (m - 1)(p + D t) = 0 (mod Z^n), one congruence
-    in the ambient lattice per matrix m."""
-    points = set()
-    for m in moving:
-        shift = _minus_identity(m)
-        solved = _solve_congruence(
-            int_product(shift, tuple(zip(*comp.dirs))),
-            (tuple(-x for x in int_apply(shift, comp.nums)), comp.den),
-        )
-        if solved is None:
-            continue
-        sdim, _, t_den, reps, _ = solved
-        if sdim > 0:
-            continue  # fixed locus of this coset is positive-dimensional
-        for t in reps:
-            offset = _along(comp.dirs, t, len(comp.nums))
-            ambient = [x * t_den + comp.den * y for x, y in zip(comp.nums, offset)]
-            points.add(_fractions(*_canon(ambient, comp.den * t_den)))
-    return tuple(sorted(points))
-
-
-def _intersection_points(maximal, mats, comp_of):
+def _intersection_points(maximal, fixing, fix, mats, comp_of):
     """Isolated points where two distinct quotient components meet.
 
-    Only translates of distinct spans S1, S2 meet, and one matrix
-    A = [D1 | -D2] serves all their pairs: A s = p2 - p1 is solvable exactly
-    when the trailing rows of U in A's Smith form agree at p1 and p2 mod Z,
-    so the pairs are joined on those values and only joined pairs solved."""
-    by_span: dict = {}
-    for t in maximal:
-        by_span.setdefault(t.span, []).append(t)
-    raw_points = set()
-    for first, second in itertools.combinations(by_span.values(), 2):
-        d1, d2 = first[0].dirs, second[0].dirs
-        a = tuple(zip(*(d1 + tuple(tuple(-x for x in d) for d in d2))))
-        dec = _snf_cached(a)
-        tail = dec.U[dec.rank:]
-        joined: dict = {}  # values at p2 -> translates of S2
-        for t2 in second:
-            joined.setdefault(_canon(int_apply(tail, t2.nums), t2.den), []).append(t2)
-        for t1 in first:
-            for t2 in joined.get(_canon(int_apply(tail, t1.nums), t1.den), ()):
-                q = lcm(t1.den, t2.den)
-                rhs = tuple(
-                    y * (q // t2.den) - x * (q // t1.den)
-                    for x, y in zip(t1.nums, t2.nums)
-                )
-                solved = _solve_congruence(a, (rhs, q))
-                if solved is None:
-                    raise VerificationError("joined translates do not meet")
-                sdim, _, s_den, reps, _ = solved
-                if sdim > 0:
-                    raise PreconditionError(
-                        "positive-dimensional component intersection not supported"
-                    )
-                for s in reps:
-                    offset = _along(d1, s, len(t1.nums))
-                    ambient = [x * s_den + t1.den * y for x, y in zip(t1.nums, offset)]
-                    raw_points.add(_canon(ambient, t1.den * s_den))
-
-    # A point lies on at most one translate of each span, and the
-    # components through it are those of the maximal translates through it.
+    Translates t1 != t2 that meet have pointwise stabilizers S1 != S2, as
+    the components of one Fix(S) are disjoint, and near a point of t1 & t2
+    the set Fix(<S1, S2>) is t1 & t2.  So the points of each finite
+    Fix(<S1, S2>) are the candidates, and a positive-dimensional one with
+    a component on both a t1 and a t2 is an intersection along a subtorus."""
+    stabilizer = {t.key: frozenset(fixing[t.key]) for t in maximal}
     comp_by_key = {t.key: comp_of[k] for k, t in enumerate(maximal)}
     spans = {t.span: t for t in maximal}.values()
+
+    def through(nums, den):
+        """The keys of the maximal translates through nums/den: a point
+        lies on at most one translate of each span."""
+        return {t.parallel_key(nums, den) for t in spans} & comp_by_key.keys()
+
+    raw_points = set()
+    for s1, s2 in itertools.combinations(set(stabilizer.values()), 2):
+        _, (dim, _, den, reps, _) = fix(tuple(sorted(s1 | s2)))
+        points = {_canon(x, den) for x in reps}
+        if not dim:
+            raw_points |= points
+        elif any({s1, s2} <= {stabilizer[k] for k in through(*p)} for p in points):
+            raise PreconditionError(
+                "positive-dimensional component intersection not supported"
+            )
+
     out = []
     seen = set()
     for nums, den in raw_points:
@@ -481,8 +477,7 @@ def _intersection_points(maximal, mats, comp_of):
         # Motions are unimodular, so every image keeps the denominator.
         images = {tuple(x % den for x in int_apply(m, nums)) for m in mats}
         seen.update((img, den) for img in images)
-        incident = {comp_by_key.get(t.parallel_key(nums, den)) for t in spans}
-        incident.discard(None)
+        incident = {comp_by_key[k] for k in through(nums, den)}
         if len(incident) >= 2:
             out.append((_fractions(min(images), den), tuple(sorted(incident))))
     out.sort()

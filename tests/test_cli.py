@@ -426,6 +426,44 @@ def test_ledger_z2z2_cli(capsys):
     assert rows["all-deformation"]["h21"] == 115
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", ["t6_z4", "t6_z2z2"])
+def test_ledger_on_a_rebased_torus_matches_the_bundled_scenario(
+    tmp_path, capsys, shear_lattice, name, seed
+):
+    """The benchmark's seeded bases generate Z^6, so appending one as the
+    [lattice] keeps the torus and its ledger; the line families are read
+    off ambient directions, not lattice coordinates."""
+    text = (ROOT / "src/orbitop/scenarios" / f"{name}.scn").read_text()
+    rows = shear_lattice(seed).basis.data
+    scn = tmp_path / f"{name}_seed{seed}.scn"
+    scn.write_text(
+        text + "\n[lattice]\n"
+        + "".join("row: " + " ".join(map(str, row)) + "\n" for row in rows)
+    )
+    reports = []
+    for ref in (str(scn), name):
+        code, out, err = run_cli(capsys, "ledger", "--scenario", ref, "--format", "json")
+        assert code == 0, err
+        reports.append(json.loads(out))
+    for field in ("base_betti", "results"):
+        assert reports[0][field] == reports[1][field]
+
+
+def test_positive_dimensional_intersection_is_a_precondition_error(tmp_path, capsys):
+    """diag(1, 1, -1) and diag(-1, 1, 1) fix two T^4s that meet along a
+    T^2: the report refuses it by name instead of an internal message."""
+    scn = tmp_path / "t6_posdim.scn"
+    scn.write_text(
+        "name: t6_posdim\nambient: torus\ncomplex_dim: 3\n\n"
+        "[generator]\nrow: 1 0 0\nrow: 0 1 0\nrow: 0 0 -1\n\n"
+        "[generator]\nrow: -1 0 0\nrow: 0 1 0\nrow: 0 0 1\n"
+    )
+    code, _, err = run_cli(capsys, "singular-set", "--scenario", str(scn))
+    assert code == 3
+    assert "positive-dimensional component intersection not supported" in err
+
+
 def test_ledger_named_plan(capsys):
     code, out, _ = run_cli(
         capsys,

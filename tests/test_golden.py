@@ -157,6 +157,36 @@ def test_seeded_t6_z4z4_report_digest(command, seed, tmp_path):
     assert digest == T6_Z4Z4_SEEDED_DIGESTS[command, seed]
 
 
+# t6_z2z2 on Z^6 + (1/2)(1, ..., 1), whose first basis vector mixes the
+# three complex planes: half the lines and points of the standard torus.
+HALF_LATTICE = """
+[lattice]
+row: 1/2 1/2 1/2 1/2 1/2 1/2
+row: 0 1 0 0 0 0
+row: 0 0 1 0 0 0
+row: 0 0 0 1 0 0
+row: 0 0 0 0 1 0
+row: 0 0 0 0 0 1
+"""
+HALF_LATTICE_DIGESTS = {
+    "singular-set":
+        "494339a0c3aa13214e1915633659661bc152087e931d455683f20b7c1035aa67",
+    "euler":
+        "18371124ece7d8798b80b4123ae5421312838eb9e2730d948d026afeaf1cddfd",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HALF_LATTICE_DIGESTS))
+def test_half_lattice_t6_z2z2_report_digest(command, tmp_path):
+    bundled = Path(__file__).resolve().parents[1] / "src/orbitop/scenarios/t6_z2z2.scn"
+    path = tmp_path / "t6_z2z2_half.scn"
+    path.write_text(bundled.read_text() + HALF_LATTICE)
+    out = tmp_path / "report.json"
+    argv = [command, "--scenario", str(path), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HALF_LATTICE_DIGESTS[command]
+
+
 # d4_q8z4 with z1 and z3 swapped and the splitting on axis 3: the
 # pipeline moves that axis first, after which nothing may change.
 D4_Q8Z4_ON_AXIS_3 = """\

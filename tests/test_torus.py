@@ -324,3 +324,144 @@ def test_isolated_fixed_points_match_lefschetz(
                 lefschetz = abs(shifted.det())
                 assert fam.component_count == len(fam.representatives) == lefschetz
     assert isolated == 2 + 0 + 6
+
+
+# The join-based algorithms that singular_set used before it read its
+# points off the fixed sets of subgroups, kept as independent references:
+# one ambient congruence per moving element for the special points, and
+# one Smith form of [D1 | -D2] per pair of spans for the intersections.
+
+
+def _oracle_special_points(comp, moving):
+    """Solutions t of (m - 1)(p + D t) = 0 (mod Z^n), one congruence in
+    the ambient lattice per matrix m moving the component; a
+    positive-dimensional solution set gives no special points."""
+    points = set()
+    for m in moving:
+        shift = torus._shifts([m])
+        solved = torus._solve_congruence(
+            torus.int_product(shift, tuple(zip(*comp.dirs))),
+            (tuple(-x for x in int_apply(shift, comp.nums)), comp.den),
+        )
+        if solved is None or solved[0] > 0:
+            continue
+        _, _, t_den, reps, _ = solved
+        for t in reps:
+            offset = int_apply(tuple(zip(*comp.dirs)), t)
+            ambient = [x * t_den + comp.den * y for x, y in zip(comp.nums, offset)]
+            points.add(torus._fractions(*torus._canon(ambient, comp.den * t_den)))
+    return tuple(sorted(points))
+
+
+def _oracle_intersection_points(maximal, mats, comp_of):
+    """A s = p2 - p1 with A = [D1 | -D2] for translates of distinct spans,
+    solved for the pairs whose values under the trailing rows of U in
+    A's Smith form agree, then deduplicated up to G and kept where two
+    components meet."""
+    by_span = {}
+    for t in maximal:
+        by_span.setdefault(t.span, []).append(t)
+    raw_points = set()
+    for first, second in itertools.combinations(by_span.values(), 2):
+        d1, d2 = first[0].dirs, second[0].dirs
+        a = tuple(zip(*(d1 + tuple(tuple(-x for x in d) for d in d2))))
+        dec = torus.snf(a)
+        tail = dec.U[dec.rank:]
+        joined = {}
+        for t2 in second:
+            key = torus._canon(int_apply(tail, t2.nums), t2.den)
+            joined.setdefault(key, []).append(t2)
+        for t1 in first:
+            for t2 in joined.get(torus._canon(int_apply(tail, t1.nums), t1.den), ()):
+                q = lcm(t1.den, t2.den)
+                rhs = tuple(
+                    y * (q // t2.den) - x * (q // t1.den)
+                    for x, y in zip(t1.nums, t2.nums)
+                )
+                solved = torus._solve_congruence(a, (rhs, q))
+                assert solved is not None and solved[0] == 0
+                _, _, s_den, reps, _ = solved
+                for s in reps:
+                    offset = int_apply(tuple(zip(*d1)), s)
+                    ambient = [x * s_den + t1.den * y for x, y in zip(t1.nums, offset)]
+                    raw_points.add(torus._canon(ambient, t1.den * s_den))
+    comp_by_key = {t.key: comp_of[k] for k, t in enumerate(maximal)}
+    spans = {t.span: t for t in maximal}.values()
+    out, seen = [], set()
+    for nums, den in raw_points:
+        if (nums, den) in seen:
+            continue
+        images = {tuple(x % den for x in int_apply(m, nums)) for m in mats}
+        seen.update((img, den) for img in images)
+        incident = {comp_by_key.get(t.parallel_key(nums, den)) for t in spans}
+        incident.discard(None)
+        if len(incident) >= 2:
+            out.append((torus._fractions(min(images), den), tuple(sorted(incident))))
+    return tuple(sorted(out))
+
+
+def _half_lattice():
+    """Z^6 + (1/2)(1, ..., 1): its first basis vector mixes all three
+    complex planes."""
+    rows = [[Fraction(1, 2)] * 6]
+    rows += [[int(i == j) for j in range(6)] for i in range(1, 6)]
+    return TorusLattice(basis=Matrix(rows).T)
+
+
+@pytest.mark.parametrize("lattice_ref", [None, "half", 0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["z4_group", "z2z2_group", "z4z4_group"])
+def test_singular_points_match_the_join_based_reference(
+    request, shear_lattice, name, lattice_ref
+):
+    group = request.getfixturevalue(name)
+    if lattice_ref is None:
+        lattice = TorusLattice.standard(6)
+    elif lattice_ref == "half":
+        lattice = _half_lattice()
+    else:
+        lattice = shear_lattice(lattice_ref)
+    report = singular_set(group, lattice)
+    mats = torus.lattice_matrices(group, lattice)
+    # Every maximal translate is an image of a reported component's.
+    maximal, comp_of, keys = [], {}, set()
+    for k, comp in enumerate(report.components):
+        den = lcm(*(x.denominator for x in comp.representative))
+        nums = [int(x * den) for x in comp.representative]
+        t = torus._Translate(nums, den, comp.direction)
+        moving = []
+        for i, m in enumerate(mats):
+            image = t.image(m)
+            if image.key == t.key and i not in comp.generic_stabilizer:
+                moving.append(m)
+            if image.key not in keys:
+                keys.add(image.key)
+                comp_of[len(maximal)] = k
+                maximal.append(image)
+        assert comp.special_points == _oracle_special_points(t, moving)
+    assert report.intersection_points == _oracle_intersection_points(
+        maximal, mats, comp_of
+    )
+
+
+@pytest.mark.parametrize(
+    "name,lattice_ref,most", [("z2z2_group", None, 5), ("z4z4_group", 0, 30)]
+)
+def test_one_solve_per_subgroup(
+    request, shear_lattice, monkeypatch, name, lattice_ref, most
+):
+    """Every stabilizer and point comes from one cached Fix(H) per
+    subgroup H, so the solves are bounded by the subgroups met, not by
+    the components and their pairs (243 and 282 solves before)."""
+    group = request.getfixturevalue(name)
+    lattice = shear_lattice(lattice_ref) if lattice_ref is not None else (
+        TorusLattice.standard(6)
+    )
+    solve, calls = torus._solve_congruence, []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(torus, "_solve_congruence", counted)
+    singular_set(group, lattice)
+    assert len(calls) <= most

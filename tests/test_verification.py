@@ -597,3 +597,60 @@ def test_torus_verification_survives_python_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "torus", "euler"]
+
+
+
+def _slid_image(translate, m, image=torus._Translate.image):
+    """The same translate through another point: the image's point moved
+    by half its first direction, so no element seems to fix it pointwise."""
+    out = image(translate, m)
+    nums = [2 * x + d for x, d in zip(out.nums, out.dirs[0])]
+    return torus._Translate(nums, 2 * out.den, out.dirs)
+
+
+def test_stabilizer_check_catches_a_pointwise_test_that_disagrees(
+    monkeypatch, z2z2_group, gaussian_lattice
+):
+    """The pointwise stabilizer is read off the elements whose fixed sets
+    have the component as a component, and re-checked on the sweep's
+    images; a wrong image point makes the two disagree."""
+    monkeypatch.setattr(torus._Translate, "image", _slid_image)
+    with pytest.raises(VerificationError, match="pointwise stabilizer"):
+        torus.singular_set(z2z2_group, gaussian_lattice)
+
+
+STABILIZER_OPTIMIZED_SCRIPT = """
+import sys
+assert False, "asserts are stripped under -O, so this never fires"
+from orbitop import torus
+from orbitop.cli import load_scenario
+from orbitop.errors import VerificationError
+from orbitop.group import close
+
+def slid(translate, m, image=torus._Translate.image):
+    out = image(translate, m)
+    nums = [2 * x + d for x, d in zip(out.nums, out.dirs[0])]
+    return torus._Translate(nums, 2 * out.den, out.dirs)
+
+torus._Translate.image = slid
+scenario = load_scenario("t6_z2z2")
+try:
+    torus.singular_set(close(scenario.motions()), scenario.lattice())
+except VerificationError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_stabilizer_check_survives_python_optimize():
+    src = str(Path(orbitop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", STABILIZER_OPTIMIZED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1 pointwise stabilizer"), done.stdout
