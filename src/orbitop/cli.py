@@ -5,13 +5,15 @@ headers; complex entries are written like `-1`, `i`, `1/2+1/2i`.
 Reports are deterministic: the same scenario and version give
 byte-identical output.  Exit codes: 0 success, 2 parse error (also a
 named file that cannot be read or written), 3 precondition violation,
-4 cap exceeded, 5 failed re-verification.
+4 cap exceeded, 5 failed re-verification, 141 stdout closed by its
+reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -498,7 +500,8 @@ def run_command(command: str, args) -> dict:
                         "dimension": fam.dimension,
                         "components": fam.component_count,
                         "representatives": [
-                            _point(p) for p in fam.representatives[:16]
+                            _point(Fraction(x, fam.den) for x in p)
+                            for p in fam.points[:16]
                         ],
                     }
                 )
@@ -775,5 +778,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The `orbitop` command: `main`, then flush the standard streams and
+    end the process by `os._exit`, skipping interpreter teardown (orbitop
+    registers no exit handler, and `--out` is closed by its `with`).  A
+    reader that closes stdout early ends the run with exit code 141, as
+    a shell reports a process killed by SIGPIPE, and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -174,12 +174,17 @@ class FiniteMatrixGroup(NamedTuple):
 def order_modulo(table, i: int, subgroup) -> int:
     """The least k >= 1 with i^k in the subgroup, by right products in
     the Cayley table: the order of the coset of i in N/S when S is normal
-    in a group N holding i, bounded by the group's order."""
-    k, cur = 1, i
-    while cur not in subgroup:
+    in a group N holding i.  As i^|G| = 1, some k <= |G| reaches any
+    subgroup; the search stops there and errors on a set without the
+    identity or a corrupted table."""
+    cur = i
+    for k in range(1, len(table) + 1):
+        if cur in subgroup:
+            return k
         cur = table[cur][i]
-        k += 1
-    return k
+    raise VerificationError(
+        f"no power of element {i} up to |G| = {len(table)} lies in the subgroup"
+    )
 
 
 def generated(table, gens) -> frozenset[int]:
@@ -200,8 +205,8 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     after the identity is recorded as a word, its BFS parent times one
     generator, so the multiplication table follows from integer lookups:
     a * b = (a * parent(b)) * gen(b).  A sample of min(n^2, 200) table
-    entries is then re-verified by integer products, plus an associativity
-    spot check."""
+    entries is then re-verified by one packed integer product each, plus
+    an associativity spot check."""
     if not generators:
         raise PreconditionError("need at least one generator")
     dim = generators[0].dim_real
@@ -245,7 +250,12 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
 
 
 def _verify_table_sample(group: FiniteMatrixGroup, samples: int = 200) -> None:
-    """Compare min(n^2, samples) table entries with integer products."""
+    """Compare min(n^2, samples) table entries a b = c with exact
+    products, one packed product per entry.  Each element M is packed
+    once into M v, v = (1, t, ..., t^(d-1)); then a b = c exactly when
+    c.den A (B v) = a.den b.den C v, since t is above twice every entry
+    of c.den A B and of a.den b.den C, and a sum of powers of t with
+    such digits is zero only when every digit is."""
     n = group.order
     pairs = (
         itertools.product(range(n), repeat=2)
@@ -253,9 +263,21 @@ def _verify_table_sample(group: FiniteMatrixGroup, samples: int = 200) -> None:
         else ((a, b) for a, b, _ in _sample_triples(n, samples))
     )
     elements = group.elements
+    d = group.dim_real
+    entry = max(abs(x) for m in elements for row in m.rows for x in row)
+    den = max(m.den for m in elements)
+    t = 2 * d * (den * entry) ** 2 + 1
+    v = [t**j for j in range(d)]
+    packed = [int_apply(m.rows, v) for m in elements]
     for a, b in pairs:
-        c = elements[group.mul(a, b)]
-        if _product(elements[a], elements[b]) != (c.rows, c.den):
+        c = group.mul(a, b)
+        left, right = elements[a], elements[b]
+        scale = left.den * right.den
+        den_c = elements[c].den
+        if any(
+            den_c * x != scale * y
+            for x, y in zip(int_apply(left.rows, packed[b]), packed[c])
+        ):
             raise VerificationError(
                 f"multiplication table entry ({a}, {b}) disagrees with the product"
             )

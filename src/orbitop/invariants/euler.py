@@ -32,7 +32,8 @@ def orbifold_euler(
     torus chi is solved once per subgroup <g, h> and added once per pair,
     so the divisibility check sees the full pair sum.  The report carries
     the conjugacy class counts so callers can surface the relationship
-    between the value and the class census.
+    between the value and the class census; the pair count is checked
+    against them by Burnside's identity.
     """
     n = group.order
     table = group.table
@@ -52,6 +53,12 @@ def orbifold_euler(
             f"commuting-pair sum {total} is not divisible by group order {n}"
         )
     classes = conjugacy_classes(group)
+    # Burnside: g commutes with |C(g)| = |G| / |class of g| elements, so
+    # the commuting pairs number |G| times the classes.
+    if len(pairs) != n * len(classes):
+        raise VerificationError(
+            f"{len(pairs)} commuting pairs, not |G| * classes = {n} * {len(classes)}"
+        )
     return EulerReport(
         value=total // n,
         commuting_pairs=len(pairs),

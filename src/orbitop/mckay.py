@@ -53,6 +53,7 @@ from .group import (
     QuotientGroup,
     close,
     conjugacy_classes,
+    generated,
     normal_and_quotient,
     order_modulo,
     splitting_multiplier,
@@ -375,7 +376,8 @@ def enumerate_chi_lifts(psi: PsiHom, weyl: WeylGroup) -> list[ChiLift]:
 
 def _quotient_generators(quotient: QuotientGroup) -> tuple[int, ...]:
     """The first coset of order |K| alone when K is cyclic and
-    nontrivial, else cosets taken greedily in index order.  Each extra
+    nontrivial, else cosets taken greedily in index order, each one
+    outside the subgroup the earlier ones generate.  Each extra
     generator multiplies the lift search by its candidate count."""
     unit = (quotient.identity_coset,)
     for coset in range(quotient.order):
@@ -384,24 +386,13 @@ def _quotient_generators(quotient: QuotientGroup) -> tuple[int, ...]:
             and order_modulo(quotient.table, coset, unit) == quotient.order
         ):
             return (coset,)
-    gens: list[int] = []
-    generated = {quotient.identity_coset}
+    gens: tuple[int, ...] = ()
+    reached = unit
     for coset in range(quotient.order):
-        if coset in generated:
-            continue
-        gens.append(coset)
-        frontier = [coset]
-        generated.add(coset)
-        while frontier:
-            cur = frontier.pop()
-            for other in list(generated):
-                for p in (quotient.mul(cur, other), quotient.mul(other, cur)):
-                    if p not in generated:
-                        generated.add(p)
-                        frontier.append(p)
-        if len(generated) == quotient.order:
-            break
-    return tuple(gens)
+        if coset not in reached:
+            gens += (coset,)
+            reached = generated(quotient.table, gens)
+    return gens
 
 
 def _quotient_tree(quotient: QuotientGroup, gens) -> list[tuple[int, int, int]]:

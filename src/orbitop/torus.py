@@ -9,9 +9,10 @@ of integer numerators over one common denominator N, reduced mod N, so
 fixed-point and incidence checks are congruences mod N.  A subtorus
 translate is hashed by its direction span and the values that the
 integer functionals vanishing on that span take at its point, so equal
-translates meet in a dict instead of being compared pairwise.  Fractions
-are formed only for the reported points and, once per distinct span,
-for its echelon form.
+translates meet in a dict instead of being compared pairwise.  A fixed
+set is one int record, `SubtorusFamily`: its points as numerators over
+one N, and its directions.  Fractions are formed only for the reported
+points and, once per distinct span, for its echelon form.
 
 The singular set is read off the fixed sets of subgroups, each solved
 once (T^g & T^h = T^<g,h>).  A maximal translate inside Fix(g) is a
@@ -93,20 +94,21 @@ def lattice_matrices(group: FiniteMatrixGroup, lattice: TorusLattice):
 
 class SubtorusFamily(NamedTuple):
     """Solution set of a lattice congruence: finitely many parallel
-    translates of one subtorus."""
+    translates of one subtorus, in int form.  The translates pass through
+    the points x / den, x in `points`, and run along `direction`."""
 
     dimension: int
     component_count: int
-    representatives: tuple[tuple[Fraction, ...], ...]
+    den: int
+    points: tuple[tuple[int, ...], ...]
     direction: tuple[tuple[int, ...], ...]
+
+    @property
+    def representatives(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(_fractions(x, self.den) for x in self.points)
 
     def euler_characteristic(self) -> int:
         return self.component_count if self.dimension == 0 else 0
-
-
-@lru_cache(maxsize=4096)
-def _snf_cached(rows):
-    return snf(rows)
 
 
 def _canon(nums, den):
@@ -124,16 +126,15 @@ def _solve_congruence(a, rhs=None):
     """Solve A x = rhs (mod Z^m) for x in the torus R^n/Z^n, m >= n.
 
     A is a tuple of int rows; rhs is None (zero) or (numerators, q).
-    Returns (dimension, count, N, representatives, directions), each
-    representative an int vector x with x/N a solution, reduced mod N,
-    in increasing order; or None when the congruence is infeasible (only
-    possible with nonzero rhs).  Every representative is re-checked
-    against A x = rhs on integers.
+    Returns the solutions as a SubtorusFamily over N, each point an int
+    vector x with x/N a solution, reduced mod N, in increasing order; or
+    None when the congruence is infeasible (only possible with nonzero
+    rhs).  Every point is re-checked against A x = rhs on integers.
     """
     m, n = len(a), len(a[0])
     if m < n:
         raise PreconditionError("congruence solver expects m >= n")
-    dec = _snf_cached(a)
+    dec = snf(a)
     factors = dec.invariant_factors
     rank = dec.rank
     if rhs is None:
@@ -165,19 +166,7 @@ def _solve_congruence(a, rhs=None):
         if any((y - r * scale) % big_n for y, r in zip(lhs, rhs_nums)):
             raise VerificationError("congruence representative fails A x = rhs")
     directions = tuple(tuple(row[j] for row in dec.V) for j in range(rank, n))
-    return n - rank, count, big_n, tuple(reps), directions
-
-
-def _family(solved) -> SubtorusFamily:
-    dim, count, big_n, reps, dirs = solved
-    # N divides the component count, so this table is the smaller loop.
-    table = [Fraction(k, big_n) for k in range(big_n)]
-    return SubtorusFamily(
-        dimension=dim,
-        component_count=count,
-        representatives=tuple(tuple(table[k] for k in x) for x in reps),
-        direction=dirs,
-    )
+    return SubtorusFamily(n - rank, count, big_n, tuple(reps), directions)
 
 
 def _shifts(mats):
@@ -192,7 +181,7 @@ def _shifts(mats):
 
 def fixed_set(motion: Motion, lattice: TorusLattice) -> SubtorusFamily:
     """Solutions of (g - 1) x = 0 (mod lattice), as translates of a subtorus."""
-    return _family(_solve_congruence(_shifts([lattice_matrix(motion, lattice)])))
+    return _solve_congruence(_shifts([lattice_matrix(motion, lattice)]))
 
 
 def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
@@ -200,7 +189,7 @@ def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
     if not motions:
         raise PreconditionError("need at least one motion")
     mats = [lattice_matrix(m, lattice) for m in motions]
-    return _family(_solve_congruence(_shifts(mats)))
+    return _solve_congruence(_shifts(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +216,7 @@ def _annihilator(span, n):
     trailing rows of U in the Smith form of the span's columns."""
     if not span:
         return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    dec = _snf_cached(tuple(zip(*span)))
+    dec = snf(tuple(zip(*span)))
     return dec.U[len(span):]
 
 
@@ -307,9 +296,9 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
     fixing: dict = {}  # key -> identity and elements with it as a fixed component
     for i in range(group.order):
         if i != group.identity_index:
-            _, (_, _, den, reps, dirs) = fix((i,))
-            for nums in reps:
-                cand = _Translate(nums, den, dirs)
+            _, fam = fix((i,))
+            for nums in fam.points:
+                cand = _Translate(nums, fam.den, fam.direction)
                 translates.setdefault(cand.key, cand)
                 fixing.setdefault(cand.key, {group.identity_index}).add(i)
 
@@ -333,13 +322,13 @@ def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSet
 
     def points_on(t, fixed):
         """The points of a finite Fix(H) on the translate t."""
-        key, (dim, _, den, reps, _) = fixed
-        if dim:
+        key, fam = fixed
+        if fam.dimension:
             return ()
         if (key, t.span) not in on:
             by_key = on[key, t.span] = {}
-            for x in reps:
-                p = _canon(x, den)
+            for x in fam.points:
+                p = _canon(x, fam.den)
                 by_key.setdefault(t.parallel_key(*p), []).append(p)
         return on[key, t.span].get(t.key, ())
 
@@ -460,9 +449,9 @@ def _intersection_points(maximal, fixing, fix, mats, comp_of):
 
     raw_points = set()
     for s1, s2 in itertools.combinations(set(stabilizer.values()), 2):
-        _, (dim, _, den, reps, _) = fix(tuple(sorted(s1 | s2)))
-        points = {_canon(x, den) for x in reps}
-        if not dim:
+        _, fam = fix(tuple(sorted(s1 | s2)))
+        points = {_canon(x, fam.den) for x in fam.points}
+        if not fam.dimension:
             raw_points |= points
         elif any({s1, s2} <= {stabilizer[k] for k in through(*p)} for p in points):
             raise PreconditionError(

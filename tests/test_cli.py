@@ -759,3 +759,120 @@ def test_cli_startup_loads_no_dataclasses_and_records_keep_their_checks():
     assert out["accepted"] == []
     assert out["isometry"] == [True, True, True]
     assert out["isometry_products"] == 2
+
+
+# --- the `orbitop` command as a process ---------------------------------------
+
+
+def _cli_process(*argv, script=None, stdout=subprocess.PIPE):
+    """Start `python -m orbitop.cli ARGV`, or `python -c SCRIPT ARGV`."""
+    src = str(Path(orbitop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    head = ["-c", script] if script else ["-m", "orbitop.cli"]
+    return subprocess.Popen(
+        [sys.executable, *head, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def _finish(proc):
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err.decode()
+
+
+def test_command_prints_the_golden_report():
+    """The process ends by os._exit after flushing stdout: nothing of the
+    report is lost."""
+    golden = (ROOT / "tests/golden/fixed-sets_t6_z2z2.json").read_bytes()
+    code, out, err = _finish(
+        _cli_process("fixed-sets", "--scenario", "t6_z2z2", "--format", "json")
+    )
+    assert (code, err) == (0, "")
+    assert out == golden
+
+
+def test_command_writes_the_golden_report_to_out(tmp_path):
+    golden = (ROOT / "tests/golden/singular-set_t6_z4.json").read_bytes()
+    target = tmp_path / "report.json"
+    code, out, err = _finish(
+        _cli_process(
+            "singular-set", "--scenario", "t6_z4", "--format", "json",
+            "--out", str(target),
+        )
+    )
+    assert (code, out, err) == (0, b"", "")
+    assert target.read_bytes() == golden
+
+
+FAILING_RUN_SCRIPT = """
+from orbitop import cli
+from orbitop.errors import VerificationError
+
+def failing_close(*args, **kwargs):
+    raise VerificationError("table entry (0, 0) disagrees with the product")
+
+cli.close = failing_close
+cli.run()
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,script,code,message",
+    [
+        (("group", "--scenario", "no_such_scenario"), None, 2, "parse error: "),
+        (("singular-set", "--scenario", "c3_z4"), None, 3, "precondition violated: "),
+        (("group", "--scenario", "c3_z4"), FAILING_RUN_SCRIPT, 5,
+         "verification failed: table entry (0, 0)"),
+    ],
+    ids=["parse", "precondition", "verification"],
+)
+def test_command_exit_codes_keep_their_messages(argv, script, code, message):
+    done = _finish(_cli_process(*argv, script=script))
+    assert done[:2] == (code, b"")
+    assert done[2].startswith(message)
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    """A reader that stops early (`orbitop euler ... | true`) closes the
+    pipe before the report is written: the run exits 141, as a shell
+    reports SIGPIPE, and prints no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(
+            "euler", "--scenario", "t6_z4", "--format", "json", stdout=write_end
+        )
+    finally:
+        os.close(write_end)
+    assert _finish(proc)[::2] == (141, "")
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+@pytest.mark.parametrize(
+    "name,plan,chi", [("t6_z4", "methods-a-count-4", 48), ("t6_z2z2", "all-crepant", 96)]
+)
+def test_crepant_plan_euler_number_equals_the_orbifold_euler_number(
+    tmp_path, capsys, shear_lattice, name, plan, chi, seed
+):
+    """A crepant resolution has the orbifold Euler number (Dixon, Harvey,
+    Vafa and Witten): the ledger's crepant plan and `euler` agree, on
+    the standard lattice and on re-based copies of the same torus."""
+    ref = name
+    if seed is not None:
+        rows = shear_lattice(seed).basis.data
+        scn = tmp_path / f"{name}_seed{seed}.scn"
+        scn.write_text(
+            (ROOT / "src/orbitop/scenarios" / f"{name}.scn").read_text()
+            + "\n[lattice]\n"
+            + "".join("row: " + " ".join(map(str, row)) + "\n" for row in rows)
+        )
+        ref = str(scn)
+    code, out, err = run_cli(capsys, "ledger", "--scenario", ref, "--format", "json")
+    assert code == 0, err
+    ledger = {r["plan"]: r["euler_characteristic"] for r in json.loads(out)["results"]}
+    code, out, err = run_cli(capsys, "euler", "--scenario", ref, "--format", "json")
+    assert code == 0, err
+    assert ledger[plan] == json.loads(out)["euler_characteristic"] == chi

@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from orbitop import group as group_module
 from orbitop.cli import format_complex_entry, load_scenario, main
 from orbitop.errors import CapExceededError, PreconditionError
-from orbitop.exact import Cyclotomic, Matrix, int_product
+from orbitop.exact import Cyclotomic, Matrix, int_apply, int_product
 from orbitop.group import (
     Motion,
     NotASubgroupError,
@@ -348,22 +348,30 @@ def _scaled_product(a, b):
 )
 def test_table_equals_brute_force_products(name, order, monkeypatch):
     generators = _generators(name)
-    products = 0
+    products = applies = 0
 
     def counting(a, b):
         nonlocal products
         products += 1
         return int_product(a, b)
 
+    def counting_apply(rows, vector):
+        nonlocal applies
+        applies += 1
+        return int_apply(rows, vector)
+
     monkeypatch.setattr(group_module, "int_product", counting)
+    monkeypatch.setattr(group_module, "int_apply", counting_apply)
     group = close(generators)
     monkeypatch.undo()
     n = group.order
     assert n == order
-    # Closure multiplies each element by each generator once and then
-    # re-verifies min(n^2, 200) table entries: never more products than
-    # the n * |gens| + n^2 of building the table by brute force.
-    assert products == n * len(generators) + min(n * n, 200)
+    # Closure multiplies each element by each generator once: n * |gens|
+    # matrix products, never the n^2 of building the table by brute force.
+    # The re-verification packs each element once into a vector and then
+    # checks min(n^2, 200) table entries by one matrix-vector product each.
+    assert products == n * len(generators)
+    assert applies == n + min(n * n, 200)
     # The oracle: Fraction matrices built from each motion's rows / den.
     matrices = [as_matrix(m) for m in group.elements]
     index = {m: i for i, m in enumerate(matrices)}

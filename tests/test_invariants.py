@@ -180,6 +180,24 @@ def test_euler_solves_once_per_subgroup(name, seed, solves, request, monkeypatch
     assert len(calls) == solves
 
 
+@pytest.mark.parametrize(
+    "ref,pairs,classes",
+    [("t6_z4", 16, 4), ("t6_z4z4.scn", 256, 16), ("mono48.scn", 480, 10),
+     ("e6_bt.scn", 2688, 28)],
+)
+def test_commuting_pairs_number_order_times_classes(ref, pairs, classes):
+    """Burnside's identity, which `orbifold_euler` re-checks on every call."""
+    scenario = load_scenario(
+        str(Path(__file__).resolve().parents[1] / "perfbench/scenarios" / ref)
+        if ref.endswith(".scn") else ref
+    )
+    group = close(scenario.motions())
+    lattice = scenario.lattice() if scenario.ambient == "torus" else None
+    report = orbifold_euler(group, lattice)
+    assert (report.commuting_pairs, report.class_count) == (pairs, classes)
+    assert pairs == group.order * classes
+
+
 def _dense_lattice(seed):
     """Unit lower times unit upper triangular, entries in {-1, 0, 1}."""
     rng = random.Random(seed)

@@ -20,6 +20,7 @@ from orbitop.exact import matrix as exact_matrix
 from orbitop.exact.snf import SmithDecomposition, _verify
 from orbitop.group import (
     FiniteMatrixGroup,
+    _sample_triples,
     _spot_check_associativity,
     _verify_table_sample,
     close,
@@ -536,7 +537,7 @@ def _doubled_factors(rows):
 def test_torus_congruence_check_catches_corrupted_snf(
     monkeypatch, kappa, gaussian_lattice
 ):
-    monkeypatch.setattr(torus, "_snf_cached", _doubled_factors)
+    monkeypatch.setattr(torus, "snf", _doubled_factors)
     with pytest.raises(VerificationError, match="A x = rhs"):
         fixed_set(kappa, gaussian_lattice)
     with pytest.raises(VerificationError, match="A x = rhs"):
@@ -559,14 +560,14 @@ def doubled(rows):
     return SmithDecomposition(dec.U, dec.D, dec.V, factors)
 
 caught = []
-smith = torus._snf_cached
-torus._snf_cached = doubled
+smith = torus.snf
+torus.snf = doubled
 kappa = Motion.from_complex([[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
 try:
     torus.fixed_set(kappa, torus.TorusLattice.standard(4))
 except VerificationError:
     caught.append("torus")
-torus._snf_cached = smith
+torus.snf = smith
 
 from orbitop.cli import main
 from orbitop.invariants import euler
@@ -654,3 +655,57 @@ def test_stabilizer_check_survives_python_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("1 pointwise stabilizer"), done.stdout
+
+
+def test_table_sample_catches_a_wrong_sampled_entry():
+    """mono48 has 48^2 > 200 entries, so the check reads a sample: a
+    wrong entry in it fails the packed product check."""
+    group = close(load_scenario(str(STRESS / "mono48.scn")).motions())
+    _verify_table_sample(group)
+    a, b, _ = next(_sample_triples(group.order, 200))
+    wrong = group.mul(a, group.mul(a, b))  # a * a * b != a * b
+    with pytest.raises(VerificationError, match=rf"\({a}, {b}\)"):
+        _verify_table_sample(corrupted(group, a, b, wrong))
+
+
+ORDER_MODULO_SCRIPT = """
+import sys
+from orbitop.cli import load_scenario
+from orbitop.errors import VerificationError
+from orbitop.group import close, order_modulo
+
+group = close(load_scenario("t6_z4").motions())
+try:
+    order_modulo(group.table, 1, ())
+except VerificationError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_order_modulo_stops_at_the_group_order(flags):
+    """No power of an element lies in the empty set: the search stops
+    after |G| steps instead of spinning (the timeout catches a hang)."""
+    src = str(Path(orbitop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", ORDER_MODULO_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        f"{len(flags)} no power of element 1 up to |G| = 4 lies in the subgroup\n"
+    )
+
+
+def test_euler_checks_commuting_pairs_against_the_class_count(monkeypatch, capsys):
+    """Burnside: the commuting pairs number |G| times the classes, so a
+    class census that drops one class fails re-verification (exit 5)."""
+    classes = euler.conjugacy_classes
+    monkeypatch.setattr(euler, "conjugacy_classes", lambda group: classes(group)[:-1])
+    assert main(["euler", "--scenario", "t6_z4"]) == 5
+    assert "16 commuting pairs, not |G| * classes = 4 * 3" in capsys.readouterr().err
