@@ -168,20 +168,26 @@ def weyl_order(diagram: DynkinDiagram) -> int:
     return _E_WEYL_ORDERS[r]
 
 
-class WeylGroup(NamedTuple):
-    diagram: DynkinDiagram
-    generators: tuple[tuple[tuple[int, ...], ...], ...]
-    order: int
-    # Int rows, in breadth-first order from the identity; None when kept lazy.
-    elements: tuple[tuple[tuple[int, ...], ...], ...] | None
-    # The roots with the simple roots first, and each element as the
-    # permutation of their indices it induces, aligned with `elements`.
-    roots: tuple[tuple[int, ...], ...]
-    perms: tuple[tuple[int, ...], ...] | None
-
+class WeylGroup(
+    NamedTuple(
+        "WeylGroup",
+        # The roots with the simple roots first, and each element, in
+        # breadth-first order from the identity, as the permutation of
+        # their indices it induces; perms is None when kept lazy.
+        [("diagram", DynkinDiagram), ("generators", tuple), ("order", int),
+         ("roots", tuple), ("perms", tuple | None)],
+    )
+):
     @property
     def enumerated(self) -> bool:
-        return self.elements is not None
+        return self.perms is not None
+
+    @cached_property
+    def elements(self) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
+        """Int rows of each element, aligned with `perms`, built on first read."""
+        if self.perms is None:
+            return None
+        return tuple(_perm_rows(self.roots, p) for p in self.perms)
 
     def aut_perm(self, aut) -> tuple[int, ...]:
         """The permutation of `roots` that P_aut induces."""
@@ -212,7 +218,7 @@ def weyl_group(rs: RootSystem, enumeration_cap: int = WEYL_ENUMERATION_CAP) -> W
     order = weyl_order(rs.diagram)
     simple = _identity_rows(rs.rank)
     roots = simple + tuple(v for v in rs.roots if v not in simple)
-    elements = perms = None
+    perms = None
     if order <= enumeration_cap:
         index = {v: k for k, v in enumerate(roots)}
         reflections = [tuple(index[int_apply(s, v)] for v in roots) for s in gens]
@@ -232,8 +238,7 @@ def weyl_group(rs: RootSystem, enumeration_cap: int = WEYL_ENUMERATION_CAP) -> W
                 f"elements, expected {order}"
             )
         perms = tuple(found)
-        elements = tuple(_perm_rows(roots, p) for p in perms)
-    return WeylGroup(rs.diagram, gens, order, elements, roots, perms)
+    return WeylGroup(rs.diagram, gens, order, roots, perms)
 
 
 def _perm_rows(roots, perm) -> tuple[tuple[int, ...], ...]:

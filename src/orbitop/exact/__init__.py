@@ -16,6 +16,7 @@ from .matrix import (
     common_denominator,
     int_apply,
     int_det,
+    int_echelon,
     int_kernel,
     int_product,
     zero_pairings,
@@ -33,6 +34,7 @@ __all__ = [
     "from_integer_coefficients",
     "int_apply",
     "int_det",
+    "int_echelon",
     "int_kernel",
     "int_product",
     "integer_coefficients",

@@ -10,15 +10,16 @@ automorphisms zeta_m -> zeta_m^k both reindex the coefficients, and an
 inverse is the product of the other conjugates over the norm.
 
 The same arithmetic runs on ints for elements of Z[zeta_m] written as
-phi(m) ints: `scale_coefficients` multiplies a vector in the
-`integer_coefficients` form by one, and `norm_cofactor` gives the
-product of its other conjugates and its norm, for `int_kernel`.
+phi(m) ints: `_zeta_multiples` gives x, x zeta, .., the columns of the
+matrix of multiplication by x, which `int_kernel` realifies with and
+`scale_coefficients` applies to a vector in the `integer_coefficients`
+form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from ..errors import FieldDivisionError, PreconditionError, VerificationError
@@ -355,25 +356,3 @@ def scale_coefficients(x, rows, order: int) -> tuple[tuple[int, ...], ...]:
                 acc = [a + c * b for a, b in zip(acc, plane)]
         out.append(tuple(acc))
     return tuple(out)
-
-
-def norm_cofactor(x, order: int) -> tuple[tuple[int, ...], int]:
-    """(c, n) for a nonzero x in Z[zeta_order], given by its phi(order)
-    ints: c the product of the Galois conjugates sigma_k(x), k != 1 a
-    unit mod order, and n = x c the norm, an int, so that x^-1 = c / n.
-    Each conjugate is a reindexing of the coefficients, reduced."""
-    phi = cyclotomic_polynomial(order)
-
-    def times(a, b):
-        return _mod_phi(_poly_mul_int(a, b), phi)
-
-    conjugates = (
-        _mod_phi(_reindexed(x, order, k), phi)
-        for k in range(2, order)
-        if gcd(k, order) == 1
-    )
-    c = reduce(times, conjugates, (1,) + (0,) * (len(x) - 1))
-    n, *rest = times(x, c)
-    if any(rest) or not n:
-        raise VerificationError(f"norm of {x} in Z[zeta_{order}] is not a nonzero int")
-    return c, n

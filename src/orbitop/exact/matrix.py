@@ -6,16 +6,18 @@ are capped (default 64) so bad input fails loudly instead of crawling.
 
 An integer matrix (a motion over its denominator, a lattice action, a
 Weyl group element, a Smith transform) is not a `Matrix`: it is a tuple
-of int rows.  `int_product` and `int_apply` multiply those, and
-`int_det` takes a determinant by fraction-free (Bareiss) elimination,
-so every division is exact and every entry stays an int.
+of int rows.  `int_product` and `int_apply` multiply those, `int_det`
+takes a determinant by fraction-free (Bareiss) elimination, and
+`int_echelon` is the one reduced echelon form, fraction-free too: every
+division is exact and every entry stays an int.
 
 `int_kernel` is the one kernel, over Q(zeta_m) for every m (m = 1 is
 Q): it takes and returns the integer coefficient rows of
-`integer_coefficients`, eliminates over Z[zeta_m] fraction-free, and
-divides once per pivot through the pivot's Galois conjugates.
-`Matrix.kernel_basis` converts onto it, and a dimension is the number
-of its vectors: there is no separate rank elimination.
+`integer_coefficients`, realifies them (each entry its block of
+multiplication by it on the zeta-basis) and reads the basis off one
+`int_echelon`.  `Matrix.kernel_basis` converts onto it, a dimension is
+the number of its vectors, and a span's canonical form is its
+`int_echelon` rows: there is no separate rank elimination.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from ..errors import CapExceededError, PreconditionError, VerificationError
 from .cyclotomic import (
     Cyclotomic,
     _mod_phi,
+    _zeta_multiples,
     cyclotomic_polynomial,
     from_integer_coefficients,
     integer_coefficients,
-    norm_cofactor,
-    scale_coefficients,
 )
 
 MAX_DIM = 64
@@ -252,6 +253,52 @@ def int_det(rows) -> int:
     return sign * a[-1][-1]
 
 
+def int_echelon(rows):
+    """The reduced row echelon form of an int matrix, fraction-free:
+    (rows, pivots), one int row per pivot column, primitive, with a
+    positive entry at its pivot and 0 at the other pivots.  These are the
+    rational reduced echelon rows, each scaled by the lcm of its
+    denominators, so they depend on the row space alone.
+
+    Each step clears column c of a row against the pivot row there
+    (`_eliminate`) and divides the result by the gcd of its ints, so
+    every entry stays an int and every division is exact (fraction-free
+    elimination: Bareiss, Math. Comp. 22, 1968; Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, ch. 2)."""
+    pending = [row for row in rows if any(row)]
+    echelon, pivots = [], []
+    for c in range(len(pending[0]) if pending else 0):
+        for at, pivot in enumerate(pending):
+            if pivot[c]:
+                break
+        else:
+            continue
+        del pending[at]
+        g = gcd(*pivot) if pivot[c] > 0 else -gcd(*pivot)
+        pivot = [x // g for x in pivot]
+        echelon = [_eliminate(row, pivot, c) for row in echelon]
+        pending = [
+            row for row in (_eliminate(row, pivot, c) for row in pending) if row
+        ]
+        echelon.append(pivot)
+        pivots.append(c)
+    return tuple(map(tuple, echelon)), tuple(pivots)
+
+
+def _eliminate(row, pivot, c):
+    """(p row - f pivot) / g, p > 0 the entry of the pivot row and f that
+    of row at column c, and g the gcd of the result: row itself when f
+    is zero, None when the result is zero."""
+    f, p = row[c], pivot[c]
+    if not f:
+        return row
+    out = [p * x - f * y for x, y in zip(row, pivot)]
+    g = gcd(*out)
+    if g < 2:
+        return out if g else None
+    return [x // g for x in out]
+
+
 def int_kernel(rows, order: int = 1):
     """Kernel of a matrix over Q(zeta_order) with entries in
     Z[zeta_order], in the integer_coefficients form: rows[i][t][j] is
@@ -263,15 +310,12 @@ def int_kernel(rows, order: int = 1):
     columns; parts[k][t][j] is d times the zeta^t coefficient of entry j
     of vector k, and d is the least common denominator.
 
-    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): a
-    row with entry f at the column c of a pivot n becomes n row - f
-    (pivot row), products reduced mod Phi_order, and each row is
-    divided by the gcd of its ints.  A pivot row is first multiplied by
-    the product of the other Galois conjugates of its entry p, so that
-    the pivot is the norm N(p), an int (x^-1 = prod_{sigma != 1} sigma x
-    / N(x); Cohen, *A Course in Computational Algebraic Number Theory*,
-    1993), and the back substitution divides by it once, into one
-    common denominator.  A v = 0 is re-checked on ints."""
+    The matrix is realified (`_realified`): a vector over Q(zeta) is its
+    deg Phi coefficients per entry, and A v = 0 is a rational system.
+    Its free columns are (f, t) for every t and each free column f over
+    Q(zeta), so one `int_echelon` gives the basis: the vector at (f, 0),
+    read off the reduced rows, is the one at f.  A v = 0 is re-checked
+    on the given rows, mod Phi."""
     phi = cyclotomic_polynomial(order)
     rows = [tuple(map(tuple, row)) for row in rows]
     if not rows or not rows[0] or not rows[0][0]:
@@ -281,48 +325,39 @@ def int_kernel(rows, order: int = 1):
         raise PreconditionError(
             f"coefficient rows must be {deg} planes of width {width}"
         )
-    pending = [row for row in rows if any(map(any, row))]
-    echelon = []  # (column, row): its entry there an int, later rows 0 there
-    for c in range(width):
-        at = next(
-            (i for i, row in enumerate(pending) if any(p[c] for p in row)), None
-        )
-        if at is None:
-            continue
-        pivot = pending.pop(at)
-        cofactor, norm = norm_cofactor(tuple(plane[c] for plane in pivot), order)
-        pivot = scale_coefficients(cofactor, pivot, order)
-        pending = [
-            row for row in (_clear(row, pivot, c, norm, order) for row in pending)
-            if row
-        ]
-        echelon.append((c, pivot))
-        if not pending:
-            break
-    pivot_cols = {c for c, _ in echelon}
-    solved = []  # (v times den, den) for each free column
-    for f in range(width):
-        if f in pivot_cols:
-            continue
-        vec, den = [[0] * width for _ in range(deg)], 1
-        vec[0][f] = 1
-        # Upward, v[c] = -(row . v) / n: the row is zero left of c, and
-        # v is zero at c until it is set.
-        for c, row in reversed(echelon):
-            n, total = row[0][c], _dot_mod_phi(row, vec, phi)
-            if n != 1:
-                vec = [[n * x for x in plane] for plane in vec]
-                den *= n
-            for plane, x in zip(vec, total):
-                plane[c] = -x
-        solved.append((vec, den))
-    den = lcm(*(abs(d) for _, d in solved))
-    basis = [[[x * (den // d) for x in plane] for plane in vec] for vec, d in solved]
-    g = gcd(den, *chain.from_iterable(chain.from_iterable(basis)))
-    parts = tuple(tuple(tuple(x // g for x in p) for p in vec) for vec in basis)
+    echelon, pivots = int_echelon(_realified(rows, phi))
+    free = [f for f in range(width) if f * deg not in pivots]
+    if len(pivots) + deg * len(free) != deg * width:
+        raise VerificationError("kernel over Q is not one over Q(zeta)")
+    den = lcm(*(row[c] for row, c in zip(echelon, pivots)))
+    basis = []
+    for f in free:
+        vec = [0] * (deg * width)
+        vec[f * deg] = den
+        for row, c in zip(echelon, pivots):
+            vec[c] = -row[f * deg] * (den // row[c])
+        basis.append(vec)
+    g = gcd(den, *chain.from_iterable(basis))
+    parts = tuple(
+        tuple(tuple(x // g for x in vec[t::deg]) for t in range(deg)) for vec in basis
+    )
     if any(any(_dot_mod_phi(row, vec, phi)) for row in rows for vec in parts):
         raise VerificationError("kernel vector is not annihilated")
     return den // g, parts
+
+
+def _realified(rows, phi):
+    """The int rows of a matrix over Z[zeta] as a rational matrix: entry
+    x of row i and column j becomes the deg x deg block of
+    multiplication by x, whose (s, t) entry is the zeta^s coefficient of
+    x zeta^t, at row (i, s) and column (j, t), j-major."""
+    deg = len(phi) - 1
+    zero = [(0,) * deg] * deg
+    out = []
+    for row in rows:
+        blocks = [_zeta_multiples(x, phi) if any(x) else zero for x in zip(*row)]
+        out.extend([xt[s] for block in blocks for xt in block] for s in range(deg))
+    return out
 
 
 def _dot_mod_phi(row, vec, phi):
@@ -334,23 +369,6 @@ def _dot_mod_phi(row, vec, phi):
         for u, b in enumerate(vec):
             total[t + u] += sum(map(mul, a, b))
     return _mod_phi(total, phi)
-
-
-def _clear(row, pivot, c, n, order):
-    """n row - f pivot, n the int pivot entry and f the entry of row at
-    column c, divided by the gcd of its ints; row itself when f is zero,
-    and None when the result is zero."""
-    f = tuple(plane[c] for plane in row)
-    if not any(f):
-        return row
-    out = [
-        [n * x - y for x, y in zip(a, b)]
-        for a, b in zip(row, scale_coefficients(f, pivot, order))
-    ]
-    g = gcd(*chain.from_iterable(out))
-    if g < 2:
-        return out if g else None
-    return [[x // g for x in plane] for plane in out]
 
 
 def _dot(xs, ys):

@@ -12,7 +12,7 @@ integer functionals vanishing on that span take at its point, so equal
 translates meet in a dict instead of being compared pairwise.  A fixed
 set is one int record, `SubtorusFamily`: its points as numerators over
 one N, and its directions.  Fractions are formed only for the reported
-points and, once per distinct span, for its echelon form.
+points; a span's key is its fraction-free echelon form.
 
 The singular set is read off the fixed sets of subgroups, each solved
 once (T^g & T^h = T^<g,h>).  A maximal translate inside Fix(g) is a
@@ -33,7 +33,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import Matrix, common_denominator, int_apply, int_product, snf
+from .exact import Matrix, common_denominator, int_apply, int_echelon, int_product, snf
 from .group import FiniteMatrixGroup, Motion, generated, order_modulo
 
 REPRESENTATIVE_CAP = 65_536
@@ -198,16 +198,10 @@ def common_fixed_set(motions, lattice: TorusLattice) -> SubtorusFamily:
 
 @lru_cache(maxsize=4096)
 def _span_key(dirs):
-    """The rational span of integer vectors in a canonical form: its
-    reduced row echelon basis, each row cleared of denominators."""
-    if not dirs:
-        return ()
-    reduced, _ = Matrix(dirs).rref()
-    out = []
-    for row in reduced.data:
-        k = lcm(*(x.denominator for x in row))
-        out.append(tuple(int(x * k) for x in row))
-    return tuple(out)
+    """The rational span of integer vectors in a canonical form: the rows
+    of its reduced echelon form from `int_echelon`, each primitive with
+    a positive pivot."""
+    return int_echelon(dirs)[0]
 
 
 @lru_cache(maxsize=4096)

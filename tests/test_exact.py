@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from orbitop.errors import CapExceededError, FieldDivisionError, PreconditionErr
 from orbitop.exact import (
     Cyclotomic,
     Matrix,
+    int_echelon,
     int_kernel,
     int_product,
     integer_coefficients,
@@ -105,6 +107,20 @@ def test_snf_invariant_factors_match_sympy(rows):
     expected = tuple(abs(int(oracle[i, i])) for i in range(min(oracle.shape)))
     dec = snf(rows)
     assert dec.invariant_factors == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices())
+def test_int_echelon_matches_sympy_rref(rows):
+    """int_echelon's rows are sympy's nonzero reduced echelon rows, each
+    scaled by the lcm of its denominators, with the same pivots."""
+    reduced, pivots = SympyMatrix(rows).rref()
+    expected = []
+    for i in range(len(pivots)):
+        row = [Fraction(int(x.p), int(x.q)) for x in reduced.row(i)]
+        k = lcm(*(x.denominator for x in row))
+        expected.append(tuple(int(x * k) for x in row))
+    assert int_echelon(rows) == (tuple(expected), pivots)
 
 
 def test_snf_deterministic():
@@ -201,7 +217,7 @@ def _field_matrices(draw):
     """A matrix over Q or Q(zeta_order), every entry of that one order:
     square, wide or tall, some rows forced to zero and some the sum of
     two others, so that kernels of every dimension turn up."""
-    order = draw(st.sampled_from([1, 3, 4, 8, 12]))
+    order = draw(st.sampled_from([1, 3, 4, 5, 6, 8, 12]))
     shape = draw(st.sampled_from(["square", "wide", "tall"]))
     small, large = st.integers(1, 4), st.integers(5, 8)
     rows = draw(small if shape == "wide" else large if shape == "tall" else small)

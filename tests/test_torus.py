@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitop import torus
 from orbitop.errors import PreconditionError, VerificationError
@@ -465,3 +467,33 @@ def test_one_solve_per_subgroup(
     monkeypatch.setattr(torus, "_solve_congruence", counted)
     singular_set(group, lattice)
     assert len(calls) <= most
+
+
+def _reference_span_key(dirs):
+    """`torus._span_key` as it was written on `Matrix.rref`: boxed
+    Fraction elimination, each row cleared of denominators."""
+    if not dirs:
+        return ()
+    reduced, _ = Matrix(dirs).rref()
+    out = []
+    for row in reduced.data:
+        k = lcm(*(x.denominator for x in row))
+        out.append(tuple(int(x * k) for x in row))
+    return tuple(out)
+
+
+@st.composite
+def _independent_directions(draw):
+    """1 to 5 independent vectors in Z^6, entries in [-6, 6]: the
+    directions a translate carries are the columns of a unimodular
+    matrix, or their images under an invertible motion."""
+    vector = st.tuples(*[st.integers(-6, 6)] * 6)
+    dirs = tuple(draw(st.lists(vector, min_size=1, max_size=5)))
+    assume(len(Matrix(dirs).rref()[1]) == len(dirs))
+    return dirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_independent_directions())
+def test_span_key_matches_the_fraction_rref_reference(dirs):
+    assert torus._span_key(dirs) == _reference_span_key(dirs)

@@ -171,17 +171,15 @@ KERNEL_CASES = [
 ]
 
 
-def _off_by_one(clear):
-    """An elimination step that adds 1 to the last entry of each row it
-    changes."""
+def _off_by_one(eliminate):
+    """An elimination step that adds 1 to every entry right of the
+    column it clears, in each row it changes."""
 
-    def step(row, *args):
-        out = clear(row, *args)
+    def step(row, pivot, c):
+        out = eliminate(row, pivot, c)
         if out is None or out is row:
             return out
-        out = [list(plane) for plane in out]
-        out[0][-1] += 1
-        return out
+        return [x + (k > c) for k, x in enumerate(out)]
 
     return step
 
@@ -193,12 +191,36 @@ def test_kernel_check_catches_a_corrupted_vector(monkeypatch):
         assert int_kernel(rows, order)[1]
     cfg = NodeConfiguration.make([[1, 2], [2, 3], [3, 4]])
     assert node_smoothable(cfg).smoothable
-    monkeypatch.setattr(exact_matrix, "_clear", _off_by_one(exact_matrix._clear))
+    monkeypatch.setattr(
+        exact_matrix, "_eliminate", _off_by_one(exact_matrix._eliminate)
+    )
     for rows, order in KERNEL_CASES:
         with pytest.raises(VerificationError, match="not annihilated"):
             int_kernel(rows, order)
     with pytest.raises(VerificationError, match="not annihilated"):
         node_smoothable(cfg)
+
+
+def test_kernel_check_catches_a_corrupted_zeta_block(monkeypatch):
+    """One wrong entry in one block of the realified matrix over Q(i):
+    1 zeta read as zeta + 1 for the first entry.  The re-check runs on
+    the given rows, mod Phi, not on the realified matrix, so it sees the
+    wrong vector."""
+    rows, order = KERNEL_CASES[1]
+    multiples = exact_matrix._zeta_multiples
+    corrupted = []
+
+    def one_wrong_entry(x, phi):
+        out = multiples(x, phi)
+        if not corrupted:
+            corrupted.append(x)
+            out[1] = (out[1][0] + x[0],) + out[1][1:]
+        return out
+
+    monkeypatch.setattr(exact_matrix, "_zeta_multiples", one_wrong_entry)
+    with pytest.raises(VerificationError, match="not annihilated"):
+        int_kernel(rows, order)
+    assert corrupted == [(1, 0)]
 
 
 def _wrong_inverse_image(lift):
@@ -437,20 +459,35 @@ try:
 except VerificationError:
     caught.append("beta")
 from orbitop.exact import int_kernel, matrix
-clear = matrix._clear
+eliminate = matrix._eliminate
 
-def off_by_one(row, *args):
-    out = clear(row, *args)
+def off_by_one(row, pivot, c):
+    out = eliminate(row, pivot, c)
     if out is None or out is row:
         return out
-    return [[*out[0][:-1], out[0][-1] + 1], *out[1:]]
+    return [x + (k > c) for k, x in enumerate(out)]
 
-matrix._clear = off_by_one
+matrix._eliminate = off_by_one
 try:
     int_kernel([((1, 0, 1), (0, 1, 1)), ((0, 1, 0), (1, 0, 0))], 4)
 except VerificationError:
     caught.append("kernel")
-matrix._clear = clear
+matrix._eliminate = eliminate
+multiples, corrupted = matrix._zeta_multiples, []
+
+def one_wrong_entry(x, phi):
+    out = multiples(x, phi)
+    if not corrupted:
+        corrupted.append(x)
+        out[1] = (out[1][0] + x[0],) + out[1][1:]
+    return out
+
+matrix._zeta_multiples = one_wrong_entry
+try:
+    int_kernel([((1, 0, 1), (0, 1, 1)), ((0, 1, 0), (1, 0, 0))], 4)
+except VerificationError:
+    caught.append("block")
+matrix._zeta_multiples = multiples
 spread = Cyclotomic._spread
 Cyclotomic._spread = lambda self, n, k: spread(self, n, 1 if n == self.order else k)
 try:
@@ -487,7 +524,7 @@ def test_verification_survives_python_optimize():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         "1", "table", "quotient", "snf", "witness", "kahler", "dual", "betti", "pair",
-        "beta", "kernel", "norm", "census", "count",
+        "beta", "kernel", "block", "norm", "census", "count",
     ]
 
 
