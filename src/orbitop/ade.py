@@ -42,14 +42,6 @@ _E_EDGES = {
 
 _E_WEYL_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
 
-# Per-vertex coefficient bounds for positive roots: the coefficients of
-# the highest root, which dominate every positive root coefficientwise.
-_E_HIGHEST = {
-    6: (1, 2, 2, 3, 2, 1),
-    7: (2, 2, 3, 4, 3, 2, 1),
-    8: (2, 3, 4, 6, 5, 4, 3, 2),
-}
-
 
 class DynkinDiagram(NamedTuple):
     family: str
@@ -94,14 +86,6 @@ class DynkinDiagram(NamedTuple):
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def highest_root_bounds(self) -> tuple[int, ...]:
-        r = self.rank
-        if self.family == "A":
-            return (1,) * r
-        if self.family == "D":
-            return (1,) + (2,) * (r - 3) + (1, 1)
-        return _E_HIGHEST[r]
-
 
 class RootSystem(NamedTuple):
     diagram: DynkinDiagram
@@ -118,24 +102,23 @@ class RootSystem(NamedTuple):
 
 
 def build_root_system(diagram: DynkinDiagram) -> RootSystem:
-    """Enumerate the roots: vectors of self-intersection -2 in the box
-    bounded coefficientwise by the highest root, closed under negation."""
+    """The roots are the orbit of the simple roots under the simple
+    reflections s_i v = v - (C v)_i e_i (Humphreys 1990, section 1.5),
+    listed as the sorted positive roots, then the sorted negative ones."""
     r = diagram.rank
     cartan = [[2 * int(i == j) for j in range(r)] for i in range(r)]
     for i, j in diagram.edges:
         cartan[i][j] = cartan[j][i] = -1
-    bounds = diagram.highest_root_bounds()
-    edges = diagram.edges
-    positives = []
-    for coeffs in itertools.product(*(range(b + 1) for b in bounds)):
-        if not any(coeffs):
-            continue
-        # v^T C v = 2*sum c_i^2 - 2*sum_edges c_i c_j, exploiting sparsity
-        q = 2 * sum(c * c for c in coeffs)
-        q -= 2 * sum(coeffs[i] * coeffs[j] for i, j in edges)
-        if q == 2:
-            positives.append(coeffs)
-    roots = sorted(positives) + sorted(tuple(-c for c in v) for v in positives)
+    roots = list(_identity_rows(r))
+    seen = set(roots)
+    for v in roots:
+        for i, row in enumerate(cartan):
+            w = v[:i] + (v[i] - sum(map(mul, row, v)),) + v[i + 1:]
+            if w not in seen:
+                seen.add(w)
+                roots.append(w)
+    # Every root has all coefficients >= 0 or all <= 0.
+    roots.sort(key=lambda v: (min(v) < 0, v))
     expected = _root_count(diagram)
     if len(roots) != expected:
         raise PreconditionError(
@@ -146,7 +129,7 @@ def build_root_system(diagram: DynkinDiagram) -> RootSystem:
         diagram=diagram,
         cartan=tuple(map(tuple, cartan)),
         intersection_form=tuple(tuple(-c for c in row) for row in cartan),
-        roots=tuple(tuple(c) for c in roots),
+        roots=tuple(roots),
     )
 
 
@@ -190,10 +173,11 @@ class WeylGroup(
         return tuple(_perm_rows(self.roots, p) for p in self.perms)
 
     def aut_perm(self, aut) -> tuple[int, ...]:
-        """The permutation of `roots` that P_aut induces."""
+        """The permutation of `roots` that P_aut induces: coordinate k of
+        a root moves to coordinate aut[k]."""
         index = {v: k for k, v in enumerate(self.roots)}
-        p_a = ExtendedElement(aut, _identity_rows(len(aut))).lattice_rows
-        return tuple(index[int_apply(p_a, v)] for v in self.roots)
+        source = sorted(range(len(aut)), key=aut.__getitem__)
+        return tuple(index[tuple(map(v.__getitem__, source))] for v in self.roots)
 
     def extended_element(self, aut, perm) -> "ExtendedElement":
         """(aut, w) from the root permutation of P_aut M_w: row k of the

@@ -82,7 +82,9 @@ class KleinianClassification(NamedTuple):
 
 
 def classify_kleinian(h: FiniteMatrixGroup) -> KleinianClassification:
-    """Assign the ADE diagram of a finite subgroup of SU(2)."""
+    """Assign the ADE diagram of a finite subgroup of SU(2) from its order
+    and its element orders, read once: they tell a cyclic group (A) and
+    a binary dihedral one (D), and sign the classes for the vertex maps."""
     if h.dim_real != 4:
         raise PreconditionError("Kleinian classification needs motions of C^2")
     for m in h.elements:
@@ -92,14 +94,14 @@ def classify_kleinian(h: FiniteMatrixGroup) -> KleinianClassification:
         raise PreconditionError("trivial subgroup gives no singularity")
 
     order = h.order
+    orders = [h.element_order(i) for i in range(order)]
     classes = [c for c in conjugacy_classes(h) if c != (h.identity_index,)]
     rank = len(classes)
 
-    cyclic_gen = _cyclic_generator(h)
-    if cyclic_gen is not None:
+    if order in orders:
         diagram = DynkinDiagram.make("A", order - 1)
         # Chain ordering: vertex j corresponds to the class of g^(j+1).
-        power = cyclic_gen
+        power = cyclic_gen = orders.index(order)
         vmap = [0] * rank
         for j in range(rank):
             cls_idx = next(i for i, c in enumerate(classes) if power in c)
@@ -113,24 +115,19 @@ def classify_kleinian(h: FiniteMatrixGroup) -> KleinianClassification:
             ambiguous=False,
         )
 
-    index2_cyclic = any(
-        h.element_order(i) == order // 2 for i in range(order)
-    )
-    if order % 4 == 0 and index2_cyclic:
+    if order % 4 == 0 and order // 2 in orders:
         diagram = DynkinDiagram.make("D", order // 4 + 2)
-    elif order == 24:
-        diagram = DynkinDiagram.make("E", 6)
-    elif order == 48:
-        diagram = DynkinDiagram.make("E", 7)
-    elif order == 120:
-        diagram = DynkinDiagram.make("E", 8)
+    elif order in (24, 48, 120):
+        diagram = DynkinDiagram.make("E", {24: 6, 48: 7, 120: 8}[order])
     else:
         raise PreconditionError(f"order {order} is not an SU(2) subgroup order")
     if rank != diagram.rank:
         raise PreconditionError(
             f"class count {rank} does not match rank of {diagram.name}"
         )
-    vmaps = _compatible_vertex_maps(h, classes, diagram)
+    vmaps = _compatible_vertex_maps(
+        [(len(c), orders[c[0]]) for c in classes], diagram
+    )
     if not vmaps:
         raise PreconditionError(
             f"no class-vertex matching found for {diagram.name}"
@@ -144,19 +141,12 @@ def classify_kleinian(h: FiniteMatrixGroup) -> KleinianClassification:
     )
 
 
-def _cyclic_generator(h: FiniteMatrixGroup) -> int | None:
-    for i in range(h.order):
-        if h.element_order(i) == h.order:
-            return i
-    return None
-
-
-def _compatible_vertex_maps(h, classes, diagram):
-    """All bijections classes -> vertices sending equal-signature classes
-    to equal-degree vertices.  There is no algorithmic matching beyond
-    these invariants, so every compatible bijection is reported."""
-    rank = len(classes)
-    sigs = [(len(c), h.element_order(c[0])) for c in classes]
+def _compatible_vertex_maps(sigs, diagram):
+    """All bijections classes -> vertices sending classes of equal
+    signature (size, element order) to vertices of equal degree.  There
+    is no algorithmic matching beyond these invariants, so every
+    compatible bijection is reported."""
+    rank = len(sigs)
     degrees = [diagram.degree(v) for v in range(rank)]
     maps = []
     for perm in itertools.permutations(range(rank)):
@@ -193,39 +183,35 @@ def compute_psi(
 ) -> PsiHom:
     """Transport the conjugation action of K on nonidentity classes of H
     through the class-vertex map; every coset must land in Aut(diagram).
-    The first candidate matching that gives a homomorphism is used.
+    The class permutation of each coset is computed once; each candidate
+    matching only relabels it, and the first that gives a homomorphism
+    is used.
 
     classification.subgroup must be the restriction of the h_indices
     elements to the complement of the distinguished line.
     """
     quotient = normal_and_quotient(group, h_indices)
-    h_sorted = sorted(h_indices)
     classes = classification.classes
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for local in cls:
-            class_of[local] = ci
-    local_of_parent, parent_of_local = _match_subgroup_elements(
-        group, h_sorted, classification.subgroup
-    )
+    local = classification.subgroup.elements
+    parent_of = {_complement_block(group.elements[i]): i for i in h_indices}
+    if parent_of.keys() != set(local):
+        raise PreconditionError("subgroup elements do not match restriction")
+    class_of = {parent_of[local[x]]: ci for ci, cls in enumerate(classes) for x in cls}
+    reps = [parent_of[local[cls[0]]] for cls in classes]
+    class_perms = [
+        [class_of[group.conjugate(quotient.coset_rep(c), x)] for x in reps]
+        for c in range(quotient.order)
+    ]
 
     auts = set(graph_automorphisms(classification.diagram))
     for vmap in classification.vertex_maps:
         images = []
-        for coset_idx in range(quotient.order):
-            rep = quotient.coset_rep(coset_idx)
-            class_perm = {}
-            for ci, cls in enumerate(classes):
-                conj = group.conjugate(rep, parent_of_local[cls[0]])
-                class_perm[ci] = class_of[local_of_parent[conj]]
+        for perm in class_perms:
             vertex_perm = [0] * classification.diagram.rank
-            for ci, cj in class_perm.items():
+            for ci, cj in enumerate(perm):
                 vertex_perm[vmap[ci]] = vmap[cj]
-            vertex_perm = tuple(vertex_perm)
-            if vertex_perm not in auts:
-                break
-            images.append(vertex_perm)
-        if len(images) == quotient.order and _is_perm_hom(quotient, images):
+            images.append(tuple(vertex_perm))
+        if auts.issuperset(images) and _is_perm_hom(quotient, images):
             return PsiHom(
                 source=quotient, diagram=classification.diagram, images=tuple(images)
             )
@@ -233,22 +219,6 @@ def compute_psi(
         "conjugation action incompatible with the diagram symmetries "
         f"under every candidate matching ({len(classification.vertex_maps)} tried)"
     )
-
-
-def _match_subgroup_elements(group, h_sorted, subgroup):
-    """Mutual index maps between parent H elements and the standalone
-    restricted subgroup, matched on the complement blocks."""
-    by_motion = {m: i for i, m in enumerate(subgroup.elements)}
-    local_of_parent = {}
-    parent_of_local = {}
-    for parent_idx in h_sorted:
-        block = _complement_block(group.elements[parent_idx])
-        if block not in by_motion:
-            raise PreconditionError("subgroup elements do not match restriction")
-        local = by_motion[block]
-        local_of_parent[parent_idx] = local
-        parent_of_local[local] = parent_idx
-    return local_of_parent, parent_of_local
 
 
 def _complement_block(motion: Motion) -> Motion:
@@ -864,6 +834,8 @@ def analyze_splitting(
     dim = group.dim_real
     if dim < 6:
         raise PreconditionError("pipeline needs motions of C^3 or larger")
+    if not 0 <= axis < dim // 2:
+        raise PreconditionError(f"axis {axis} is not in 0..{dim // 2 - 1}")
     if axis != 0:
         group = _move_axis_first(group, axis)
         axis = 0

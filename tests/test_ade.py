@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import Matrix as SympyMatrix
 
 from orbitop.ade import (
+    RANK_CAP,
     DynkinDiagram,
     ExtendedElement,
     build_root_system,
@@ -53,6 +54,58 @@ def test_e6_root_count_against_oracle():
     rs = build_root_system(DynkinDiagram.make("E", 6))
     assert len(rs.roots) == 72
     assert set(rs.roots) == brute_force_roots(rs.diagram, bound=4)
+
+
+# The 16 diagrams under the rank cap: A1-A8, D4-D8, E6-E8.
+ALL_DIAGRAMS = [
+    DynkinDiagram.make(family, rank)
+    for family, first in (("A", 1), ("D", 4), ("E", 6))
+    for rank in range(first, RANK_CAP + 1)
+]
+
+# The coefficients of the highest root, which bound every positive root
+# coefficientwise.
+_HIGHEST_E = {
+    6: (1, 2, 2, 3, 2, 1),
+    7: (2, 2, 3, 4, 3, 2, 1),
+    8: (2, 3, 4, 6, 5, 4, 3, 2),
+}
+
+
+def _reference_box_roots(diagram):
+    """The roots as first enumerated: vectors of self-intersection -2 in
+    the box bounded by the highest root, sorted positives then sorted
+    negatives."""
+    r = diagram.rank
+    if diagram.family == "A":
+        bounds = (1,) * r
+    elif diagram.family == "D":
+        bounds = (1,) + (2,) * (r - 3) + (1, 1)
+    else:
+        bounds = _HIGHEST_E[r]
+    positives = []
+    for coeffs in itertools.product(*(range(b + 1) for b in bounds)):
+        if not any(coeffs):
+            continue
+        q = 2 * sum(c * c for c in coeffs)
+        q -= 2 * sum(coeffs[i] * coeffs[j] for i, j in diagram.edges)
+        if q == 2:
+            positives.append(coeffs)
+    return tuple(sorted(positives) + sorted(tuple(-c for c in v) for v in positives))
+
+
+@pytest.mark.parametrize("diagram", ALL_DIAGRAMS, ids=lambda d: d.name)
+def test_reflection_closure_matches_box_search(diagram):
+    assert build_root_system(diagram).roots == _reference_box_roots(diagram)
+
+
+@pytest.mark.parametrize("diagram", ALL_DIAGRAMS, ids=lambda d: d.name)
+def test_aut_perm_matches_permutation_matrix(diagram):
+    w = weyl_group(build_root_system(diagram), enumeration_cap=0)
+    index = {v: k for k, v in enumerate(w.roots)}
+    for aut in graph_automorphisms(diagram):
+        p_a = ExtendedElement(aut, _identity(len(aut))).lattice_rows
+        assert w.aut_perm(aut) == tuple(index[int_apply(p_a, v)] for v in w.roots)
 
 
 def test_roots_closed_under_negation():

@@ -229,6 +229,45 @@ def test_d4_pipeline_on_a_non_first_axis(command, tmp_path):
     assert digest == D4_PIPELINE_DIGESTS[command, "d4_q8z4"]
 
 
+# An A-type case with a nontrivial diagram action: H = Z4 = <diag(i, -i)>
+# on (z2, z3) gives A3, and K = Z2 swaps z2 with z3, which inverts the
+# generator of H and so flips the chain; the flip has 10 lifts.
+A3FLIP = """\
+name: a3flip
+ambient: linear
+complex_dim: 3
+
+[generator]
+row: 1 0 0
+row: 0 i 0
+row: 0 0 -i
+
+[generator]
+row: -1 0 0
+row: 0 0 1
+row: 0 1 0
+"""
+A3FLIP_DIGESTS = {
+    "lifts": "3db96ee4cd7377fbd4d2becb65ccd43dfce6de6df4ddf31d1bbc9c785115fd31",
+    "invariant-pair":
+        "9829ff17a2e3aaea8e8f98cff36510334308210ccf12d4cdcf8a21749f18b7b5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(A3FLIP_DIGESTS))
+def test_a3_chain_flip_report_digest(command, tmp_path):
+    scn = tmp_path / "a3flip.scn"
+    scn.write_text(A3FLIP)
+    out = tmp_path / "report.json"
+    argv = [command, "--scenario", str(scn), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert (report["diagram"], report["psi_trivial"], report["lift_count"]) == (
+        "A3", False, 10
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == A3FLIP_DIGESTS[command]
+
+
 # The sign-data reports for every grid size, pinned by SHA-256 of the
 # JSON report.
 CHI_DIGESTS = {

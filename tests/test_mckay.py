@@ -136,7 +136,10 @@ def test_pipeline_refuses_when_whole_group_fixes_line():
         analyze_splitting(g)
 
 
-def test_psi_end_vertex_swap_for_dihedral():
+def _chain_flip_group():
+    """H = Z4 = <diag(i, -i)> on (z2, z3), and an element that negates z1
+    and swaps z2 with z3, so conjugates the generator of H to its inverse:
+    K = Z2 flips the A3 chain."""
     a = Motion.from_complex(
         [
             [(1, 0), (0, 0), (0, 0)],
@@ -151,7 +154,11 @@ def test_psi_end_vertex_swap_for_dihedral():
             [(0, 0), (1, 0), (0, 0)],
         ]
     )
-    g = close([a, b])
+    return close([a, b])
+
+
+def test_psi_end_vertex_swap_for_dihedral():
+    g = _chain_flip_group()
     assert g.order == 8
     result = analyze_splitting(g)
     assert result.classification.diagram.name == "A3"
@@ -164,6 +171,37 @@ def test_psi_end_vertex_swap_for_dihedral():
     gen_idx = next(i for i in h if g.element_order(i) == 4)
     for out_idx in (i for i in range(g.order) if i not in h):
         assert g.conjugate(out_idx, gen_idx) == g.inverse[gen_idx]
+
+
+def test_psi_does_not_depend_on_the_order_of_the_blocks():
+    g = _chain_flip_group()
+    h = analyze_splitting(g).h_indices
+    blocks = [mckay._complement_block(g.elements[i]) for i in h]
+    forward, backward = close(blocks), close(blocks[::-1])
+    assert forward.elements != backward.elements
+    psis = [
+        mckay.compute_psi(g, set(h), classify_kleinian(sub))
+        for sub in (forward, backward)
+    ]
+    assert psis[0].images == psis[1].images
+    assert set(psis[0].images) == {(0, 1, 2), (2, 1, 0)}
+
+
+def test_psi_refuses_a_subgroup_that_is_not_the_restriction():
+    g = _chain_flip_group()
+    h = analyze_splitting(g).h_indices
+    # Another Z4 in SU(2), the one generated by the quaternion j.
+    other = close([Motion.from_complex([[(0, 0), (1, 0)], [(-1, 0), (0, 0)]])])
+    classification = classify_kleinian(other)
+    assert classification.diagram.name == "A3"
+    with pytest.raises(PreconditionError, match="restriction"):
+        mckay.compute_psi(g, set(h), classification)
+
+
+@pytest.mark.parametrize("axis", [3, 7, -1])
+def test_pipeline_refuses_an_axis_outside_the_space(z4_group, axis):
+    with pytest.raises(PreconditionError, match=f"axis {axis} is not in 0..2"):
+        analyze_splitting(z4_group, axis=axis)
 
 
 # --- lifts ----------------------------------------------------------------------
