@@ -1,7 +1,9 @@
-"""Reports stay byte-identical to the golden JSON files in tests/golden/.
+"""Reports stay byte-identical to the golden files in tests/golden/.
 
 Each file is named COMMAND_SCENARIO.json and holds the report of
-`orbitop COMMAND --scenario SCENARIO --format json` (default seed)."""
+`orbitop COMMAND --scenario SCENARIO --format json` (default seed);
+tests/golden/text/COMMAND_SCENARIO.txt holds the same report in the
+default `--format text`."""
 
 import hashlib
 import json
@@ -26,6 +28,19 @@ def test_report_matches_golden(case, tmp_path):
     argv = [command, "--scenario", scenario, "--format", "json", "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_text_report_matches_golden(case, tmp_path):
+    command, scenario = case.split("_", 1)
+    out = tmp_path / "report.txt"
+    argv = [command, "--scenario", scenario, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "text" / f"{case}.txt").read_bytes()
+
+
+def test_text_golden_set_matches_the_json_set():
+    assert sorted(p.stem for p in (GOLDEN / "text").glob("*.txt")) == CASES
 
 
 # The D4 stress pipelines (default seed).  The `lifts` reports run to
@@ -297,3 +312,21 @@ def test_chi_report_digest(command, grid_n, tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == CHI_DIGESTS[command, grid_n]
+
+
+# The same reports in the default text format, pinned by SHA-256.
+TEXT_DIGESTS = {
+    ("chi-census", "--grid-n", "4"):
+        "91d028e7a667f3135b64d4db251ea464f955dd2a2989344a22125a3571954831",
+    ("chi-count", "--grid-n", "4"):
+        "b00548d37543c74e13f0d10584eed9343f1fd2b305b502b3e79e2f26f922cdab",
+    ("nodes", "--scenario", str(STRESS / "nodes_d4.scn")):
+        "e85f5195f82d600772f7ad7b2835204f2fa2fbb0e7c5612b70d93ad5a1c35202",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_DIGESTS), ids=lambda argv: argv[0])
+def test_text_report_digest(argv, tmp_path):
+    out = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TEXT_DIGESTS[argv]
