@@ -206,7 +206,13 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     generator, so the multiplication table follows from integer lookups:
     a * b = (a * parent(b)) * gen(b).  A sample of min(n^2, 200) table
     entries is then re-verified by one packed integer product each, plus
-    an associativity spot check."""
+    an associativity spot check.
+
+    The eigenvalues of a motion of finite order are roots of unity, so
+    its trace is an integer of absolute value at most the dimension.  A
+    new element whose trace is not refuses the input at once: the cap
+    bounds the element count, not how fast the entries of the powers of
+    an element of infinite order grow."""
     if not generators:
         raise PreconditionError("need at least one generator")
     dim = generators[0].dim_real
@@ -225,6 +231,13 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
             p = _product(m, g)
             j = index.get(p)
             if j is None:
+                trace = sum(p[0][r][r] for r in range(dim))
+                if trace % p[1] or abs(trace) > dim * p[1]:
+                    raise PreconditionError(
+                        f"the generator product {_spelled(word, k, s)} has trace "
+                        f"{Fraction(trace, p[1])}, not an integer in [-{dim}, {dim}]: "
+                        "it has infinite order"
+                    )
                 if len(elements) >= cap:
                     raise CapExceededError(f"group closure exceeded cap {cap}")
                 j = index[p] = len(elements)
@@ -247,6 +260,15 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     _verify_table_sample(group)
     _spot_check_associativity(group)
     return group
+
+
+def _spelled(word, k, s) -> str:
+    """Element k times generator s, as a product of generators g1, g2, ..."""
+    letters = [s]
+    while k:
+        k, s = word[k]
+        letters.append(s)
+    return "*".join(f"g{t + 1}" for t in reversed(letters))
 
 
 def _verify_table_sample(group: FiniteMatrixGroup, samples: int = 200) -> None:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,6 +308,36 @@ def test_motion_over_the_size_cap_exits_4(tmp_path, capsys):
     code, _, err = run_cli(capsys, "group", "--scenario", str(scn))
     assert code == 4
     assert "exceeds cap 64" in err
+
+
+C1_HEADER = "name: bad\nambient: linear\ncomplex_dim: 1\n\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        C3_HEADER + "[generator]\nrow: 3 0 0\nrow: 0 1 0\nrow: 0 0 1\n",
+        C3_HEADER + "[generator]\nrow: 10 0 0\nrow: 0 1 0\nrow: 0 0 1\n",
+        C3_HEADER + "[generator]\nrow: 1e9 0 0\nrow: 0 1 0\nrow: 0 0 1\n",
+        C1_HEADER + "[generator]\nrow: 1e5\n",
+        C1_HEADER + "[generator]\nrow: 3/5+4/5i\n",
+        C1_HEADER + "[generator]\nreal: true\nrow: 2 1\nrow: 1 1\n",
+        C1_HEADER + "[generator]\nreal: true\nrow: 1 0\nrow: 0 -1\n\n"
+        "[generator]\nreal: true\nrow: 3/5 4/5\nrow: 4/5 -3/5\n",
+    ],
+    ids=["scale-3", "scale-10", "scale-1e9", "c1-scale-1e5", "c1-rotation",
+         "cat-map", "reflection-pair"],
+)
+def test_generator_of_infinite_order_exits_3_within_a_second(tmp_path, capsys, text):
+    """Closing such a group used to run until the element cap, for
+    minutes when the entries of the powers grow fast."""
+    scn = tmp_path / "infinite.scn"
+    scn.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group", "--scenario", str(scn))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "it has infinite order" in err
 
 
 def test_ledger_refuses_a_torus_that_is_not_a_threefold(tmp_path):

@@ -94,6 +94,26 @@ def test_closure_cap_exceeded(kappa):
         close([kappa], cap=2)
 
 
+@pytest.mark.parametrize(
+    "generators,word,trace",
+    [
+        ([Motion(((2, 1), (1, 1)))], "g1", "3"),
+        ([Motion(((3, -4), (4, 3)), 5)], "g1", "6/5"),
+        # two reflections of finite order whose product is a rotation
+        # of infinite order
+        ([Motion(((1, 0), (0, -1))), Motion(((3, 4), (4, -3)), 5)], "g1*g2", "6/5"),
+    ],
+    ids=["cat-map", "rotation", "reflection-pair"],
+)
+def test_closure_refuses_an_element_of_infinite_order(generators, word, trace):
+    """The trace of an element of finite order is an integer of absolute
+    value at most the dimension; the first element whose trace is not
+    ends the closure, long before the cap."""
+    with pytest.raises(PreconditionError, match="infinite order") as exc:
+        close(generators)
+    assert f"product {word} has trace {trace}," in str(exc.value)
+
+
 def test_closure_rejects_mismatched_dims(kappa, octonionic_pair):
     with pytest.raises(PreconditionError):
         close([kappa, octonionic_pair[0]])
