@@ -208,11 +208,9 @@ def close(generators, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     entries is then re-verified by one packed integer product each, plus
     an associativity spot check.
 
-    The eigenvalues of a motion of finite order are roots of unity, so
-    its trace is an integer of absolute value at most the dimension.  A
-    new element whose trace is not refuses the input at once: the cap
-    bounds the element count, not how fast the entries of the powers of
-    an element of infinite order grow."""
+    An element of finite order has roots of unity as eigenvalues, so its
+    trace is an integer of absolute value at most the dimension; a new
+    element whose trace is not ends the closure before the cap would."""
     if not generators:
         raise PreconditionError("need at least one generator")
     dim = generators[0].dim_real

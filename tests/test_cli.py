@@ -12,16 +12,48 @@ from pathlib import Path
 import pytest
 
 import orbitop
-from orbitop.cli import (
-    format_complex_entry,
-    load_scenario,
-    main,
-    parse_complex_entry,
-    parse_scenario,
-    serialize_scenario,
-)
+from orbitop.cli import main
+from orbitop.scenario import load_scenario, parse_complex_entry, parse_scenario
 
 BUNDLED = ("t6_z4", "t6_z2z2", "c3_z4", "c3_z2z2", "r8_q8")
+
+
+def format_complex_entry(value):
+    """A complex entry as the scenario format writes it: `-1`, `i`, `1/2+1/2i`."""
+    re, im = value
+    if im == 0:
+        return str(re)
+    imag = {1: "i", -1: "-i"}.get(im, f"{im}i")
+    if re == 0:
+        return imag
+    return f"{re}{imag}" if imag.startswith("-") else f"{re}+{imag}"
+
+
+def serialize_scenario(scenario):
+    """Scenario text that parses back to `scenario`, for the round trips."""
+    out = [
+        f"name: {scenario.name}",
+        f"ambient: {scenario.ambient}",
+        f"complex_dim: {scenario.complex_dim}",
+    ]
+    if scenario.plan_ref:
+        out.append(f"plan: {scenario.plan_ref}")
+    if scenario.table_ref:
+        out.append(f"table: {scenario.table_ref}")
+
+    def section(title, rows, fmt=str, flags=()):
+        out.extend(["", f"[{title}]", *flags])
+        out.extend("row: " + " ".join(fmt(x) for x in row) for row in rows)
+
+    if scenario.lattice_rows is not None:
+        section("lattice", scenario.lattice_rows)
+    for gen in scenario.generators:
+        flags = ["real: true"] * gen.real + ["conjugate: true"] * gen.conjugate
+        section("generator", gen.rows, str if gen.real else format_complex_entry, flags)
+    out.extend(["", "[splitting]", f"axis: {scenario.splitting_axis}"])
+    if scenario.node_classes is not None:
+        section("node_classes", scenario.node_classes)
+    return "\n".join(out) + "\n"
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +370,35 @@ def test_generator_of_infinite_order_exits_3_within_a_second(tmp_path, capsys, t
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert "it has infinite order" in err
+
+
+def _unit_rows_but(k, row):
+    return "".join(
+        "row: " + " ".join(map(str, row if i == k else [int(i == j) for j in range(6)]))
+        + "\n"
+        for i in range(6)
+    )
+
+
+@pytest.mark.parametrize(
+    "lattice,message",
+    [
+        (_unit_rows_but(1, [2, 0, 0, 0, 0, 0]), "lattice basis must be independent"),
+        (_unit_rows_but(3, [0, 0, 0, 2, 0, 0]), "motion does not preserve the lattice"),
+    ],
+    ids=["singular", "not-preserved"],
+)
+@pytest.mark.parametrize(
+    "command",
+    ["group", "fixed-sets", "singular-set", "euler", "lifts", "invariant-pair", "ledger"],
+)
+def test_every_command_on_a_torus_checks_its_lattice(tmp_path, capsys, command, lattice, message):
+    """group, lifts and invariant-pair used to run on such a torus and exit 0."""
+    scn = tmp_path / "t6_z4_bad_lattice.scn"
+    scn.write_text((ROOT / "src/orbitop/scenarios/t6_z4.scn").read_text() + "[lattice]\n" + lattice)
+    code, out, err = run_cli(capsys, command, "--scenario", str(scn))
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_ledger_refuses_a_torus_that_is_not_a_threefold(tmp_path):

@@ -13,7 +13,7 @@ from sympy import ZZ_I
 from sympy.polys.matrices import DomainMatrix
 
 from orbitop import group as group_module
-from orbitop.cli import format_complex_entry, load_scenario, main
+from orbitop.cli import main
 from orbitop.errors import CapExceededError, PreconditionError
 from orbitop.exact import Cyclotomic, Matrix, int_apply, int_product
 from orbitop.group import (
@@ -28,6 +28,7 @@ from orbitop.group import (
     stabilizer,
     su_classify,
 )
+from orbitop.scenario import load_scenario
 
 
 def as_matrix(motion):
@@ -532,20 +533,12 @@ def test_su_classify_determinant_matches_reference(name):
 
 def _scenario_text(generators):
     """A linear C^4 scenario with the given complex generators."""
-    blocks = [
-        "[generator]\n"
-        + "".join(
-            "row: " + " ".join(format_complex_entry(x) for x in row) + "\n"
-            for row in g
-        )
-        for g in generators
-    ]
+    blocks = ["[generator]\n" + "".join(f"row: {row}\n" for row in g) for g in generators]
     return "name: spin7_probe\nambient: linear\ncomplex_dim: 4\n\n" + "\n".join(blocks)
 
 
-TIMES_I = [[(0, int(i == j)) for j in range(4)] for i in range(4)]
-LAST_TIMES_I = [[(0, 1) if i == j == 3 else (int(i == j), 0) for j in range(4)]
-                for i in range(4)]
+TIMES_I = ["i 0 0 0", "0 i 0 0", "0 0 i 0", "0 0 0 i"]
+LAST_TIMES_I = ["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 i"]
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from sympy import QQ, symbols
 from sympy.polys.matrices import DomainMatrix
 from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
-from orbitop.cli import load_scenario
 from orbitop.errors import PreconditionError
 from orbitop.exact import Matrix
 from orbitop.group import Motion, close, conjugacy_classes
@@ -31,6 +30,7 @@ from orbitop.invariants import (
     quotient_betti,
 )
 from orbitop.invariants import euler
+from orbitop.scenario import load_scenario
 from orbitop.torus import (
     TorusLattice,
     common_fixed_set,

@@ -14,7 +14,7 @@ from sympy import Matrix as SympyMatrix
 
 from orbitop.ade import DynkinDiagram, ExtendedElement, build_root_system, weyl_group
 from orbitop import mckay
-from orbitop.cli import load_scenario, main
+from orbitop.cli import main
 from orbitop.errors import CapExceededError, PreconditionError
 from orbitop.exact import (
     Cyclotomic,
@@ -45,6 +45,7 @@ from orbitop.mckay import (
     iterate_residual,
     second_stage_classify,
 )
+from orbitop.scenario import load_scenario
 from test_exact import _reference_kernel
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import orbitop
 import orbitop.cli
-from orbitop.cli import load_scenario, main
+from orbitop.cli import main
 from orbitop import ade
 from orbitop.ade import ExtendedElement, build_root_system
 from orbitop.errors import PreconditionError, VerificationError
@@ -38,6 +38,7 @@ from orbitop.invariants import (
 from orbitop.invariants import euler
 from orbitop import mckay
 from orbitop.mckay import _verify_pair, analyze_splitting, build_invariant_pair_problem
+from orbitop.scenario import load_scenario
 from orbitop import torus
 from orbitop.torus import common_fixed_set, fixed_set
 
@@ -661,7 +662,7 @@ STABILIZER_OPTIMIZED_SCRIPT = """
 import sys
 assert False, "asserts are stripped under -O, so this never fires"
 from orbitop import torus
-from orbitop.cli import load_scenario
+from orbitop.scenario import load_scenario
 from orbitop.errors import VerificationError
 from orbitop.group import close
 
@@ -707,7 +708,7 @@ def test_table_sample_catches_a_wrong_sampled_entry():
 
 ORDER_MODULO_SCRIPT = """
 import sys
-from orbitop.cli import load_scenario
+from orbitop.scenario import load_scenario
 from orbitop.errors import VerificationError
 from orbitop.group import close, order_modulo
 
