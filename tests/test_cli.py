@@ -384,7 +384,8 @@ def _unit_rows_but(k, row):
     "lattice,message",
     [
         (_unit_rows_but(1, [2, 0, 0, 0, 0, 0]), "lattice basis must be independent"),
-        (_unit_rows_but(3, [0, 0, 0, 2, 0, 0]), "motion does not preserve the lattice"),
+        (_unit_rows_but(3, [0, 0, 0, 2, 0, 0]),
+         "motion does not preserve the lattice"),
     ],
     ids=["singular", "not-preserved"],
 )
@@ -392,10 +393,13 @@ def _unit_rows_but(k, row):
     "command",
     ["group", "fixed-sets", "singular-set", "euler", "lifts", "invariant-pair", "ledger"],
 )
-def test_every_command_on_a_torus_checks_its_lattice(tmp_path, capsys, command, lattice, message):
+def test_every_command_on_a_torus_checks_its_lattice(
+    tmp_path, capsys, command, lattice, message
+):
     """group, lifts and invariant-pair used to run on such a torus and exit 0."""
+    text = (ROOT / "src/orbitop/scenarios/t6_z4.scn").read_text()
     scn = tmp_path / "t6_z4_bad_lattice.scn"
-    scn.write_text((ROOT / "src/orbitop/scenarios/t6_z4.scn").read_text() + "[lattice]\n" + lattice)
+    scn.write_text(text + "[lattice]\n" + lattice)
     code, out, err = run_cli(capsys, command, "--scenario", str(scn))
     assert (code, out) == (3, "")
     assert message in err

@@ -533,7 +533,9 @@ def test_su_classify_determinant_matches_reference(name):
 
 def _scenario_text(generators):
     """A linear C^4 scenario with the given complex generators."""
-    blocks = ["[generator]\n" + "".join(f"row: {row}\n" for row in g) for g in generators]
+    blocks = [
+        "[generator]\n" + "".join(f"row: {row}\n" for row in g) for g in generators
+    ]
     return "name: spin7_probe\nambient: linear\ncomplex_dim: 4\n\n" + "\n".join(blocks)
 
 

@@ -169,8 +169,8 @@ def _permuted_coordinates(text):
     perm = [*range(1, dim), 0]
     for block in blocks[1:]:
         if block[0] == "[generator]":
-            rows = [line.split(":")[1].split() for line in block if line.startswith("row")]
-            flags = [line for line in block[1:] if line and not line.startswith("row")]
+            rows = [x.split(":")[1].split() for x in block if x.startswith("row")]
+            flags = [x for x in block[1:] if x and not x.startswith("row")]
             block[1:] = flags + [
                 "row: " + " ".join(rows[perm[j]][perm[k]] for k in range(dim))
                 for j in range(dim)
