@@ -28,7 +28,6 @@ from .errors import (
 from .exact import int_echelon
 from .group import CLOSURE_CAP, close, conjugacy_classes, spin7_check, su_classify
 from .invariants import (
-    NodeConfiguration,
     chi_family_census,
     chi_total_count,
     ledger_apply,
@@ -65,12 +64,13 @@ def _closed(args, torus=False):
     ambient, refused there when `torus`) and the report header.  Mapping
     the group into the lattice checks that the group preserves it."""
     scenario, report = _loaded(args)
-    group = close(scenario.motions(), cap=args.cap)
+    group = close(scenario.generators, cap=args.cap)
     report["group_order"] = group.order
-    lattice = None
-    if torus or scenario.ambient == "torus":
-        lattice = scenario.lattice()
+    lattice = scenario.lattice
+    if lattice is not None:
         lattice_matrices(group, lattice)
+    elif torus:
+        raise PreconditionError("scenario has no torus ambient")
     return scenario, group, lattice, report
 
 
@@ -89,7 +89,7 @@ def _group(args):
     }
     if group.dim_real == 8:
         # The motions fixing the Cayley form are a group: test the generators.
-        report["spin7_all"] = all(spin7_check(m) for m in scenario.motions())
+        report["spin7_all"] = all(spin7_check(m) for m in scenario.generators)
     return report
 
 
@@ -204,9 +204,9 @@ def _invariant_pair(args):
 
 def _nodes(args):
     scenario, report = _loaded(args)
-    if scenario.node_classes is None:
+    cfg = scenario.node_classes
+    if cfg is None:
         raise PreconditionError("scenario has no [node_classes] section")
-    cfg = NodeConfiguration.make(scenario.node_classes)
     sm = node_smoothable(cfg, seed=args.seed)
     kahler = node_kahler(cfg)
     return report | {

@@ -32,18 +32,13 @@ class NodeConfiguration(
     NamedTuple("NodeConfiguration", [("classes", tuple[tuple[Fraction, ...], ...])])
 ):
     def __new__(cls, classes):
+        classes = tuple(tuple(map(Fraction, c)) for c in classes)
         if not classes:
             raise PreconditionError("configuration needs at least one class")
         d = len(classes[0])
         if any(len(c) != d for c in classes):
             raise PreconditionError("classes must share a dimension")
         return super().__new__(cls, classes)
-
-    @classmethod
-    def make(cls, classes) -> "NodeConfiguration":
-        return cls(
-            classes=tuple(tuple(Fraction(x) for x in c) for c in classes)
-        )
 
 
 class SmoothabilityResult(NamedTuple):

@@ -1,12 +1,14 @@
 """The input formats: scenario files, contribution tables and plan files.
 
 A scenario file has `key: value` header lines, then `[generator]`
-sections and at most one each of `[lattice]`, `[splitting]` and
-`[node_classes]`; `#` starts a comment.  Complex entries are written
-like `-1`, `i`, `1/2+1/2i`.  Tables and plans are JSON.  A reference
-ending in `.scn` (`.json` for a table) or holding a `/` names a file,
-any other a bundled scenario or table.  Every bad, missing or
-unreadable input raises ScenarioParseError.
+sections and at most one each of `[lattice]` (on a torus only),
+`[splitting]` and `[node_classes]`; `#` starts a comment.  Complex
+entries are written like `-1`, `i`, `1/2+1/2i`.  Tables and plans are
+JSON.  A reference ending in `.scn` (`.json` for a table) or holding a
+`/` names a file, any other a bundled scenario or table.  Every bad,
+missing or unreadable input raises ScenarioParseError.  A scenario is
+read straight into the `Motion`s, `TorusLattice` and `NodeConfiguration`
+the commands run on, so what those refuse is refused on reading.
 """
 
 from __future__ import annotations
@@ -17,53 +19,26 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from .errors import PreconditionError, ScenarioParseError
-from .exact import Matrix
+from .errors import ScenarioParseError
 from .group import Motion
 from .invariants import ContributionTable, DesingPlan, plan_from_choices
+from .invariants.nodes import NodeConfiguration
 from .torus import SingularSetReport, TorusLattice
 
 # Keys a scenario file may set before its first section.
 HEADER_KEYS = ("name", "ambient", "complex_dim", "plan", "table")
 
 
-class GeneratorSpec(NamedTuple):
-    rows: tuple[tuple, ...]
-    real: bool = False
-    conjugate: bool = False
-
-    def to_motion(self, complex_dim: int) -> Motion:
-        size = 2 * complex_dim if self.real else complex_dim
-        if len(self.rows) != size or any(len(r) != size for r in self.rows):
-            raise ScenarioParseError(
-                f"{'real' if self.real else 'complex'} generator needs "
-                f"{size} rows of {size} entries"
-            )
-        if self.real:
-            return Motion.from_rational(self.rows)
-        return Motion.from_complex(self.rows, conjugate=self.conjugate)
-
-
 class Scenario(NamedTuple):
     name: str
     ambient: str  # "torus" | "linear"
     complex_dim: int
-    generators: tuple[GeneratorSpec, ...]
-    lattice_rows: tuple[tuple[Fraction, ...], ...] | None = None
+    generators: tuple[Motion, ...]
+    lattice: TorusLattice | None = None  # None on a linear ambient
     splitting_axis: int = 1  # 1-based complex coordinate
-    node_classes: tuple[tuple[Fraction, ...], ...] | None = None
+    node_classes: NodeConfiguration | None = None
     plan_ref: str | None = None  # default plan for the ledger command
     table_ref: str | None = None  # default contribution table
-
-    def motions(self) -> list[Motion]:
-        return [g.to_motion(self.complex_dim) for g in self.generators]
-
-    def lattice(self) -> TorusLattice:
-        if self.ambient != "torus":
-            raise PreconditionError("scenario has no torus ambient")
-        if self.lattice_rows is None:
-            return TorusLattice.standard(2 * self.complex_dim)
-        return TorusLattice(basis=Matrix([list(r) for r in self.lattice_rows]).T)
 
 
 def parse_complex_entry(token: str) -> tuple[Fraction, Fraction]:
@@ -92,28 +67,35 @@ def parse_rational_entry(token: str) -> Fraction:
 
 
 def parse_scenario(text: str) -> Scenario:
+    """Every section is checked first; then the motions, the lattice (the
+    unit lattice if none is given) and the node configuration are built."""
     header, sections = _split_sections(text)
     ambient, complex_dim = _parse_header(header)
     generators, fields = _parse_sections(sections)
     if not generators:
         raise ScenarioParseError("scenario defines no generators")
     n = 2 * complex_dim
-    lattice_rows = fields.get("lattice")
-    if lattice_rows is not None and {len(lattice_rows), *map(len, lattice_rows)} != {n}:
+    vectors = fields.get("lattice")
+    if vectors is not None and {len(vectors), *map(len, vectors)} != {n}:
         raise ScenarioParseError(f"lattice needs {n} rows of {n} entries")
     splitting_axis = fields.get("splitting", 1)
     if not 1 <= splitting_axis <= complex_dim:
         raise ScenarioParseError(
             f"splitting axis {splitting_axis} is not in 1..{complex_dim}"
         )
-    scenario = Scenario(
+    motions = tuple(_motion(*g, complex_dim) for g in generators)
+    lattice = None
+    if ambient == "torus":  # the section's vectors are the basis's columns
+        lattice = TorusLattice(zip(*vectors)) if vectors else TorusLattice.standard(n)
+    elif vectors is not None:
+        raise ScenarioParseError("a [lattice] section needs ambient: torus")
+    classes = fields.get("node_classes")
+    return Scenario(
         name=header["name"], ambient=ambient, complex_dim=complex_dim,
-        generators=tuple(generators), lattice_rows=lattice_rows,
-        splitting_axis=splitting_axis, node_classes=fields.get("node_classes"),
+        generators=motions, lattice=lattice, splitting_axis=splitting_axis,
+        node_classes=None if classes is None else NodeConfiguration(classes),
         plan_ref=header.get("plan"), table_ref=header.get("table"),
     )
-    scenario.motions()  # validate generator shapes now
-    return scenario
 
 
 def _split_sections(text):
@@ -174,7 +156,8 @@ def _parse_sections(sections):
     return generators, fields
 
 
-def _parse_generator(entries) -> GeneratorSpec:
+def _parse_generator(entries):
+    """(rows, real, conjugate), each entry a Fraction or an (re, im) pair."""
     flags = {"real": False, "conjugate": False}
     for k, v in entries:
         if k in flags:
@@ -194,7 +177,16 @@ def _parse_generator(entries) -> GeneratorSpec:
     rows = [tuple(parse(t) for t in v.split()) for k, v in entries if k == "row"]
     if not rows:
         raise ScenarioParseError("generator section has no rows")
-    return GeneratorSpec(rows=tuple(rows), real=real, conjugate=conj)
+    return tuple(rows), real, conj
+
+
+def _motion(rows, real, conjugate, complex_dim) -> Motion:
+    """The motion of a [generator] section, its shape checked first."""
+    size = 2 * complex_dim if real else complex_dim
+    if {len(rows), *map(len, rows)} != {size}:
+        kind = "real" if real else "complex"
+        raise ScenarioParseError(f"{kind} generator needs {size} rows of {size} entries")
+    return Motion.from_rational(rows) if real else Motion.from_complex(rows, conjugate)
 
 
 def _parse_splitting(entries) -> int:

@@ -2,11 +2,12 @@
 lattice congruences and Smith normal form, and the full singular-set
 decomposition of the quotient.
 
-Everything runs in lattice coordinates, on Python ints.  Each motion
-becomes an integer matrix once per lattice, by integer products with the
-basis and its inverse scaled to ints.  A torus point is a vector
-of integer numerators over one common denominator N, reduced mod N, so
-fixed-point and incidence checks are congruences mod N.  A subtorus
+Everything runs in lattice coordinates, on Python ints.  A lattice is
+its basis B as int rows, up to scale; B^-1, scaled to ints, is read off
+one `int_echelon` of [B | I], and each motion becomes an integer matrix
+once per lattice by integer products with the two.  A torus point is a
+vector of integer numerators over one common denominator N, reduced mod
+N, so fixed-point and incidence checks are congruences mod N.  A subtorus
 translate is hashed by its direction span and the values that the
 integer functionals vanishing on that span take at its point, so equal
 translates meet in a dict instead of being compared pairwise.  A fixed
@@ -33,41 +34,50 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .exact import Matrix, common_denominator, int_apply, int_echelon, int_product, snf
-from .group import FiniteMatrixGroup, Motion, generated, order_modulo
+from .exact import common_denominator, int_apply, int_det, int_echelon, int_product, snf
+from .group import Motion, generated, order_modulo
 
 REPRESENTATIVE_CAP = 65_536
 
 
-class TorusLattice(NamedTuple("TorusLattice", [("basis", Matrix)])):
-    """A full-rank lattice in R^{2n}, columns of `basis` generating it."""
+class TorusLattice(NamedTuple("TorusLattice", [("basis", tuple)])):
+    """A full-rank lattice L in R^{2n}, generated by the columns of B.
+    `basis` is B's rows times the lcm of their denominators, as ints, and
+    keeps no denominator: scaling L by c > 0 conjugates every motion to
+    itself, so lattice coordinates depend on B only up to scale."""
 
-    def __new__(cls, basis: Matrix):
-        if basis.rows != basis.cols:
+    def __new__(cls, basis):
+        rows, _ = common_denominator(basis)
+        if any(len(row) != len(rows) for row in rows):
             raise PreconditionError("lattice basis must be square")
-        if basis.det() == 0:
+        if int_det(rows) == 0:
             raise PreconditionError("lattice basis must be independent")
-        return super().__new__(cls, basis)
+        return super().__new__(cls, rows)
 
     @classmethod
     def standard(cls, dim_real: int) -> "TorusLattice":
-        return cls(basis=Matrix.identity(dim_real))
+        return cls([[int(i == j) for j in range(dim_real)] for i in range(dim_real)])
 
     @property
     def rank(self) -> int:
-        return self.basis.rows
+        return len(self.basis)
 
     @cached_property
     def _integer_change(self):
-        """(P, Q, d): int rows with B^-1 M B = P M Q / d for every M, from
-        the basis B and its inverse each scaled to ints once."""
-        inverse, d_inv = common_denominator(self.basis.inverse().data)
-        basis, d_basis = common_denominator(self.basis.data)
-        return inverse, basis, d_inv * d_basis
+        """(P, Q, d): int rows with B^-1 M B = P M Q / d for every M.  Q is
+        B; row i of the echelon form of [B | I] is p_i (e_i | row i of P/d)."""
+        n = self.rank
+        unit = TorusLattice.standard(n).basis
+        echelon, _ = int_echelon([b + e for b, e in zip(self.basis, unit)])
+        d = lcm(*(row[i] for i, row in enumerate(echelon)))
+        inverse = tuple(
+            tuple(x * (d // row[i]) for x in row[n:]) for i, row in enumerate(echelon)
+        )
+        return inverse, self.basis, d
 
     def ambient(self, vector) -> tuple[int, ...]:
         """B v times a positive int, for v in lattice coordinates."""
-        return int_apply(self._integer_change[1], vector)
+        return int_apply(self.basis, vector)
 
 
 @lru_cache(maxsize=4096)
@@ -79,14 +89,15 @@ def lattice_matrix(motion: Motion, lattice: TorusLattice) -> tuple[tuple[int, ..
     m = int_product(int_product(left, motion.rows), right)
     for j, col in enumerate(zip(*m)):
         if any(x % d for x in col):
+            coords = ", ".join(str(Fraction(x, d)) for x in col)
             raise PreconditionError(
                 f"motion does not preserve the lattice: basis vector {j} "
-                f"maps to non-integral coordinates {tuple(Fraction(x, d) for x in col)}"
+                f"maps to non-integral coordinates ({coords})"
             )
     return tuple(tuple(x // d for x in row) for row in m)
 
 
-def lattice_matrices(group: FiniteMatrixGroup, lattice: TorusLattice):
+def lattice_matrices(group, lattice: TorusLattice):
     """Integer row tuples of every element in lattice coordinates, in
     element order; errors if some element does not preserve the lattice."""
     return tuple(lattice_matrix(m, lattice) for m in group.elements)
@@ -272,7 +283,7 @@ class SingularSetReport(NamedTuple):
         return out
 
 
-def singular_set(group: FiniteMatrixGroup, lattice: TorusLattice) -> SingularSetReport:
+def singular_set(group, lattice: TorusLattice) -> SingularSetReport:
     """Decompose the singular set of T/G into labeled components with
     stabilizers, special points, and intersection points."""
     mats = lattice_matrices(group, lattice)

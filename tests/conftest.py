@@ -6,7 +6,6 @@ import random
 import pytest
 
 from orbitop.ade import DynkinDiagram, build_root_system, weyl_group
-from orbitop.exact import Matrix
 from orbitop.group import Motion, close
 from orbitop.torus import TorusLattice
 
@@ -85,7 +84,7 @@ def shear_lattice():
             rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
         rng.shuffle(rows)
         rows = [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
-        return TorusLattice(basis=Matrix(rows))
+        return TorusLattice(rows)
 
     return draw
 

@@ -45,14 +45,22 @@ def serialize_scenario(scenario):
         out.extend(["", f"[{title}]", *flags])
         out.extend("row: " + " ".join(fmt(x) for x in row) for row in rows)
 
-    if scenario.lattice_rows is not None:
-        section("lattice", scenario.lattice_rows)
-    for gen in scenario.generators:
-        flags = ["real: true"] * gen.real + ["conjugate: true"] * gen.conjugate
-        section("generator", gen.rows, str if gen.real else format_complex_entry, flags)
+    if scenario.lattice is not None:  # the basis's columns
+        section("lattice", zip(*scenario.lattice.basis))
+    for motion in scenario.generators:
+        rows = [[Fraction(x, motion.den) for x in row] for row in motion.rows]
+        if motion.is_complex_linear or motion.is_anti_linear:
+            # Either way the block of entry a + bi has first column (a, b).
+            n = len(rows) // 2
+            cells = [[(rows[2 * r][2 * c], rows[2 * r + 1][2 * c]) for c in range(n)]
+                     for r in range(n)]
+            flags = [] if motion.is_complex_linear else ["conjugate: true"]
+            section("generator", cells, format_complex_entry, flags)
+        else:
+            section("generator", rows, str, ["real: true"])
     out.extend(["", "[splitting]", f"axis: {scenario.splitting_axis}"])
     if scenario.node_classes is not None:
-        section("node_classes", scenario.node_classes)
+        section("node_classes", scenario.node_classes.classes)
     return "\n".join(out) + "\n"
 
 
@@ -131,6 +139,24 @@ def test_shipped_scenario_files_parse(relpath, tmp_path):
     assert parse_scenario(serialize_scenario(scenario)) == scenario
 
 
+def test_roundtrip_keeps_real_and_conjugate_generators_and_a_lattice():
+    """A motion that is neither complex-linear nor conjugate-linear is
+    written in real form; the lattice keeps its half-integral vector."""
+    text = (
+        "name: mixed\nambient: torus\ncomplex_dim: 2\n\n"
+        "[generator]\nreal: true\n"  # conj z1, z2 -> z2
+        "row: 1 0 0 0\nrow: 0 -1 0 0\nrow: 0 0 1 0\nrow: 0 0 0 1\n\n"
+        "[generator]\nconjugate: true\nrow: 0 i\nrow: 1/2+1/2i 0\n\n"
+        "[lattice]\nrow: 1/2 1/2 1/2 1/2\nrow: 0 1 0 0\nrow: 0 0 1 0\nrow: 0 0 0 1\n\n"
+        "[node_classes]\nrow: 1 -1/3\n"
+    )
+    scenario = parse_scenario(text)
+    again = serialize_scenario(scenario)
+    assert "real: true" in again and "conjugate: true" in again
+    assert "row: 0 i" in again and "row: 1/2+1/2i 0" in again
+    assert parse_scenario(again) == scenario
+
+
 @pytest.mark.parametrize(
     "name,order",
     [("t6_z4", 4), ("t6_z2z2", 4), ("c3_z4", 4), ("c3_z2z2", 4), ("r8_q8", 8)],
@@ -139,7 +165,7 @@ def test_bundled_scenario_group_orders(name, order):
     from orbitop.group import close
 
     scenario = load_scenario(name)
-    assert close(scenario.motions()).order == order
+    assert close(scenario.generators).order == order
 
 
 def test_parse_error_on_garbage(tmp_path):
@@ -249,6 +275,9 @@ def _square_lattice(n):
          "[splitting] sets its axis more than once"),
         ("nodes", DIAGONAL + "[node_classes]\nrow: 1 0\n[node_classes]\nrow: 0 1\n",
          "second [node_classes] section"),
+        # A [lattice] under ambient: linear was dropped, even a singular one.
+        ("euler", DIAGONAL + "[lattice]\n" + "row: 0 0 0 0 0 0\n" * 6,
+         "a [lattice] section needs ambient: torus"),
     ],
     ids=[
         "non-integer-axis",
@@ -273,6 +302,7 @@ def _square_lattice(n):
         "second-splitting",
         "repeated-splitting-axis",
         "second-node-classes",
+        "lattice-on-linear",
     ],
 )
 def test_bad_scenario_is_parse_error(tmp_path, capsys, command, body, message):
@@ -297,7 +327,7 @@ def test_linear_fixed_dimensions_match_sympy_nullspace(capsys, name):
     target = str(path) if path.exists() else name
     code, out, _ = run_cli(capsys, "fixed-sets", "--scenario", target, "--format", "json")
     assert code == 0
-    group = close(load_scenario(target).motions())
+    group = close(load_scenario(target).generators)
     expected = [
         {
             "element": i,
@@ -324,7 +354,7 @@ def test_explicit_false_flags_are_the_defaults(tmp_path, capsys):
     flagged.write_text(
         C3_HEADER + DIAGONAL.replace("\n", "\nreal: false\nconjugate: false\n", 1)
     )
-    assert load_scenario(str(plain)).motions() == load_scenario(str(flagged)).motions()
+    assert load_scenario(str(plain)).generators == load_scenario(str(flagged)).generators
 
 
 def test_motion_over_the_size_cap_exits_4(tmp_path, capsys):
@@ -385,7 +415,8 @@ def _unit_rows_but(k, row):
     [
         (_unit_rows_but(1, [2, 0, 0, 0, 0, 0]), "lattice basis must be independent"),
         (_unit_rows_but(3, [0, 0, 0, 2, 0, 0]),
-         "motion does not preserve the lattice"),
+         "motion does not preserve the lattice: basis vector 2 maps to "
+         "non-integral coordinates (0, 0, 0, 1/2, 0, 0)"),
     ],
     ids=["singular", "not-preserved"],
 )
@@ -403,6 +434,94 @@ def test_every_command_on_a_torus_checks_its_lattice(
     code, out, err = run_cli(capsys, command, "--scenario", str(scn))
     assert (code, out) == (3, "")
     assert message in err
+    assert "Fraction(" not in err
+
+
+T6_Z4 = (ROOT / "src/orbitop/scenarios/t6_z4.scn").read_text()
+
+
+@pytest.mark.parametrize(
+    "text,commands,message",
+    [
+        (T6_Z4 + "[lattice]\n" + _unit_rows_but(1, [2, 0, 0, 0, 0, 0]), ["nodes"],
+         "lattice basis must be independent"),
+        # The lattice is built when the file is read, before any closure.
+        (C3_HEADER.replace("linear", "torus")
+         + "[generator]\nrow: 3 0 0\nrow: 0 1 0\nrow: 0 0 1\n"
+         + "[lattice]\n" + _unit_rows_but(1, [2, 0, 0, 0, 0, 0]),
+         ["group", "euler"], "lattice basis must be independent"),
+        (T6_Z4 + "[node_classes]\nrow: 1 0\nrow: 1\n",
+         ["group", "fixed-sets", "singular-set", "euler", "lifts", "ledger", "nodes"],
+         "classes must share a dimension"),
+    ],
+    ids=["singular-lattice", "singular-lattice-infinite-generator", "ragged-node-classes"],
+)
+def test_lattice_and_node_classes_are_refused_when_read(
+    tmp_path, capsys, text, commands, message
+):
+    scn = tmp_path / "refused.scn"
+    scn.write_text(text)
+    for command in commands:
+        code, out, err = run_cli(capsys, command, "--scenario", str(scn))
+        assert (code, out) == (3, ""), command
+        assert message in err, command
+
+
+@pytest.mark.parametrize("name", ["t6_z4", "t6_z2z2"])
+def test_scaling_the_lattice_changes_no_report(tmp_path, capsys, name):
+    """Scaling L by c > 0 conjugates every motion to itself, so 2 L and
+    L / 2 read like L in lattice coordinates."""
+    text = (ROOT / "src/orbitop/scenarios" / f"{name}.scn").read_text()
+    paths = []
+    for scale in ("2", "1/2"):
+        path = tmp_path / f"{name}_{scale.replace('/', '_')}.scn"
+        path.write_text(text + "\n[lattice]\n" + "".join(
+            "row: " + " ".join(scale if i == j else "0" for j in range(6)) + "\n"
+            for i in range(6)
+        ))
+        paths.append(str(path))
+    for command in ("fixed-sets", "singular-set", "euler", "ledger"):
+        reports = {
+            run_cli(capsys, command, "--scenario", ref, "--format", "json")
+            for ref in (name, *paths)
+        }
+        assert len(reports) == 1 and next(iter(reports))[0] == 0, command
+
+
+# Exit codes of every command on the bundled and stress scenarios: 0
+# except where listed.  lifts and invariant-pair on e6_bt (linear, 12 s
+# together) are left out; CI pins their reports.
+STRESS_NAMES = ("d4_q8z2", "d4_q8z4", "e6_bt", "mono48", "nodes_d4", "t6_z4z4")
+LINEAR = ("c3_z4", "c3_z2z2", "r8_q8", "d4_q8z2", "d4_q8z4", "e6_bt", "mono48",
+          "nodes_d4")
+NONZERO_EXITS = {
+    **{("singular-set", s): 3 for s in LINEAR},
+    **{("ledger", s): 3 for s in LINEAR},
+    **{("nodes", s): 3 for s in (*BUNDLED, *STRESS_NAMES) if s != "nodes_d4"},
+    **{(c, s): 3 for c in ("lifts", "invariant-pair")
+       for s in ("mono48", "nodes_d4", "r8_q8")},
+    ("ledger", "t6_z4z4"): 2,
+}
+
+
+def test_no_command_builds_a_matrix(capsys, monkeypatch):
+    """`Matrix` is the tests' oracle: the scenario reader, the lattice
+    and every command run on int rows."""
+    from orbitop.cli import COMMANDS
+    from orbitop.exact import Matrix
+
+    def refuse(self, rows_data):
+        raise RuntimeError("a command built a Matrix")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    for name in (*BUNDLED, *STRESS_NAMES):
+        path = ROOT / "perfbench" / "scenarios" / f"{name}.scn"
+        ref = str(path) if path.exists() else name
+        for command in COMMANDS:
+            if name == "e6_bt" and command in ("lifts", "invariant-pair"):
+                continue
+            code, _, err = run_cli(capsys, command, "--scenario", ref)
+            assert code == NONZERO_EXITS.get((command, name), 0), (command, name, err)
 
 
 def test_ledger_refuses_a_torus_that_is_not_a_threefold(tmp_path):
@@ -531,7 +650,7 @@ def test_ledger_on_a_rebased_torus_matches_the_bundled_scenario(
     [lattice] keeps the torus and its ledger; the line families are read
     off ambient directions, not lattice coordinates."""
     text = (ROOT / "src/orbitop/scenarios" / f"{name}.scn").read_text()
-    rows = shear_lattice(seed).basis.data
+    rows = shear_lattice(seed).basis
     scn = tmp_path / f"{name}_seed{seed}.scn"
     scn.write_text(
         text + "\n[lattice]\n"
@@ -802,7 +921,7 @@ out = {"loaded": [m for m in ("dataclasses", "inspect") if m in sys.modules]}
 from fractions import Fraction
 from orbitop import group
 from orbitop.errors import PreconditionError
-from orbitop.exact import Cyclotomic, Matrix
+from orbitop.exact import Cyclotomic
 from orbitop.invariants import ChiData, NodeConfiguration
 from orbitop.mckay import ASeriesModel
 from orbitop.torus import TorusLattice
@@ -810,7 +929,7 @@ from orbitop.torus import TorusLattice
 one = Cyclotomic.from_rational(1)
 bad = {
     "Motion": lambda: group.Motion(((1, 0), (0, 0))),
-    "TorusLattice": lambda: TorusLattice(Matrix([[1, 2], [2, 4]])),
+    "TorusLattice": lambda: TorusLattice(((1, 2), (2, 4))),
     "NodeConfiguration": lambda: NodeConfiguration(((Fraction(1),), ())),
     "ChiData": lambda: ChiData(((1,),), ((1,),), ((2,),)),
     "ASeriesModel": lambda: ASeriesModel(1, "resolution", one, one, one, 2),
@@ -958,7 +1077,7 @@ def test_crepant_plan_euler_number_equals_the_orbifold_euler_number(
     the standard lattice and on re-based copies of the same torus."""
     ref = name
     if seed is not None:
-        rows = shear_lattice(seed).basis.data
+        rows = shear_lattice(seed).basis
         scn = tmp_path / f"{name}_seed{seed}.scn"
         scn.write_text(
             (ROOT / "src/orbitop/scenarios" / f"{name}.scn").read_text()

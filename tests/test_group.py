@@ -341,7 +341,7 @@ INLINE_GENERATORS = {"e6_bt": E6_BT_GENERATORS, "mono48": MONO48_GENERATORS}
 def _generators(name):
     if name in INLINE_GENERATORS:
         return [Motion.from_complex(g) for g in INLINE_GENERATORS[name]]
-    return load_scenario(name).motions()
+    return load_scenario(name).generators
 
 
 def _scaled(matrix):
@@ -414,10 +414,10 @@ def test_table_equals_brute_force_products(name, order, monkeypatch):
 
 STRESS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 SCENARIO_GENERATORS = {
-    name: load_scenario(name).motions()
+    name: load_scenario(name).generators
     for name in ("t6_z4", "t6_z2z2", "c3_z4", "c3_z2z2", "r8_q8")
 } | {
-    path.stem: load_scenario(str(path)).motions()
+    path.stem: load_scenario(str(path)).generators
     for path in sorted(STRESS.glob("*.scn"))
 }
 
@@ -561,5 +561,5 @@ def test_spin7_all_on_generators_equals_all_elements(scenario, expected, tmp_pat
         Path(ref).write_text(_scenario_text(scenario))
     assert main(["group", "--scenario", ref, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    elements = close(load_scenario(ref).motions()).elements
+    elements = close(load_scenario(ref).generators).elements
     assert report["spin7_all"] == all(spin7_check(m) for m in elements) == expected

@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.solvers.simplex import InfeasibleLPError, lpmin
 
 from orbitop.errors import PreconditionError
-from orbitop.exact import Matrix
+from orbitop.exact import Matrix, int_product
 from orbitop.group import Motion, close, conjugacy_classes
 from orbitop.invariants import (
     BettiVector,
@@ -191,9 +191,8 @@ def test_commuting_pairs_number_order_times_classes(ref, pairs, classes):
         str(Path(__file__).resolve().parents[1] / "perfbench/scenarios" / ref)
         if ref.endswith(".scn") else ref
     )
-    group = close(scenario.motions())
-    lattice = scenario.lattice() if scenario.ambient == "torus" else None
-    report = orbifold_euler(group, lattice)
+    group = close(scenario.generators)
+    report = orbifold_euler(group, scenario.lattice)
     assert (report.commuting_pairs, report.class_count) == (pairs, classes)
     assert pairs == group.order * classes
 
@@ -209,7 +208,7 @@ def _dense_lattice(seed):
         [int(i == j) or (rng.choice((-1, 0, 1)) if i < j else 0) for j in range(6)]
         for i in range(6)
     ]
-    return TorusLattice(basis=Matrix(lower) @ Matrix(upper))
+    return TorusLattice(int_product(lower, upper))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -290,7 +289,7 @@ def _scenario_group(name):
     """A bundled scenario, or a stress scenario of the benchmark."""
     path = STRESS / f"{name}.scn"
     scenario = load_scenario(str(path) if path.exists() else name)
-    return close(scenario.motions()), scenario.lattice()
+    return close(scenario.generators), scenario.lattice
 
 
 def character_betti_oracle(group, lattice):
@@ -379,7 +378,7 @@ def test_betti_of_orientation_reversing_groups_matches_rank_oracle():
 @given(basis=_shear_basis(), name=st.sampled_from(sorted(BETTI_CASES)))
 def test_betti_independent_of_lattice_basis(basis, name):
     group, _ = _scenario_group(name)
-    lattice = TorusLattice(basis=Matrix(basis))
+    lattice = TorusLattice(basis)
     bv = quotient_betti(group, lattice)
     assert bv.b == BETTI_CASES[name] == character_betti_oracle(group, lattice)
 
@@ -479,13 +478,13 @@ def test_plan_rejects_incompatible_point_case(z2z2_group, gaussian_lattice):
 
 
 def test_single_class_not_smoothable_but_kahler():
-    cfg = NodeConfiguration.make([[1, 0]])
+    cfg = NodeConfiguration([[1, 0]])
     assert not node_smoothable(cfg).smoothable
     assert node_kahler(cfg).positive
 
 
 def test_opposite_pair_smoothable_not_kahler():
-    cfg = NodeConfiguration.make([[1, 0], [-1, 0]])
+    cfg = NodeConfiguration([[1, 0], [-1, 0]])
     result = node_smoothable(cfg)
     assert result.smoothable
     lam = result.witness
@@ -494,7 +493,7 @@ def test_opposite_pair_smoothable_not_kahler():
 
 
 def test_triangle_relation():
-    cfg = NodeConfiguration.make([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
+    cfg = NodeConfiguration([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
     result = node_smoothable(cfg)
     assert result.smoothable
     a, b, c = result.witness
@@ -502,7 +501,7 @@ def test_triangle_relation():
 
 
 def test_independent_pair_kahler_not_smoothable():
-    cfg = NodeConfiguration.make([[1, 0], [0, 1]])
+    cfg = NodeConfiguration([[1, 0], [0, 1]])
     assert node_kahler(cfg).positive
     assert not node_smoothable(cfg).smoothable
 
@@ -517,7 +516,7 @@ def test_randomized_node_consistency():
         ]
         if any(all(x == 0 for x in c) for c in classes):
             continue
-        cfg = NodeConfiguration.make(classes)
+        cfg = NodeConfiguration(classes)
         sm = node_smoothable(cfg)
         if sm.smoothable:
             lam = sm.witness
@@ -545,7 +544,7 @@ NODES_D4 = [
 
 
 def test_nodes_d4_is_not_kahler_positive():
-    result = node_kahler(NodeConfiguration.make(NODES_D4))
+    result = node_kahler(NodeConfiguration(NODES_D4))
     assert not result.positive
     assert_kahler_certificate(NODES_D4, result)
 
@@ -553,7 +552,7 @@ def test_nodes_d4_is_not_kahler_positive():
 def test_twenty_classes_are_not_kahler_positive_with_verified_relation():
     rng = random.Random(20)
     classes = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(20)]
-    result = node_kahler(NodeConfiguration.make(classes))
+    result = node_kahler(NodeConfiguration(classes))
     assert not result.positive
     assert len(result.certificate) == 20
     assert_kahler_certificate(classes, result)
@@ -609,7 +608,7 @@ def fourier_motzkin_feasible(classes) -> bool:
     )
 )
 def test_kahler_decision_matches_fourier_motzkin(classes):
-    result = node_kahler(NodeConfiguration.make(classes))
+    result = node_kahler(NodeConfiguration(classes))
     assert result.positive == fourier_motzkin_feasible(classes)
     assert_kahler_certificate(classes, result)
 
@@ -653,7 +652,7 @@ def _sympy_feasible(classes):
 @pytest.mark.parametrize("seed", range(12))
 def test_kahler_decision_matches_sympy_simplex(seed):
     classes = _hidden_functional_classes(seed)
-    result = node_kahler(NodeConfiguration.make(classes))
+    result = node_kahler(NodeConfiguration(classes))
     assert_kahler_certificate(classes, result)
     # sympy 1.14 gives up on seed 9, a positive configuration; the
     # certificate check above still decides it.

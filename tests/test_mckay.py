@@ -451,7 +451,7 @@ def test_cyclic_quotient_gets_one_generator():
     # e6_bt: K = G/H is Z4.  A redundant order-2 generator would multiply
     # the 6,832 lift candidates of the order-4 one by its own 892.
     stress = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
-    group = close(load_scenario(str(stress / "e6_bt.scn")).motions())
+    group = close(load_scenario(str(stress / "e6_bt.scn")).generators)
     z1_plane = [tuple(Fraction(int(i == j)) for i in range(6)) for j in (0, 1)]
     quotient = normal_and_quotient(group, stabilizer(group, subspace=z1_plane))
     assert quotient.order == 4
@@ -534,7 +534,7 @@ STRESS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 def _pipeline(name):
     path = STRESS / f"{name}.scn"
     scenario = load_scenario(str(path) if path.exists() else name)
-    group = close(scenario.motions())
+    group = close(scenario.generators)
     return analyze_splitting(group, axis=scenario.splitting_axis - 1)
 
 

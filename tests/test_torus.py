@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix as SympyMatrix
 
 from orbitop import torus
 from orbitop.errors import PreconditionError, VerificationError
@@ -50,6 +51,43 @@ def test_non_preserving_motion_rejected():
     rot = Motion(((3, -4), (4, 3)), 5)
     with pytest.raises(PreconditionError):
         lattice_matrix(rot, TorusLattice.standard(2))
+
+
+def _random_basis(rng, n):
+    """An invertible n x n rational matrix, entries with denominators up to 3."""
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if SympyMatrix(rows).det() != 0:
+            return rows
+
+
+def _special_bases():
+    """Non-unimodular, half-integral and scaled bases of R^6."""
+    unit = [[int(i == j) for j in range(6)] for i in range(6)]
+    half = [[Fraction(1, 2)] * 6] + unit[1:]
+    return [
+        [[(k + 1) * x for x in row] for k, row in enumerate(unit)],  # det 720
+        list(map(list, zip(*half))),  # Z^6 + (1/2)(1, ..., 1)
+        [[2 * x for x in row] for row in unit],
+        [[Fraction(x, 2) for x in row] for row in unit],
+        [[Fraction(3 * x, 2) for x in row] for row in half],
+    ]
+
+
+def test_integer_change_of_coordinates_matches_sympy():
+    """B^-1 M B = P M Q / d for the (P, Q, d) of the lattice spanned by
+    the columns of B, over random invertible rational bases."""
+    rng = random.Random(29)
+    bases = _special_bases() + [_random_basis(rng, rng.randint(1, 6)) for _ in range(30)]
+    for rows in bases:
+        n = len(rows)
+        left, right, d = TorusLattice(rows)._integer_change
+        assert all(type(x) is int for x in (d, *itertools.chain(*left, *right)))
+        b = SympyMatrix(rows)
+        for _ in range(3):
+            m = SympyMatrix(n, n, lambda i, j: rng.randint(-4, 4))
+            assert SympyMatrix(left) * m * SympyMatrix(right) / d == b.inv() * m * b
 
 
 def test_fixed_sets_of_z4(kappa, z4_group, gaussian_lattice):
@@ -407,7 +445,7 @@ def _half_lattice():
     complex planes."""
     rows = [[Fraction(1, 2)] * 6]
     rows += [[int(i == j) for j in range(6)] for i in range(1, 6)]
-    return TorusLattice(basis=Matrix(rows).T)
+    return TorusLattice(list(zip(*rows)))
 
 
 @pytest.mark.parametrize("lattice_ref", [None, "half", 0, 1, 2, 3, 4, 5])

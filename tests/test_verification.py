@@ -149,7 +149,7 @@ def test_pair_check_twists_beta_by_a_fourth_root_of_unity():
     A fixed beta that is not real passes; its complex conjugate, fixed
     under the conjugate twist instead, does not."""
     scenario = load_scenario(str(STRESS / "d4_q8z4.scn"))
-    group = close(scenario.motions())
+    group = close(scenario.generators)
     result = analyze_splitting(group, axis=scenario.splitting_axis - 1)
     assert sorted(map(str, result.phi)) == ["Cyc(-1)", "Cyc(-1*z4)", "Cyc(1)", "Cyc(1*z4)"]
     checked = 0
@@ -190,7 +190,7 @@ def test_kernel_check_catches_a_corrupted_vector(monkeypatch):
     the kernel; only the re-check A v = 0 on ints can see it."""
     for rows, order in KERNEL_CASES:
         assert int_kernel(rows, order)[1]
-    cfg = NodeConfiguration.make([[1, 2], [2, 3], [3, 4]])
+    cfg = NodeConfiguration([[1, 2], [2, 3], [3, 4]])
     assert node_smoothable(cfg).smoothable
     monkeypatch.setattr(
         exact_matrix, "_eliminate", _off_by_one(exact_matrix._eliminate)
@@ -240,7 +240,7 @@ def _wrong_inverse_image(lift):
 def test_dual_check_catches_a_wrong_inverse_image():
     # K = Z4 here, so a generator's inverse coset is another coset.
     scenario = load_scenario(str(STRESS / "d4_q8z4.scn"))
-    result = analyze_splitting(close(scenario.motions()))
+    result = analyze_splitting(close(scenario.generators))
     for lift in result.lifts[:3]:
         build_invariant_pair_problem(result.root_system, lift, result.phi)
         with pytest.raises(VerificationError, match="does not invert"):
@@ -305,7 +305,7 @@ def test_cli_maps_betti_verification_error_to_exit_5(monkeypatch, capsys):
     "witness,message", [((1, 1, 0), "not a relation"), ((0, 0, 0), "zero coefficient")]
 )
 def test_smoothability_check_catches_corrupted_witness(monkeypatch, witness, message):
-    cfg = NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]])
+    cfg = NodeConfiguration([[1, 0], [0, 1], [-1, -1]])
     assert node_smoothable(cfg).witness is not None
     monkeypatch.setattr(nodes, "generic_combination", lambda *a, **k: (1, (witness,)))
     with pytest.raises(VerificationError, match=message):
@@ -330,7 +330,7 @@ F = Fraction
 def test_kahler_check_catches_corrupted_certificate(
     monkeypatch, classes, certificate, message
 ):
-    cfg = NodeConfiguration.make(classes)
+    cfg = NodeConfiguration(classes)
     node_kahler(cfg)
     monkeypatch.setattr(nodes, "_gordan_phase_one", lambda classes: certificate)
     with pytest.raises(VerificationError, match=message):
@@ -396,12 +396,12 @@ except VerificationError:
     caught.append("snf")
 nodes.generic_combination = lambda *args, **kwargs: (1, ((1, 1, 0),))
 try:
-    node_smoothable(NodeConfiguration.make([[1, 0], [0, 1], [-1, -1]]))
+    node_smoothable(NodeConfiguration([[1, 0], [0, 1], [-1, -1]]))
 except VerificationError:
     caught.append("witness")
 nodes._gordan_phase_one = lambda classes: (None, (Fraction(1), Fraction(-1)))
 try:
-    node_kahler(NodeConfiguration.make([[1, 0], [0, 1]]))
+    node_kahler(NodeConfiguration([[1, 0], [0, 1]]))
 except VerificationError:
     caught.append("kahler")
 
@@ -674,7 +674,7 @@ def slid(translate, m, image=torus._Translate.image):
 torus._Translate.image = slid
 scenario = load_scenario("t6_z2z2")
 try:
-    torus.singular_set(close(scenario.motions()), scenario.lattice())
+    torus.singular_set(close(scenario.generators), scenario.lattice)
 except VerificationError as exc:
     print(sys.flags.optimize, exc)
 """
@@ -698,7 +698,7 @@ def test_stabilizer_check_survives_python_optimize():
 def test_table_sample_catches_a_wrong_sampled_entry():
     """mono48 has 48^2 > 200 entries, so the check reads a sample: a
     wrong entry in it fails the packed product check."""
-    group = close(load_scenario(str(STRESS / "mono48.scn")).motions())
+    group = close(load_scenario(str(STRESS / "mono48.scn")).generators)
     _verify_table_sample(group)
     a, b, _ = next(_sample_triples(group.order, 200))
     wrong = group.mul(a, group.mul(a, b))  # a * a * b != a * b
@@ -712,7 +712,7 @@ from orbitop.scenario import load_scenario
 from orbitop.errors import VerificationError
 from orbitop.group import close, order_modulo
 
-group = close(load_scenario("t6_z4").motions())
+group = close(load_scenario("t6_z4").generators)
 try:
     order_modulo(group.table, 1, ())
 except VerificationError as exc:
